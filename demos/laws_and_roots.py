@@ -49,7 +49,7 @@ for law in roster[:4]:
 
 print("\nAny structural measure can be realised as one draw from a probability")
 print("part plus a Poisson point process carrying the remaining intensity:")
-law = laws.poisson_reproduction(
+law = laws.UserPoisson(
     laws.PowerComponent(1.0, 1.0), laws.PowerComponent(1.0, 1.0)
 )
 counts = [law.sample_offspring(rng).sizes.size for _ in range(20000)]

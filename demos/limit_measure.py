@@ -21,7 +21,7 @@ binary = laws.BinaryUniformConservative()  # same structural measure in mean
 print("== weighted empirical measure vs the gamma-type limit density ==")
 t, n_reps = 25.0, 3000
 cfg = sim.SimulationConfig(alpha=1.0, t_max=t, snapshot_times=(t,), master_seed=5)
-reps = sim.run_replicates(cfg, binary, n_reps, threads=4, beta_star=1.0)
+reps = sim.run_replicates(cfg, binary, n_reps, beta_star=1.0)
 measure = est.empirical_weighted_measure([r[0] for r in reps], 1.0, 1.0)
 for k in (1, 2):
     mo, se = measure.moment(k)
@@ -54,7 +54,7 @@ print(f"truncation tail bound {ys.tail_mean_bound:.2e}")
 print("\n== L2 convergence of weighted functionals ==")
 f = est.exp_decay()
 rep = est.l2_functional_test(
-    fil, 1.0, f, (8.0, 32.0), n_replicates=1200, master_seed=17, threads=4,
+    fil, 1.0, f, (8.0, 32.0), n_replicates=1200, master_seed=17,
     f_rho=est.OracleValue(0.25, 0.0),  # int e^-x per the gamma-type density
 )
 print(rep.table())

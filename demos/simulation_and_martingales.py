@@ -31,7 +31,7 @@ for snap in sim.run(cfg, binary, replicate=0):
     print(f"t={snap.t:>4g}: sum sizes = {snap.sizes.sum():.15f}")
 
 print("\n== the natural-time martingale has mean one ==")
-reps = sim.run_replicates(cfg, stick, 2000, threads=4, beta_star=bs)
+reps = sim.run_replicates(cfg, stick, 2000, beta_star=bs)
 for i, t in enumerate(cfg.snapshot_times):
     vals = np.array([sim.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound
                      for r in reps])
@@ -57,7 +57,7 @@ print(f"Monte Carlo          = {mc.second_moment:.4f} +- {mc.second_moment_se:.4
 
 print("\n== homogeneous mode (alpha = 0): sizes decay exponentially ==")
 cfg0 = sim.SimulationConfig(alpha=0.0, t_max=3.0, snapshot_times=(3.0,), master_seed=3)
-reps0 = sim.run_replicates(cfg0, binary, 3000, threads=4)
+reps0 = sim.run_replicates(cfg0, binary, 3000)
 vals = np.array([sim.snapshot_power_sum(r[0], 2.0) for r in reps0])
 print(f"E M(3, 2) = {vals.mean():.4f} vs exp(-3 psi(2)) = {an.homogeneous_m(binary, 3.0, 2.0):.4f}")
 

@@ -1,0 +1,166 @@
+"""Compare the numbers two fragkit source trees produce for the same inputs.
+
+Usage:
+    python3 scripts/compare_checkouts.py REFERENCE_SRC [CANDIDATE_SRC]
+
+Each tree runs the same probe in its own interpreter (``PYTHONPATH`` set to
+the tree's ``src`` directory; the candidate defaults to this checkout's).
+For the power laws FilippovPower(2,1), (1.5,1) and (2,0.8) the probe
+records offspring draws, natural-time snapshots, generation-martingale
+values, the size-biased tilt and its samplers, the limit variable Y and
+tagged-fragment sizes; for one spec of every kind it records the bytes
+``fragkit law inspect`` prints.  The report gives, per quantity, the largest
+relative deviation between the trees and the bound it must stay within
+(0 means bit-identical).  Exit status 1 if any bound is exceeded.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+POWER_LAWS = ((2.0, 1.0), (1.5, 1.0), (2.0, 0.8))
+
+SPECS = {
+    "binary": {"kind": "BinaryUniformConservative", "params": {}},
+    "stick-lossy": {"kind": "StickBreakingLossy", "params": {}},
+    "stick-conservative": {"kind": "StickBreakingConservative", "params": {}},
+    "filippov-2-1": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0}},
+    "filippov-2-0.8": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 0.8}},
+    "filippov-analytic": {"kind": "FilippovPower", "params": {"lam": 1.0, "theta": -0.3}},
+    "dirichlet": {"kind": "DirichletPolynomial", "params": {"terms": [[1.2, 0.7], [0.9, 2.0]]}},
+    "dirichlet-signed": {"kind": "DirichletPolynomial",
+                         "params": {"terms": [[2.0, 1.0], [-0.1, 3.0]]}},
+    "atomic": {"kind": "UserAtomic", "params": {"groups": [
+        {"prob": 0.6, "sizes": [0.5, 0.5]}, {"prob": 0.4, "sizes": [0.7, 0.2, 0.1]}]}},
+    "atomic-grid": {"kind": "UserAtomic", "params": {"groups": [
+        {"prob": 1.0, "sizes": [0.5, 0.25, 0.125]}]}},
+    "poisson-power": {"kind": "UserPoisson", "params": {
+        "sigma1": {"kind": "power", "theta": 1.0},
+        "sigma2": {"kind": "power", "mass": 1.0, "theta": 1.0}}},
+    "poisson-atoms": {"kind": "UserPoisson", "params": {
+        "sigma1": {"kind": "atoms", "atoms": [[0.6, 1.0]]},
+        "sigma2": {"kind": "atoms", "atoms": [[0.5, 0.7], [0.25, 0.4]]}}},
+    "override": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0},
+                 "beta_a": -0.5, "arithmetic_flag": True},
+}
+
+#: (quantity prefix, relative bound); 0.0 demands identical bits
+BOUNDS = (
+    ("children", 0.0),
+    ("snapshot_sizes", 0.0),
+    ("m_tilde", 0.0),
+    ("child_truncation", 1e-13),
+    ("snapshot_frozen", 1e-13),
+    ("eta", 1e-15),
+    ("eta_first", 1e-15),
+    ("eta_cdf", 1e-15),
+    ("sample_Y", 1e-15),
+    ("tagged_final", 1e-15),
+    ("inspect", 0.0),
+)
+
+
+def probe(out_path):
+    """Record every compared quantity of the tree on sys.path into an .npz file."""
+    import contextlib
+    import io
+
+    from fragkit import cli, laws, simulate
+    from fragkit.rng import stream
+
+    rec = {}
+    for lam, theta in POWER_LAWS:
+        law = laws.FilippovPower(lam, theta)
+        tag = f"{lam:g}-{theta:g}"
+        rng = stream(1, "compare-children")
+        kids, cut = [], []
+        for i in range(20000):
+            # every fourth draw at a coarse floor, so some children are dropped
+            s = law.sample_offspring(rng, floor=0.2 if i % 4 == 0 else 1e-12)
+            kids.append(s.sizes)
+            cut.append(s.truncated_beta_mass_bound)
+        rec[f"children {tag}"] = np.concatenate(kids)
+        rec[f"child_truncation {tag}"] = np.array(cut)
+        cfg = simulate.SimulationConfig(alpha=1.0, t_max=5.0, snapshot_times=(1.0, 5.0),
+                                        child_floor=1e-3, master_seed=2)
+        reps = simulate.run_replicates(cfg, law, 200)
+        rec[f"snapshot_sizes {tag}"] = np.concatenate([s.sizes for r in reps for s in r])
+        rec[f"snapshot_frozen {tag}"] = np.array([s.frozen_beta_mass_bound
+                                                  for r in reps for s in r])
+        gen = simulate.generation_martingale(law, lam - theta, depth=8, eps_prune=1e-4,
+                                             n_trees=300, master_seed=3)
+        rec[f"m_tilde {tag}"] = gen.m_tilde
+        bs = laws.malthusian_exponent(law, tol=1e-12)
+        tilt = law.tagged(bs)
+        rec[f"eta {tag}"] = tilt.sample_eta(stream(4, "compare-eta"), 100000)
+        rec[f"eta_first {tag}"] = tilt.sample_eta_first(stream(5, "compare-eta0"), 100000)
+        rec[f"eta_cdf {tag}"] = tilt.eta_cdf(np.linspace(0.0, 1.0, 1001))
+        rec[f"sample_Y {tag}"] = simulate.sample_Y(law, 1.0, 20000, master_seed=6).values
+        rec[f"tagged_final {tag}"] = simulate.tagged_final_sizes(law, 1.0, 10.0, 20000,
+                                                                 master_seed=7)
+    with tempfile.TemporaryDirectory() as d:
+        for name, doc in SPECS.items():
+            path = os.path.join(d, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli.main(["law", "inspect", path])
+            rec[f"inspect {name}"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
+    np.savez(out_path, **rec)
+
+
+def _run_probe(src, out_path):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, __file__, "--probe", str(out_path)], env=env, check=True)
+
+
+def _deviation(a, b):
+    """Largest relative deviation; inf when shapes differ."""
+    if a.shape != b.shape:
+        return float("inf")
+    if a.dtype == np.uint8:
+        return 0.0 if np.array_equal(a, b) else float("inf")
+    a, b = a.astype(float), b.astype(float)
+    if np.array_equal(a, b):
+        return 0.0
+    scale = np.maximum(np.abs(a), np.abs(b))
+    diff = np.abs(a - b)
+    return float(np.max(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), diff)))
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "--probe":
+        probe(argv[2])
+        return 0
+    if len(argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 1
+    ref_src = pathlib.Path(argv[1]).resolve()
+    new_src = pathlib.Path(argv[2] if len(argv) == 3 else
+                           pathlib.Path(__file__).resolve().parents[1] / "src").resolve()
+    with tempfile.TemporaryDirectory() as d:
+        ref_file, new_file = pathlib.Path(d, "ref.npz"), pathlib.Path(d, "new.npz")
+        _run_probe(ref_src, ref_file)
+        _run_probe(new_src, new_file)
+        ref, new = np.load(ref_file), np.load(new_file)
+        bound_of = dict(BOUNDS)
+        bad = 0
+        print(f"{'quantity':<36} {'max rel deviation':>18} {'bound':>8}  ok")
+        for key in sorted(ref.files, key=lambda k: ([p for p, _ in BOUNDS].index(k.split()[0]), k)):
+            dev = _deviation(ref[key], new[key]) if key in new.files else float("inf")
+            bound = bound_of[key.split()[0]]
+            ok = dev <= bound
+            bad += not ok
+            print(f"{key:<36} {dev:>18.3g} {bound:>8.0g}  {'yes' if ok else 'NO'}")
+        print(f"{len(ref.files) - bad} of {len(ref.files)} quantities within their bounds")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

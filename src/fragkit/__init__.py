@@ -48,12 +48,6 @@ from .laws import (
     load_spec,
     malthusian_exponent,
     no_malthusian_example,
-    phi,
-    poisson_reproduction,
-    psi,
-    psi_derivative,
-    sample_offspring,
-    tilted_tag_law,
 )
 from .analytics import (
     GammaExtrapolation,
@@ -77,18 +71,15 @@ from .analytics import (
     m_series,
     rho_moment,
     rho_moments,
-    y_moments_consistency,
 )
 from .simulate import (
     GenerationMartingaleResult,
     MInftyEstimate,
-    Particle,
     PopulationSnapshot,
     SimulationConfig,
     YSampleResult,
     estimate_m_infinity_moments,
     generation_martingale,
-    power_sum_truncation_bound,
     run,
     run_replicates,
     sample_Y,
@@ -104,11 +95,9 @@ from .estimators import (
     cdf_distance,
     empirical_weighted_measure,
     exp_decay,
-    indicator_window,
     integral_f_rho,
     l2_functional_test,
     m_infinity_second_moment_oracle,
     mean_power_sum_test,
-    power_capped,
     z_check,
 )

@@ -25,6 +25,7 @@ evaluates:
   extrapolation, gamma-type limit density) and for Dirichlet polynomials.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -465,7 +466,7 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
             return GammaExtrapolation(z, beta, val, n, 0.0)
 
     once = _gamma_z_once_mp if precision_bits else _gamma_z_once_float
-    ctx = mp.workprec(precision_bits) if precision_bits else _nullcontext()
+    ctx = mp.workprec(precision_bits) if precision_bits else contextlib.nullcontext()
     with ctx:
         K = 64
         prev, _ = once(law, z, beta, alpha, K)
@@ -478,14 +479,6 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
                 return GammaExtrapolation(z, beta, value, K, float(abs(cur - prev) / scale))
             prev = cur
         raise PrecisionExhausted(f"g(z, beta) product not stable at K={K}")
-
-
-class _nullcontext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _tidy_complex(v):
@@ -737,54 +730,10 @@ def dirichlet_integer_moment(terms, k):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous case and tagged-moment consistency
+# homogeneous case
 # ---------------------------------------------------------------------------
 
 def homogeneous_m(law, t, beta):
     """alpha = 0: g(n, beta) = psi(beta)^n, so m(t, beta) = exp(-t psi(beta))."""
     val = np.exp(-t * law.psi(beta))
     return _tidy_complex(val) if isinstance(val, complex) else float(val)
-
-
-def y_moments_consistency(law, alpha, k_max, beta_star=None):
-    """Check that the tagged-fragment moment formula reproduces rho's moments.
-
-    The tagged chain shrinks by factors eta ~ sigma_hat with
-    psi_hat(z) = psi(z + beta*), and its limit variable Y has
-    E Y^k = (k-1)!/(alpha psi_hat'(0)) prod_{j<k} 1/psi_hat(alpha j),
-    which must coincide with rho_moment(k) since rho is the law of Y^(1/alpha).
-    Returns a dict of residuals.
-    """
-    bs = beta_star_of(law) if beta_star is None else beta_star
-    tagged = law.tagged(bs)
-
-    hat_prime = _fd_derivative_right(lambda zz: tagged.psi_hat(zz), 0.0)
-    direct = law.psi_prime(bs)
-    rep = {
-        "psi_hat_prime0_vs_psi_prime": abs(hat_prime - direct) / abs(direct),
-        "pointwise_max": max(
-            abs(tagged.psi_hat(z) - law.psi(z + bs)) for z in np.linspace(0.1, 2.5, 7)
-        ),
-    }
-    worst = 0.0
-    for k in range(1, k_max + 1):
-        val = math.factorial(k - 1) / (alpha * direct)
-        for j in range(1, k):
-            val /= tagged.psi_hat(alpha * j)
-        ref = rho_moment(law, k, alpha, bs)
-        worst = max(worst, abs(val - ref) / abs(ref))
-    rep["moments_max_rel"] = worst
-    rep["ok"] = worst < 1e-10 and rep["psi_hat_prime0_vs_psi_prime"] < 1e-6
-    return rep
-
-
-def _fd_derivative_right(f, x0, h0=1e-4):
-    prev = None
-    h = h0
-    for _ in range(10):
-        d = (-3 * f(x0) + 4 * f(x0 + h) - f(x0 + 2 * h)) / (2 * h)
-        if prev is not None and abs(d - prev) < 1e-9 * max(1.0, abs(d)):
-            return d
-        prev = d
-        h /= 4
-    return prev

@@ -2,10 +2,12 @@
 
 Output conventions: CSV on stdout for bulk numerics, JSON for scalar
 reports (every JSON report embeds the build version).  All randomness is
-controlled by --seed, and output bytes are identical across --threads
-settings (replicate streams are keyed by replicate index, results emitted
-in replicate order).  Exit codes: 0 success, 1 usage/configuration error,
-2 validation-suite failure (some 3-standard-error check failed).
+controlled by --seed (replicate streams are keyed by replicate index,
+results emitted in replicate order).  ``--threads`` is accepted and ignored:
+replicates run serially, since the simulator is pure-Python code that
+threads only slow down under the interpreter lock.  Exit codes: 0 success,
+1 usage/configuration error, 2 validation-suite failure (some
+3-standard-error check failed).
 """
 
 import argparse
@@ -19,6 +21,7 @@ from . import __version__, analytics, estimators, laws, simulate
 from .errors import FragkitError
 
 _PROBE_OFFSETS = (0.5, 1.0, 2.0)
+_THREADS_HELP = "accepted for compatibility; has no effect (replicates run serially)"
 
 
 def _fmt(x):
@@ -149,8 +152,7 @@ def _cmd_simulate(args):
         master_seed=args.seed,
     )
     bs = laws.malthusian_exponent(law, tol=1e-12)
-    reps = simulate.run_replicates(cfg, law, args.replicates, threads=args.threads,
-                                   beta_star=bs)
+    reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
     dump_lines = ["replicate,t,size"] if args.dump else None
     print("replicate,t,n_particles,M_beta_star,frozen_bound")
     for r, snaps in enumerate(reps):
@@ -195,8 +197,7 @@ def _cmd_rho_empirical(args):
         alpha=args.alpha, t_max=args.t, snapshot_times=(args.t,),
         master_seed=args.seed, child_floor=args.floor,
     )
-    reps = simulate.run_replicates(cfg, law, args.replicates, threads=args.threads,
-                                   beta_star=bs)
+    reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
     measure = estimators.empirical_weighted_measure([r[0] for r in reps], args.alpha, bs)
     edges, mass = measure.histogram(n_bins=args.bins)
     with open(args.hist, "w", encoding="utf-8", newline="\n") as fh:
@@ -220,8 +221,7 @@ def _validate_suite(law, args):
         t = args.t
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,),
                                         master_seed=args.seed)
-        reps = simulate.run_replicates(cfg, law, args.replicates, threads=args.threads,
-                                       beta_star=bs)
+        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
         measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
         for k in (1, 2):
             est, se = measure.moment(k)
@@ -235,8 +235,7 @@ def _validate_suite(law, args):
         times = tuple(tt for tt in (1.0, 5.0, 20.0) if tt <= args.t) or (args.t,)
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=max(times),
                                         snapshot_times=times, master_seed=args.seed + 1)
-        reps = simulate.run_replicates(cfg, law, args.replicates, threads=args.threads,
-                                       beta_star=bs)
+        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
         for i, tt in enumerate(times):
             vals = np.array([
                 simulate.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound
@@ -256,15 +255,14 @@ def _validate_suite(law, args):
     if run_all or args.suite == "l2":
         sub = estimators.l2_functional_test(
             law, alpha, estimators.exp_decay(), (args.t / 4, args.t),
-            n_replicates=args.replicates, master_seed=args.seed + 3, threads=args.threads,
+            n_replicates=args.replicates, master_seed=args.seed + 3,
         )
         report.checks.extend(sub.checks)
 
     if run_all or args.suite == "cdf":
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=args.t, snapshot_times=(args.t,),
                                         master_seed=args.seed + 4)
-        reps = simulate.run_replicates(cfg, law, args.replicates, threads=args.threads,
-                                       beta_star=bs)
+        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
         measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
         if isinstance(law, laws.FilippovPower):
             target = lambda x: analytics.filippov_rho_cdf(law.lam, law.theta, alpha, x)
@@ -385,7 +383,7 @@ def _build_parser():
     q.add_argument("--replicates", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
-    q.add_argument("--threads", type=int, default=1)
+    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--dump", help="also write per-particle sizes CSV here")
     q.set_defaults(func=_cmd_simulate)
 
@@ -412,7 +410,7 @@ def _build_parser():
     q.add_argument("--replicates", type=int, default=1000)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
-    q.add_argument("--threads", type=int, default=1)
+    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--bins", type=int, default=40)
     q.add_argument("--hist", required=True, help="output CSV (bin_left,bin_right,mass)")
     q.set_defaults(func=_cmd_rho_empirical)
@@ -424,7 +422,7 @@ def _build_parser():
                    default="all")
     q.add_argument("--replicates", type=int, default=2000)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--threads", type=int, default=1)
+    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--t", type=float, default=20.0)
     q.add_argument("--cdf-threshold", type=float, default=0.05)
     q.add_argument("--report", help="write the JSON report to this path")

@@ -235,21 +235,9 @@ def m_infinity_second_moment_oracle(law, beta_star, n_mc=1_000_000, master_seed=
 # L2 functional statistic
 # ---------------------------------------------------------------------------
 
-def indicator_window(a, b):
-    f = lambda x: ((x >= a) & (x <= b)).astype(float)
-    f.label = f"1[{a:g},{b:g}]"
-    return f
-
-
 def exp_decay():
     f = lambda x: np.exp(-x)
     f.label = "exp(-x)"
-    return f
-
-
-def power_capped(alpha, cap):
-    f = lambda x: np.minimum(x**alpha, cap)
-    f.label = f"min(x^{alpha:g},{cap:g})"
     return f
 
 
@@ -270,7 +258,6 @@ def l2_functional_test(
     t_ladder,
     n_replicates,
     master_seed=0,
-    threads=1,
     pair_t=None,
     f_rho=None,
     m2_oracle=None,
@@ -298,7 +285,7 @@ def l2_functional_test(
         master_seed=master_seed,
         child_floor=child_floor,
     )
-    reps = simulate.run_replicates(cfg, law, n_replicates, threads=threads, beta_star=bs)
+    reps = simulate.run_replicates(cfg, law, n_replicates, beta_star=bs)
     A = {t: np.empty(n_replicates) for t in times}
     M = {t: np.empty(n_replicates) for t in times}
     for r, snaps in enumerate(reps):

@@ -10,13 +10,16 @@ is its Mellin transform, finite on the half-plane Re beta > beta_a.  The
 Malthusian exponent beta_star is the unique real root of phi = 1; it exists
 iff phi(beta_a+) >= 1 and drives every asymptotic in the package.
 
-Laws decouple two capabilities:
+Every law with a sampler declares sigma once, as power terms and atoms,
 
-* Mellin data (phi, psi = 1 - phi, derivatives, abscissa) used by the
-  analytics layer; present for every built-in, numerical quadrature for
-  density-only laws.
-* An exact offspring sampler used by the simulator; present only where an
-  exact construction is known (all built-ins except analytics-only laws).
+    sigma(dx) = sum_j lam_j x^(theta_j - 1) dx + sum_i w_i delta_{x_i}(dx),
+
+and the base class derives from it the Mellin data (phi, its derivative and
+arbitrary-precision form, the abscissa), the quadrature representations and
+the size-biased tilt of a nonnegative power mixture.  A law writes only its
+measure, its exact offspring sampler and what is truly its own (factored
+closed forms, special tilts, square means).  Density-only laws declare no
+measure and compute phi by quadrature; they have no sampler.
 
 Built-ins
 ---------
@@ -24,8 +27,9 @@ BinaryUniformConservative   children {U, 1-U};     phi = 2/(1+beta)
 StickBreakingLossy          uniform stick-breaking with the first uniform
                             portion lost;          phi = 1/(beta(beta+1))
 StickBreakingConservative   plain stick-breaking;  phi = 1/beta
-FilippovPower(lam, theta)   sigma = lam x^(theta-1) dx;  phi = lam/(theta+beta)
 DirichletPolynomial(terms)  sigma = sum_j lam_j x^(theta_j - 1) dx
+FilippovPower(lam, theta)   the one-term case sigma = lam x^(theta-1) dx;
+                            phi = lam/(theta+beta)
 UserAtomic(groups)          finitely many child-size sets with probabilities
 UserPoisson(sigma1, sigma2) one draw from sigma1 plus a Poisson process with
                             intensity sigma2 (structural measure sigma1+sigma2)
@@ -111,9 +115,6 @@ class TaggedLaw:
     def psi_hat(self, z):
         return self.base.psi(z + self.beta_star)
 
-    def psi_hat_prime0(self):
-        return self.base.psi_prime(self.beta_star)
-
     def mean_eta_pow(self, z):
         """E eta^z = phi(z + beta_star) = 1 - psi_hat(z)."""
         return self.base.phi(z + self.beta_star)
@@ -123,16 +124,67 @@ class TaggedLaw:
 # base class
 # ---------------------------------------------------------------------------
 
+def _mellin(power_terms, atoms, beta):
+    """integral x^beta sigma(dx) = sum_j lam_j/(theta_j+beta) + sum_i w_i x_i^beta."""
+    total = sum(l / (t + beta) for l, t in power_terms)
+    if atoms:
+        total += sum(w * x**beta for x, w in atoms)
+    return total
+
+
 class ReproductionLaw:
-    """Immutable law object; subclasses fill in Mellin data and samplers."""
+    """Immutable law object.
+
+    ``power_terms`` ((lam_j, theta_j), ...) and ``atoms`` ((x_i, w_i), ...)
+    declare the structural measure; both None means the law has no such
+    description and supplies its own ``_phi``.  ``beta_a_override`` and
+    ``arithmetic_override`` hold the JSON spec's "beta_a" and
+    "arithmetic_flag" overrides and are part of the law's identity.
+    """
 
     kind = "abstract"
-    beta_a = -math.inf
+    power_terms = None
+    atoms = None
     beta_a_estimated = False
-    arithmetic = False
     atom_mass_at_one = 0.0
     conservative = False
     has_sampler = False
+    beta_a_override = None
+    arithmetic_override = None
+
+    # -- structural measure --------------------------------------------------
+
+    def _sigma(self):
+        if self.power_terms is None and self.atoms is None:
+            raise NoClosedForm(f"{self.kind}: no closed form")
+        return self.power_terms or (), self.atoms or ()
+
+    @property
+    def beta_a(self):
+        """Abscissa of phi: -min theta_j (atoms converge on the whole plane)."""
+        if self.beta_a_override is not None:
+            return self.beta_a_override
+        return 0.0 - min(t for _, t in self.power_terms) if self.power_terms else -math.inf
+
+    @property
+    def arithmetic(self):
+        """Whether sigma sits on a geometric grid (declared, or detected by the law)."""
+        if self.arithmetic_override is not None:
+            return self.arithmetic_override
+        return self._detect_arithmetic()
+
+    def _detect_arithmetic(self):
+        return False
+
+    def sigma_power_components(self):
+        """sigma's density as sum of c * x^q dx on ]0,1], or None."""
+        if not self.power_terms:
+            return None
+        return tuple((l, t - 1.0) for l, t in self.power_terms)
+
+    def sigma_atoms(self):
+        """sigma's atoms ((x, weight), ...), or None."""
+        return self.atoms
 
     # -- Mellin data --------------------------------------------------------
 
@@ -148,11 +200,17 @@ class ReproductionLaw:
         return self._phi(beta)
 
     def _phi(self, beta):
-        raise NoClosedForm(f"{self.kind}: no closed form")
+        return _mellin(*self._sigma(), beta)
 
     def phi_mp(self, beta):
         """phi evaluated in mpmath arithmetic (closed-form laws only)."""
-        raise NoClosedForm(f"{self.kind}: no arbitrary-precision closed form")
+        terms, atoms = self._sigma()
+        b = mp.mpmathify(beta)
+        parts = [mp.mpf(l) / (t + b) for l, t in terms]
+        if atoms:
+            parts += [w * mp.mpf(x) ** b for x, w in atoms]
+        # the series calls this once per term: skip fsum's overhead for one part
+        return parts[0] if len(parts) == 1 else mp.fsum(parts)
 
     def psi(self, beta):
         return 1.0 - self.phi(beta)
@@ -169,7 +227,11 @@ class ReproductionLaw:
         return _richardson_derivative(lambda b: self.psi(b), beta, self.beta_a)
 
     def _phi_prime(self, beta):
-        return None
+        if self.power_terms is None and self.atoms is None:
+            return None
+        terms, atoms = self._sigma()
+        return (sum(w * x**beta * math.log(x) for x, w in atoms)
+                - sum(l / (t + beta) ** 2 for l, t in terms))
 
     # -- sampling -----------------------------------------------------------
 
@@ -183,36 +245,54 @@ class ReproductionLaw:
         """
         raise UnsupportedSampler(f"{self.kind}: analytics-only law, no sampler")
 
-    def tail_mass_exponent_factor(self, beta_star):
-        """E[discarded beta*-mass] / residual^beta* for the sampler's tail."""
-        return 0.0
-
-    # -- representations for quadrature and oracles -------------------------
-
-    def sigma_power_components(self):
-        """sigma as sum of c * x^q dx on ]0,1], or None."""
-        return None
-
-    def sigma_atoms(self):
-        """sigma as finite atoms ((x, weight), ...), or None."""
-        return None
-
     def offspring_square_mean(self, beta_star):
         """Closed form of E (sum_j xi_j^beta_star)^2, or None."""
         return None
 
     def tagged(self, beta_star):
-        raise UnsupportedTilt(f"{self.kind}: no tiltable representation")
+        """Exact sampler for sigma_hat(dx) = x^beta_star sigma(dx) of a power mixture.
+
+        With nonnegative power terms only, sigma_hat = sum_j lam_j
+        x^(beta*+theta_j-1) dx is again a power mixture, weights
+        lam_j/(beta*+theta_j); the stationary first factor, density
+        sigma_hat(]0,x])/(psi'(beta*) x), mixes the same powers with weights
+        lam_j/(beta*+theta_j)^2.  A one-term law draws no component.
+        """
+        terms = self.power_terms
+        if not terms or self.atoms or any(l < 0 for l, _ in terms):
+            raise UnsupportedTilt(f"{self.kind}: no exact tilt sampler")
+        # one Newton step: sigma_hat is a probability only at the root itself,
+        # and a root finder's beta* carries its tolerance
+        root = beta_star - (self._phi(beta_star) - 1.0) / self._phi_prime(beta_star)
+        lam = np.array([l for l, _ in terms])
+        expo = root + np.array([t for _, t in terms])
+        w = lam / expo
+        w = w / w.sum()  # sums to phi(beta*) = 1 up to root tolerance
+        w0 = lam / expo**2
+        w0 = w0 / w0.sum()
+
+        def mixture(p):
+            def sample(rng, n):
+                e = expo[0] if expo.size == 1 else expo[rng.choice(expo.size, size=n, p=p)]
+                return rng.uniform(size=n) ** (1.0 / e)
+            return sample
+
+        def eta_cdf(x):
+            x = np.clip(x, 0.0, 1.0)
+            return sum(wi * x**e for wi, e in zip(w, expo))
+
+        return TaggedLaw(self, beta_star, mixture(w), mixture(w0), eta_cdf)
 
     # -- misc ---------------------------------------------------------------
 
+    def _identity(self):
+        return (self.kind, self._key(), self.beta_a_override, self.arithmetic_override)
+
     def __hash__(self):
-        return hash((self.kind, self._key()))
+        return hash(self._identity())
 
     def __eq__(self, other):
-        return isinstance(other, ReproductionLaw) and (
-            (self.kind, self._key()) == (other.kind, other._key())
-        )
+        return isinstance(other, ReproductionLaw) and self._identity() == other._identity()
 
     def _key(self):
         return ()
@@ -255,7 +335,7 @@ class BinaryUniformConservative(ReproductionLaw):
     """
 
     kind = "BinaryUniformConservative"
-    beta_a = -1.0
+    power_terms = ((2.0, 1.0),)
     conservative = True
     has_sampler = True
 
@@ -275,32 +355,20 @@ class BinaryUniformConservative(ReproductionLaw):
         dropped = sum(k for k in kids if k < floor)  # beta_star = 1: exact mass
         return OffspringSample(np.array(kept), truncated_beta_mass_bound=dropped)
 
-    def sigma_power_components(self):
-        return ((2.0, 0.0),)
-
     def offspring_square_mean(self, beta_star):
         return 1.0  # (U + (1-U))^2
-
-    def tagged(self, beta_star):
-        # sigma_hat density 2x: eta = sqrt(U)
-        return TaggedLaw(
-            base=self,
-            beta_star=beta_star,
-            _eta_sampler=lambda rng, n: np.sqrt(rng.uniform(size=n)),
-            _eta0_sampler=lambda rng, n: np.sqrt(rng.uniform(size=n)),
-            _eta_cdf=lambda x: np.clip(x, 0.0, 1.0) ** 2,
-        )
 
 
 class _StickBreakingBase(ReproductionLaw):
     """Common machinery of the two uniform stick-breaking laws."""
 
     has_sampler = True
-    beta_a = 0.0
     #: j0 = 1 loses the first uniform portion, j0 = 0 keeps it (conservative)
     _lossy = True
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
+        if floor <= 0:
+            raise DomainError(f"{self.kind}: infinitely many children need a floor > 0")
         kids = []
         residual = 1.0
         if self._lossy:
@@ -318,9 +386,6 @@ class _StickBreakingBase(ReproductionLaw):
         kids.sort(reverse=True)
         return OffspringSample(np.array(kids), truncated_beta_mass_bound=bound)
 
-    def tail_mass_exponent_factor(self, beta_star):
-        return 1.0 / beta_star
-
     def _beta_star_exact(self):
         raise NotImplementedError
 
@@ -331,6 +396,7 @@ class StickBreakingLossy(_StickBreakingBase):
     beta_star = (sqrt(5)-1)/2; sigma has density (1-x)/x."""
 
     kind = "StickBreakingLossy"
+    power_terms = ((1.0, 0.0), (-1.0, 1.0))  # (1-x)/x = x^-1 - x^0
     _lossy = True
 
     def _phi(self, beta):
@@ -345,9 +411,6 @@ class StickBreakingLossy(_StickBreakingBase):
 
     def _beta_star_exact(self):
         return (math.sqrt(5.0) - 1.0) / 2.0
-
-    def sigma_power_components(self):
-        return ((1.0, -1.0), (-1.0, 0.0))  # (1-x)/x = x^-1 - x^0
 
     def offspring_square_mean(self, beta_star):
         # T = U0^b * S with S = (1-U)^b + U^b S' (independent copy):
@@ -399,6 +462,7 @@ class StickBreakingConservative(_StickBreakingBase):
     phi(beta) = 1/beta, beta_star = 1, sigma has density 1/x."""
 
     kind = "StickBreakingConservative"
+    power_terms = ((1.0, 0.0),)
     conservative = True
     _lossy = False
 
@@ -414,108 +478,8 @@ class StickBreakingConservative(_StickBreakingBase):
     def _beta_star_exact(self):
         return 1.0
 
-    def sigma_power_components(self):
-        return ((1.0, -1.0),)
-
     def offspring_square_mean(self, beta_star):
         return 1.0
-
-    def tagged(self, beta_star):
-        # sigma_hat = x * (1/x) dx = uniform; eta0 density sigma_hat(]0,x])/x = 1
-        return TaggedLaw(
-            base=self,
-            beta_star=beta_star,
-            _eta_sampler=lambda rng, n: rng.uniform(size=n),
-            _eta0_sampler=lambda rng, n: rng.uniform(size=n),
-            _eta_cdf=lambda x: np.clip(x, 0.0, 1.0),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class FilippovPower(ReproductionLaw):
-    """Power-density law: sigma(dx) = lam x^(theta-1) dx on ]0,1].
-
-    phi(beta) = lam/(theta+beta), abscissa -theta, beta_star = lam - theta.
-    The sampler (theta > 0, lam > theta) uses the decomposition
-    sigma = sigma1 + sigma2 with sigma1 = theta x^(theta-1) dx a probability
-    and sigma2 = (lam-theta) x^(theta-1) dx a finite intensity: one draw from
-    sigma1 plus Poisson((lam-theta)/theta) i.i.d. extras.  theta <= 0 keeps
-    the Mellin data only (the intensity is infinite near 0).
-    """
-
-    lam: float
-    theta: float
-    kind = "FilippovPower"
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.theta > 0 and self.lam <= self.theta:
-            raise ValueError("theta > 0 requires lam > theta (supercritical law)")
-
-    @property
-    def beta_a(self):
-        return -self.theta
-
-    @property
-    def has_sampler(self):
-        return self.theta > 0
-
-    @property
-    def conservative(self):
-        return False
-
-    def _key(self):
-        return (self.lam, self.theta)
-
-    def _phi(self, beta):
-        return self.lam / (self.theta + beta)
-
-    def phi_mp(self, beta):
-        return mp.mpmathify(self.lam) / (mp.mpmathify(self.theta) + mp.mpmathify(beta))
-
-    def _phi_prime(self, beta):
-        return -self.lam / (self.theta + beta) ** 2
-
-    def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
-        if self.theta <= 0:
-            raise UnsupportedSampler("FilippovPower sampler needs theta > 0")
-        n_extra = rng.poisson((self.lam - self.theta) / self.theta)
-        kids = rng.uniform(size=1 + n_extra) ** (1.0 / self.theta)
-        kids[::-1].sort()
-        keep = kids >= floor
-        dropped = 0.0
-        if not keep.all():
-            dropped = float(np.sum(kids[~keep] ** (self.lam - self.theta)))
-        return OffspringSample(kids[keep], truncated_beta_mass_bound=dropped)
-
-    def sigma_power_components(self):
-        return ((self.lam, self.theta - 1.0),)
-
-    def offspring_square_mean(self, beta_star):
-        # one sigma1 draw A plus Poisson functional B of intensity sigma2:
-        # E(A+B)^2 = phi1(2b) + 2 phi1(b) phi2(b) + phi2(2b) + phi2(b)^2
-        if self.theta <= 0:
-            return None
-        b = beta_star
-        p1 = lambda s: self.theta / (self.theta + s)
-        p2 = lambda s: (self.lam - self.theta) / (self.theta + s)
-        return p1(2 * b) + 2 * p1(b) * p2(b) + p2(2 * b) + p2(b) ** 2
-
-    def tagged(self, beta_star):
-        # sigma_hat density lam x^(lam-1); eta0 has the same density, since
-        # sigma_hat(]0,x])/(psi'(b*) x) = x^lam * lam / x = lam x^(lam-1)
-        lam = self.lam
-        return TaggedLaw(
-            base=self,
-            beta_star=beta_star,
-            _eta_sampler=lambda rng, n: rng.uniform(size=n) ** (1.0 / lam),
-            _eta0_sampler=lambda rng, n: rng.uniform(size=n) ** (1.0 / lam),
-            _eta_cdf=lambda x: np.clip(x, 0.0, 1.0) ** lam,
-        )
-
-    def __repr__(self):
-        return f"FilippovPower(lam={self.lam}, theta={self.theta})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,12 +500,12 @@ class DirichletPolynomial(ReproductionLaw):
             raise ValueError("need at least one term")
         object.__setattr__(self, "terms", terms)
 
-    def _key(self):
+    @property
+    def power_terms(self):
         return self.terms
 
-    @property
-    def beta_a(self):
-        return -min(t for _, t in self.terms)
+    def _key(self):
+        return self.terms
 
     @property
     def has_sampler(self):
@@ -552,30 +516,22 @@ class DirichletPolynomial(ReproductionLaw):
             return math.inf
         return sum(l / t for l, t in self.terms)
 
-    def _phi(self, beta):
-        return sum(l / (t + beta) for l, t in self.terms)
-
-    def phi_mp(self, beta):
-        b = mp.mpmathify(beta)
-        return mp.fsum([mp.mpmathify(l) / (mp.mpmathify(t) + b) for l, t in self.terms])
-
-    def _phi_prime(self, beta):
-        return -sum(l / (t + beta) ** 2 for l, t in self.terms)
-
     def _mixture(self):
         w = np.array([l / t for l, t in self.terms])
         return w / w.sum(), np.array([t for _, t in self.terms])
 
+    def _draw_factors(self, rng, n):
+        """n i.i.d. child factors from the normalised intensity."""
+        probs, thetas = self._mixture()
+        comp = rng.choice(len(probs), size=n, p=probs) if len(probs) > 1 else 0
+        return rng.uniform(size=n) ** (1.0 / thetas[comp])
+
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
         if not self.has_sampler:
             raise UnsupportedSampler(
-                "DirichletPolynomial sampler needs lam_j >= 0, theta_j > 0, mass > 1"
+                f"{self.kind} sampler needs lam_j >= 0, theta_j > 0, mass > 1"
             )
-        wmass = self._total_mass()
-        probs, thetas = self._mixture()
-        n = 1 + rng.poisson(wmass - 1.0)
-        comp = rng.choice(len(probs), size=n, p=probs)
-        kids = rng.uniform(size=n) ** (1.0 / thetas[comp])
+        kids = self._draw_factors(rng, 1 + rng.poisson(self._total_mass() - 1.0))
         kids[::-1].sort()
         keep = kids >= floor
         dropped = 0.0
@@ -583,10 +539,9 @@ class DirichletPolynomial(ReproductionLaw):
             dropped = float(np.sum(kids[~keep] ** _beta_star_newton(self)))
         return OffspringSample(kids[keep], truncated_beta_mass_bound=dropped)
 
-    def sigma_power_components(self):
-        return tuple((l, t - 1.0) for l, t in self.terms)
-
     def offspring_square_mean(self, beta_star):
+        # one draw A from the normalised intensity plus a Poisson functional B
+        # of the rest: E(A+B)^2 = phi1(2b) + 2 phi1(b) phi2(b) + phi2(2b) + phi2(b)^2
         if not self.has_sampler:
             return None
         b = beta_star
@@ -595,37 +550,40 @@ class DirichletPolynomial(ReproductionLaw):
         phi2 = lambda s: self._phi(s) * (1.0 - 1.0 / w)
         return phi1(2 * b) + 2 * phi1(b) * phi2(b) + phi2(2 * b) + phi2(b) ** 2
 
-    def tagged(self, beta_star):
-        # sigma_hat = sum_j lam_j x^(beta*+theta_j-1) dx, weights lam_j/(beta*+theta_j)
-        if any(l < 0 for l, _ in self.terms):
-            raise UnsupportedTilt("signed Dirichlet polynomial: no exact tilt sampler")
-        lam = np.array([l for l, _ in self.terms])
-        th = np.array([t for _, t in self.terms])
-        w = lam / (beta_star + th)
-        w = w / w.sum()  # sums to phi(beta*) = 1 up to root tolerance
-        expo = beta_star + th
-
-        def sample_eta(rng, n):
-            comp = rng.choice(len(w), size=n, p=w)
-            return rng.uniform(size=n) ** (1.0 / expo[comp])
-
-        def eta_cdf(x):
-            x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-            return sum(wi * x**e for wi, e in zip(w, expo))
-
-        def sample_eta0(rng, n):
-            # density sigma_hat(]0,x])/(psi'(b*) x) = sum_j c_j x^(b*+theta_j-1)
-            # with c_j = lam_j/(b*+theta_j) / psi'(b*): again a power mixture
-            dp = -self._phi_prime(beta_star)
-            w0 = lam / (beta_star + th) ** 2 / dp
-            w0 = w0 / w0.sum()
-            comp = rng.choice(len(w0), size=n, p=w0)
-            return rng.uniform(size=n) ** (1.0 / expo[comp])
-
-        return TaggedLaw(self, beta_star, sample_eta, sample_eta0, eta_cdf)
-
     def __repr__(self):
         return f"DirichletPolynomial(terms={self.terms})"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class FilippovPower(DirichletPolynomial):
+    """Power-density law sigma(dx) = lam x^(theta-1) dx on ]0,1]: the one-term
+    DirichletPolynomial.
+
+    phi(beta) = lam/(theta+beta), abscissa -theta, beta_star = lam - theta.
+    Sampling (theta > 0, lam > theta) draws one child from the probability
+    theta x^(theta-1) dx plus Poisson((lam-theta)/theta) i.i.d. extras.
+    theta <= 0 keeps the Mellin data only (the intensity is infinite near 0).
+    """
+
+    kind = "FilippovPower"
+
+    def __init__(self, lam, theta):
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        if theta > 0 and lam <= theta:
+            raise ValueError("theta > 0 requires lam > theta (supercritical law)")
+        super().__init__(terms=((lam, theta),))
+
+    @property
+    def lam(self):
+        return self.terms[0][0]
+
+    @property
+    def theta(self):
+        return self.terms[0][1]
+
+    def __repr__(self):
+        return f"FilippovPower(lam={self.lam}, theta={self.theta})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,7 +609,7 @@ class UserAtomic(ReproductionLaw):
         if abs(sum(p for p, _ in gs) - 1.0) > 1e-12:
             raise ValueError("group probabilities must sum to 1")
         object.__setattr__(self, "groups", tuple(gs))
-        object.__setattr__(self, "_atoms", self._collect_atoms())
+        object.__setattr__(self, "atoms", self._collect_atoms())
         if self.atom_mass_at_one >= 1.0:
             raise ValueError("need sigma{1} < 1 (children of size 1 cannot dominate)")
 
@@ -666,30 +624,15 @@ class UserAtomic(ReproductionLaw):
         return self.groups
 
     @property
-    def beta_a(self):
-        return -math.inf
-
-    @property
     def atom_mass_at_one(self):
-        return sum(w for x, w in self._atoms if x == 1.0)
+        return sum(w for x, w in self.atoms if x == 1.0)
 
-    @property
-    def arithmetic(self):
+    def _detect_arithmetic(self):
         return arithmetic_check(self)
 
     @property
     def conservative(self):
         return all(abs(sum(s) - 1.0) < 1e-12 for _, s in self.groups)
-
-    def _phi(self, beta):
-        return sum(w * x**beta for x, w in self._atoms)
-
-    def phi_mp(self, beta):
-        b = mp.mpmathify(beta)
-        return mp.fsum([mp.mpmathify(w) * mp.mpmathify(x) ** b for x, w in self._atoms])
-
-    def _phi_prime(self, beta):
-        return sum(w * x**beta * math.log(x) for x, w in self._atoms if x > 0)
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
         u = rng.uniform()
@@ -705,15 +648,12 @@ class UserAtomic(ReproductionLaw):
         dropped = sum(x ** _beta_star_newton(self) for x in below) if below else 0.0
         return OffspringSample(kept, truncated_beta_mass_bound=float(dropped))
 
-    def sigma_atoms(self):
-        return self._atoms
-
     def offspring_square_mean(self, beta_star):
         return sum(p * sum(x**beta_star for x in s) ** 2 for p, s in self.groups)
 
     def tagged(self, beta_star):
-        xs = np.array([x for x, _ in self._atoms])
-        w = np.array([wt * x**beta_star for x, wt in self._atoms])
+        xs = np.array([x for x, _ in self.atoms])
+        w = np.array([wt * x**beta_star for x, wt in self.atoms])
         w = w / w.sum()
 
         def sample_eta(rng, n):
@@ -747,30 +687,21 @@ class PowerComponent:
 
     mass: float
     theta: float
+    atoms = ()
 
     def __post_init__(self):
         if self.theta <= 0 or self.mass < 0:
             raise InvalidIntensity("power component needs theta > 0, mass >= 0")
 
+    @property
+    def power_terms(self):
+        return ((self.mass * self.theta, self.theta),)
+
     def mellin(self, beta):
         return self.mass * self.theta / (self.theta + beta)
 
-    def mellin_mp(self, beta):
-        t = mp.mpmathify(self.theta)
-        return mp.mpmathify(self.mass) * t / (t + mp.mpmathify(beta))
-
-    def mellin_prime(self, beta):
-        return -self.mass * self.theta / (self.theta + beta) ** 2
-
-    @property
-    def abscissa(self):
-        return -self.theta
-
     def sample(self, rng, n):
         return rng.uniform(size=n) ** (1.0 / self.theta)
-
-    def power_components(self):
-        return ((self.mass * self.theta, self.theta - 1.0),)
 
 
 @dataclass(frozen=True)
@@ -778,6 +709,7 @@ class AtomComponent:
     """Finite atomic measure ((x, weight), ...)."""
 
     atoms: tuple
+    power_terms = ()
 
     def __post_init__(self):
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
@@ -792,24 +724,10 @@ class AtomComponent:
     def mellin(self, beta):
         return sum(w * x**beta for x, w in self.atoms)
 
-    def mellin_mp(self, beta):
-        b = mp.mpmathify(beta)
-        return mp.fsum([mp.mpmathify(w) * mp.mpmathify(x) ** b for x, w in self.atoms])
-
-    def mellin_prime(self, beta):
-        return sum(w * x**beta * math.log(x) for x, w in self.atoms)
-
-    @property
-    def abscissa(self):
-        return -math.inf
-
     def sample(self, rng, n):
         xs = np.array([x for x, _ in self.atoms])
         w = np.array([wt for _, wt in self.atoms])
         return xs[rng.choice(len(xs), size=n, p=w / w.sum())]
-
-    def power_components(self):
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -817,9 +735,9 @@ class UserPoisson(ReproductionLaw):
     """Offspring = one draw from sigma1 plus a Poisson point process with
     intensity sigma2; the structural measure is sigma1 + sigma2.
 
-    sigma1 must be a probability (mass 1); sigma2 finite.  When a component
-    exposes no abscissa the law's beta_a is *estimated* by geometric probing
-    of phi's divergence and flagged as such.
+    sigma1 must be a probability (mass 1); sigma2 finite.  Any decomposition
+    of a target sigma into a probability part and a finite intensity yields
+    the prescribed intensity (not a canonical joint law).
     """
 
     sigma1: object
@@ -832,31 +750,12 @@ class UserPoisson(ReproductionLaw):
             raise InvalidIntensity("sigma1 must be a probability measure")
         if not math.isfinite(self.sigma2.mass):
             raise InvalidIntensity("sigma2 must be finite (truncate first)")
-        known = [getattr(c, "abscissa", None) for c in (self.sigma1, self.sigma2)]
-        if all(a is not None for a in known):
-            object.__setattr__(self, "_beta_a", max(known))
-            object.__setattr__(self, "beta_a_estimated", False)
-        else:
-            lo, hi = _probe_abscissa(lambda b: self._phi(b))
-            object.__setattr__(self, "_beta_a", hi)
-            object.__setattr__(self, "beta_a_estimated", True)
-            object.__setattr__(self, "beta_a_interval", (lo, hi))
+        parts = (self.sigma1, self.sigma2)
+        object.__setattr__(self, "power_terms", sum((c.power_terms for c in parts), ()) or None)
+        object.__setattr__(self, "atoms", sum((c.atoms for c in parts), ()) or None)
 
     def _key(self):
         return (self.sigma1, self.sigma2)
-
-    @property
-    def beta_a(self):
-        return self._beta_a
-
-    def _phi(self, beta):
-        return self.sigma1.mellin(beta) + self.sigma2.mellin(beta)
-
-    def phi_mp(self, beta):
-        return self.sigma1.mellin_mp(beta) + self.sigma2.mellin_mp(beta)
-
-    def _phi_prime(self, beta):
-        return self.sigma1.mellin_prime(beta) + self.sigma2.mellin_prime(beta)
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
         n_extra = rng.poisson(self.sigma2.mass) if self.sigma2.mass > 0 else 0
@@ -870,15 +769,6 @@ class UserPoisson(ReproductionLaw):
             dropped = float(np.sum(kids[~keep] ** _beta_star_newton(self)))
         return OffspringSample(kids[keep], truncated_beta_mass_bound=dropped)
 
-    def sigma_power_components(self):
-        parts = []
-        for c in (self.sigma1, self.sigma2):
-            pc = c.power_components()
-            if pc is None:
-                return None
-            parts.extend(pc)
-        return tuple(parts)
-
     def offspring_square_mean(self, beta_star):
         b = beta_star
         p1 = self.sigma1.mellin(b)
@@ -887,15 +777,6 @@ class UserPoisson(ReproductionLaw):
 
     def __repr__(self):
         return f"UserPoisson(sigma1={self.sigma1}, sigma2={self.sigma2})"
-
-
-def poisson_reproduction(sigma1, sigma2):
-    """Build the reproduction law with structural measure sigma1 + sigma2.
-
-    Any decomposition of a target sigma into a probability part and a finite
-    intensity yields the prescribed intensity (not a canonical joint law).
-    """
-    return UserPoisson(sigma1, sigma2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -969,56 +850,9 @@ def no_malthusian_example(c=None):
     )
 
 
-def _probe_abscissa(phi_eval, lo=-64.0, hi=64.0):
-    """Geometric/bisection probe of the divergence abscissa of a numeric phi.
-
-    Returns a bracketing interval (finite evaluations succeed right of it).
-    """
-    def finite_at(b):
-        try:
-            v = phi_eval(b)
-        except Exception:
-            return False
-        return math.isfinite(abs(v))
-
-    if finite_at(lo):
-        return (-math.inf, lo)
-    left, right = lo, hi
-    for _ in range(60):
-        mid = 0.5 * (left + right)
-        if finite_at(mid):
-            right = mid
-        else:
-            left = mid
-    return (left, right)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def phi(law, beta):
-    """Characteristic function phi(beta) = E sum_j xi_j^beta."""
-    return law.phi(beta)
-
-
-def psi(law, beta):
-    """psi(beta) = 1 - phi(beta); vanishes exactly at the Malthusian exponent."""
-    return law.psi(beta)
-
-
-def psi_derivative(law, beta):
-    return law.psi_prime(beta)
-
-
-def sample_offspring(law, rng, floor=DEFAULT_CHILD_FLOOR):
-    return law.sample_offspring(rng, floor=floor)
-
-
-def tilted_tag_law(law, beta_star):
-    """Exact sampler for sigma_hat(dx) = x^beta_star sigma(dx)."""
-    return law.tagged(beta_star)
-
 
 def _beta_star_newton(law):
     """Cheap cached beta_star for truncation bookkeeping inside samplers."""
@@ -1205,22 +1039,11 @@ def from_spec(doc):
     except (KeyError, TypeError, ValueError) as exc:
         raise LawSpecError(f"{kind}: bad params ({exc})") from exc
 
-    overrides = {}
+    # set before the law escapes: the overrides are part of its identity
     if "arithmetic_flag" in doc:
-        overrides["arithmetic"] = bool(doc["arithmetic_flag"])
+        object.__setattr__(law, "arithmetic_override", bool(doc["arithmetic_flag"]))
     if "beta_a" in doc:
-        overrides["beta_a"] = float(doc["beta_a"])
-        overrides["beta_a_estimated"] = False
-    if overrides:
-        _override_attrs(law, **overrides)
-    return law
-
-
-def _override_attrs(law, **attrs):
-    """Shadow per-instance attributes (works over class attrs and properties)."""
-    ns = {name: property(lambda self, _v=value: _v) for name, value in attrs.items()}
-    sub = type(law.__class__.__name__, (law.__class__,), ns)
-    object.__setattr__(law, "__class__", sub)
+        object.__setattr__(law, "beta_a_override", float(doc["beta_a"]))
     return law
 
 

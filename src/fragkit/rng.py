@@ -3,8 +3,7 @@
 Every stochastic object in the package draws from a Philox generator whose
 128-bit key is a hash of (master seed, purpose tag, lineage coordinates).
 Streams are therefore pure functions of *what* is being simulated, never of
-event ordering, heap layout, or thread scheduling: replaying a run with a
-different thread count is bit-identical.
+event ordering or heap layout.
 """
 
 import hashlib

@@ -6,7 +6,7 @@ and is replaced by children x*xi_j drawn from the reproduction law.  The
 process is piecewise constant, so an event-driven min-heap of death times
 simulates it without discretisation error.  Every particle's randomness is
 a pure function of its genealogical path (counter-based streams), making
-runs bit-identical regardless of event ordering or thread count.
+runs bit-identical regardless of event ordering.
 
 Generation time: the same tree indexed by generation instead of time,
 used for the intrinsic martingale M_n = sum_{|u|=n} xi_u^beta* and its
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import NoMalthusianExponent, TreeSizeExceeded
+from .errors import DomainError, NoMalthusianExponent, TreeSizeExceeded
 from .laws import (
     BinaryUniformConservative,
     DirichletPolynomial,
-    FilippovPower,
     UserAtomic,
     UserPoisson,
     _StickBreakingBase,
@@ -90,18 +89,6 @@ class PopulationSnapshot:
     replicate_id: int
     master_seed: int
     cap_exceeded: bool = False
-    child_floor: float = 0.0
-
-
-@dataclass
-class Particle:
-    """Genealogical record: alive on [birth, death), sizes shrink along paths."""
-
-    size: float
-    birth: float
-    death: float
-    generation: int
-    node_id: tuple
 
 
 def snapshot_power_sum(snapshot, beta):
@@ -111,24 +98,11 @@ def snapshot_power_sum(snapshot, beta):
     return np.sum(snapshot.sizes**beta)
 
 
-def power_sum_truncation_bound(snapshot, beta, beta_star):
-    """Upper bound on the expected beta-mass missing due to frozen lineages.
-
-    Valid for beta >= beta*: every frozen size is <= child_floor, so the
-    missing E sum xi^beta is at most frozen_bound * child_floor^(beta-beta*).
-    """
-    if beta < beta_star:
-        raise ValueError("bound valid for beta >= beta_star only")
-    if snapshot.child_floor == 0:
-        return 0.0
-    return snapshot.frozen_beta_mass_bound * snapshot.child_floor ** (beta - beta_star)
-
-
 # ---------------------------------------------------------------------------
 # natural-time event loop
 # ---------------------------------------------------------------------------
 
-def run(config, law, replicate=0, beta_star=None, collect_particles=False):
+def run(config, law, replicate=0, beta_star=None):
     """Simulate one replicate; returns snapshots at config.snapshot_times.
 
     Deterministic in (config, law, replicate): each node's offspring and its
@@ -158,7 +132,6 @@ def run(config, law, replicate=0, beta_star=None, collect_particles=False):
     seq = 1
     frozen = 0.0
     capped = False
-    particles = [Particle(x0, 0.0, d0, 0, ())] if collect_particles else None
 
     out = []
     si = 0
@@ -178,8 +151,6 @@ def run(config, law, replicate=0, beta_star=None, collect_particles=False):
                 life = stream.exponential() / rate
                 heapq.heappush(heap, (d + life, seq, cx, path + (j,), gen + 1))
                 seq += 1
-                if collect_particles:
-                    particles.append(Particle(cx, d, d + life, gen + 1, path + (j,)))
             if len(heap) > config.max_particles:
                 capped = True
         else:
@@ -192,28 +163,20 @@ def run(config, law, replicate=0, beta_star=None, collect_particles=False):
                     replicate_id=replicate,
                     master_seed=seed,
                     cap_exceeded=capped,
-                    child_floor=config.child_floor,
                 )
             )
             si += 1
-    if collect_particles:
-        return out, particles
     return out
 
 
-def run_replicates(config, law, n_replicates, threads=1, beta_star=None):
-    """Independent replicates, ordered by replicate id (thread-count invariant)."""
+def run_replicates(config, law, n_replicates, beta_star=None):
+    """Independent replicates, ordered by replicate id."""
     if beta_star is None:
         try:
             beta_star = _beta_star_newton(law)
         except NoMalthusianExponent:
             beta_star = None
-    if threads <= 1:
-        return [run(config, law, r, beta_star) for r in range(n_replicates)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: run(config, law, r, beta_star), range(n_replicates)))
+    return [run(config, law, r, beta_star) for r in range(n_replicates)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +281,7 @@ class _GenerationEngine:
             kids = np.concatenate([sizes * u, sizes * (1.0 - u)])
             owner = np.concatenate([np.arange(sizes.size)] * 2)
             return kids, owner, np.zeros(sizes.size)
-        if isinstance(law, (FilippovPower, DirichletPolynomial, UserPoisson, UserAtomic)):
+        if isinstance(law, (DirichletPolynomial, UserPoisson, UserAtomic)):
             return self._emit_counted(stream)
         return self._emit_generic(stream)
 
@@ -326,6 +289,9 @@ class _GenerationEngine:
         # children (1-U_j) * residual, residual *= U_j, until the absolute
         # beta*-weight of the residual drops below the prune threshold
         delta = self.eps ** (1.0 / self.bs)
+        if delta <= 0:
+            raise DomainError("stick-breaking laws have infinitely many children: "
+                              "eps_prune must be > 0")
         residual = self.sizes.copy()
         idx = np.arange(residual.size)
         tail_mean = np.zeros(residual.size)
@@ -352,17 +318,9 @@ class _GenerationEngine:
     def _counts_and_draw(self, stream, n_nodes):
         """Per-node child counts and a flat child-factor draw."""
         law = self.law
-        if isinstance(law, FilippovPower):
-            counts = 1 + stream.poisson((law.lam - law.theta) / law.theta, size=n_nodes)
-            total = int(counts.sum())
-            return counts, stream.uniform(size=total) ** (1.0 / law.theta)
         if isinstance(law, DirichletPolynomial):
-            mass = law._total_mass()
-            probs, thetas = law._mixture()
-            counts = 1 + stream.poisson(mass - 1.0, size=n_nodes)
-            total = int(counts.sum())
-            comp = stream.choice(len(probs), size=total, p=probs)
-            return counts, stream.uniform(size=total) ** (1.0 / thetas[comp])
+            counts = 1 + stream.poisson(law._total_mass() - 1.0, size=n_nodes)
+            return counts, law._draw_factors(stream, int(counts.sum()))
         if isinstance(law, UserPoisson):
             counts = 1 + stream.poisson(law.sigma2.mass, size=n_nodes)
             total = int(counts.sum())

@@ -175,7 +175,7 @@ def test_criterion_07_mean_measure_moments():
     t0 = time.monotonic()
     t, reps_n = 30.0, 10_000
     cfg = sim.SimulationConfig(alpha=1.0, t_max=t, snapshot_times=(t,), master_seed=2030)
-    reps = sim.run_replicates(cfg, BINARY, reps_n, threads=4, beta_star=1.0)
+    reps = sim.run_replicates(cfg, BINARY, reps_n, beta_star=1.0)
     measure = est.empirical_weighted_measure([r[0] for r in reps], 1.0, 1.0)
     limits = {1: 2.0, 2: 6.0}
     ok = True
@@ -203,7 +203,7 @@ def test_criterion_08_martingale_tests():
     bs = an.beta_star_of(STICK)
     times = (1.0, 5.0, 20.0)
     cfg = sim.SimulationConfig(alpha=1.0, t_max=20.0, snapshot_times=times, master_seed=808)
-    reps = sim.run_replicates(cfg, STICK, 3000, threads=4, beta_star=bs)
+    reps = sim.run_replicates(cfg, STICK, 3000, beta_star=bs)
     for i, t in enumerate(times):
         vals = np.array([
             sim.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound for r in reps
@@ -283,7 +283,7 @@ def test_criterion_11_homogeneous_mode():
     for law, beta, tag in ((BINARY, 2.0, "binary"), (FIL21, 1.5, "filippov")):
         cfg = sim.SimulationConfig(alpha=0.0, t_max=3.0, snapshot_times=(1.0, 3.0),
                                    master_seed=1111)
-        reps = sim.run_replicates(cfg, law, 4000, threads=4)
+        reps = sim.run_replicates(cfg, law, 4000)
         for i, t in enumerate((1.0, 3.0)):
             vals = np.array([sim.snapshot_power_sum(r[i], beta) for r in reps])
             target = an.homogeneous_m(law, t, beta)
@@ -305,7 +305,7 @@ def test_criterion_12_l2_statistic():
     f_rho = est.OracleValue(0.25, 0.0)  # int e^-x x e^-x dx for the gamma-type density
     m2 = est.m_infinity_second_moment_oracle(FIL21, 1.0)
     rep = est.l2_functional_test(
-        FIL21, 1.0, f, (10.0, 40.0), n_replicates=2500, master_seed=1212, threads=4,
+        FIL21, 1.0, f, (10.0, 40.0), n_replicates=2500, master_seed=1212,
         pair_t=150.0, f_rho=f_rho, m2_oracle=m2,
     )
     ok = rep.all_pass

@@ -129,6 +129,18 @@ def test_integro_atomic_law():
     assert abs(sol.values[-1] - ref) <= 1e-8 * abs(ref)
 
 
+def test_integro_mixed_power_and_atoms():
+    # sigma = 2 x dx + 0.7 delta_0.5 + 0.4 delta_0.25: one Gauss-Jacobi rule
+    # for the density and an exact rule for the atoms in the same march
+    law = laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
+                           laws.AtomComponent(((0.5, 0.7), (0.25, 0.4))))
+    beta = an.beta_star_of(law) + 0.5
+    sol = an.m_integro(law, 5.0, beta, 1.0)
+    for t in (0.5, 2.0, 5.0):
+        ref = an.m_series(law, t, beta, 1.0, rel_tol=1e-14).value
+        assert abs(float(sol(t)) - ref) <= 1e-10 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # derivative identity
 # ---------------------------------------------------------------------------
@@ -344,10 +356,3 @@ def test_homogeneous_exponential_formula():
             ref = an.m_series(law, t, bs + 0.6, 0.0, rel_tol=1e-14).value
             assert an.homogeneous_m(law, t, bs + 0.6) == pytest.approx(ref, rel=1e-10)
 
-
-def test_y_moment_consistency_reports():
-    for law in (FIL21, STICK, STICK_C):
-        rep = an.y_moments_consistency(law, 1.0, 6)
-        assert rep["ok"], rep
-        assert rep["moments_max_rel"] < 1e-10
-        assert rep["pointwise_max"] < 1e-12

@@ -25,8 +25,8 @@ def specs(tmp_path_factory):
     return paths
 
 
-def run_cli(*args, check=True):
-    proc = subprocess.run(FRAGKIT + list(args), capture_output=True, text=True)
+def run_cli(*args, check=True, timeout=None):
+    proc = subprocess.run(FRAGKIT + list(args), capture_output=True, text=True, timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
@@ -166,3 +166,12 @@ def test_usage_and_config_errors_exit_one(specs, tmp_path):
     ))
     # beta_a override above beta*: the solver cannot bracket -> config error
     assert run_cli("malthus", "--law", str(unreachable), check=False).returncode == 1
+
+
+def test_simulate_zero_floor_stick_exits_one(specs):
+    # infinitely many children per split: a zero floor used to loop forever
+    proc = run_cli("simulate", "--law", specs["stick"], "--alpha", "1", "--tmax", "5",
+                   "--snapshots", "5", "--replicates", "2", "--floor", "0",
+                   check=False, timeout=60)
+    assert proc.returncode == 1
+    assert "floor" in proc.stderr

@@ -14,10 +14,10 @@ STICK = laws.StickBreakingLossy()
 FIL21 = laws.FilippovPower(2.0, 1.0)
 
 
-def _measure(law, t, n, seed, alpha=1.0, threads=2):
+def _measure(law, t, n, seed, alpha=1.0):
     bs = an.beta_star_of(law)
     cfg = sim.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,), master_seed=seed)
-    reps = sim.run_replicates(cfg, law, n, threads=threads, beta_star=bs)
+    reps = sim.run_replicates(cfg, law, n, beta_star=bs)
     return est.empirical_weighted_measure([r[0] for r in reps], alpha, bs), reps
 
 
@@ -165,7 +165,7 @@ def test_integral_oracle_closed_form():
 def test_l2_functional_report():
     rep = est.l2_functional_test(
         FIL21, 1.0, est.exp_decay(), (5.0, 25.0), n_replicates=500, master_seed=21,
-        threads=2, f_rho=est.OracleValue(0.25, 0.0),
+        f_rho=est.OracleValue(0.25, 0.0),
     )
     assert len(rep.checks) == 3
     assert rep.all_pass, rep.table()

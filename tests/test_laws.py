@@ -1,12 +1,15 @@
 """Reproduction-law contracts: Mellin data, root finding, samplers, tilts."""
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fragkit import laws
+from fragkit import analytics, laws
 from fragkit.errors import (
     DomainError,
     LawSpecError,
@@ -23,6 +26,8 @@ STICK = laws.StickBreakingLossy()
 STICK_C = laws.StickBreakingConservative()
 FIL21 = laws.FilippovPower(2.0, 1.0)
 ATOMIC = laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1))))
+# power terms 1.5 x^0.5 dx + 0.4 x^-0.5 dx: a two-term tilt mixture
+POISSON = laws.UserPoisson(laws.PowerComponent(1.0, 1.5), laws.PowerComponent(0.8, 0.5))
 
 SAMPLER_LAWS = [BINARY, STICK, STICK_C, FIL21, ATOMIC]
 
@@ -165,6 +170,27 @@ def test_mc_power_sums_match_phi(law):
         assert abs(counts.mean() - law.phi(0.0)) <= 3.0 * se
 
 
+_ZERO_FLOOR_CALLS = {
+    "sampler": "laws.StickBreakingConservative().sample_offspring(stream(0, 't'), floor=0.0)",
+    "engine": "simulate.generation_martingale(laws.StickBreakingLossy(), 0.618, depth=2, "
+              "eps_prune=0.0, n_trees=4)",
+}
+
+
+@pytest.mark.parametrize("call", _ZERO_FLOOR_CALLS.values(), ids=_ZERO_FLOOR_CALLS.keys())
+def test_zero_floor_rejected_for_infinite_offspring(call):
+    # stick-breaking has infinitely many children: with floor 0 the residual
+    # underflows to 0.0 >= 0.0 and no loop could end, so it must raise
+    script = ("from fragkit import laws, simulate\n"
+              "from fragkit.errors import DomainError\n"
+              "from fragkit.rng import stream\n"
+              f"try:\n    {call}\nexcept DomainError:\n    print('rejected')\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": src})
+    assert proc.stdout.strip() == "rejected", proc.stderr
+
+
 def test_stick_truncation_bound_semantics():
     # the reported tail term is residual^b*/b* plus the exact b*-mass of any
     # materialised children under the floor: O(floor^b*) in total
@@ -181,7 +207,7 @@ def test_stick_truncation_bound_semantics():
 # ---------------------------------------------------------------------------
 
 def test_poisson_singleton_child():
-    law = laws.poisson_reproduction(
+    law = laws.UserPoisson(
         laws.AtomComponent(atoms=((0.5, 1.0),)), laws.AtomComponent(atoms=())
     )
     rng = stream(4, "test")
@@ -192,7 +218,7 @@ def test_poisson_singleton_child():
 
 def test_poisson_expected_count():
     # one sigma1 draw plus Poisson(mass sigma2 = 1): E #children = 2
-    law = laws.poisson_reproduction(laws.PowerComponent(1.0, 1.0), laws.PowerComponent(1.0, 1.0))
+    law = laws.UserPoisson(laws.PowerComponent(1.0, 1.0), laws.PowerComponent(1.0, 1.0))
     rng = stream(5, "test")
     n = 20_000
     counts = np.array([law.sample_offspring(rng).sizes.size for _ in range(n)])
@@ -203,7 +229,7 @@ def test_poisson_expected_count():
 def test_poisson_matches_power_law_mellin():
     # theta x^(theta-1) + (lam-theta) x^(theta-1) rebuilds phi = lam/(theta+beta)
     lam, theta = 2.0, 1.0
-    law = laws.poisson_reproduction(
+    law = laws.UserPoisson(
         laws.PowerComponent(1.0, theta), laws.PowerComponent((lam - theta) / theta, theta)
     )
     for b in (0.5, 1.0, 2.5):
@@ -216,7 +242,7 @@ def test_poisson_matches_power_law_mellin():
 
 def test_poisson_requires_probability_sigma1():
     with pytest.raises(Exception):
-        laws.poisson_reproduction(laws.PowerComponent(0.5, 1.0), laws.PowerComponent(1.0, 1.0))
+        laws.UserPoisson(laws.PowerComponent(0.5, 1.0), laws.PowerComponent(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +253,8 @@ def _dkw_bound(n, delta=0.05):
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-@pytest.mark.parametrize("law", [BINARY, STICK, STICK_C, FIL21, ATOMIC], ids=lambda l: l.kind)
+@pytest.mark.parametrize("law", [BINARY, STICK, STICK_C, FIL21, ATOMIC, POISSON],
+                         ids=lambda l: l.kind)
 def test_tilted_law_cdf(law):
     n = 100_000
     bs = laws.malthusian_exponent(law, tol=1e-12)
@@ -356,7 +383,17 @@ def test_from_spec_overrides():
     law = laws.from_spec(doc)
     assert law.beta_a == -0.5
     assert law.arithmetic is True
-    assert law == FIL21  # identity is still the (kind, params) pair
+    assert law != FIL21  # the overrides are part of the law's identity
+    assert law == laws.from_spec(doc) and hash(law) == hash(laws.from_spec(doc))
+
+
+def test_from_spec_override_not_served_from_cache():
+    # beta_a = 2 leaves phi < 1 right of the abscissa; the plain law's cached
+    # root must not answer for the overridden one
+    doc = {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0}, "beta_a": 2.0}
+    assert analytics.beta_star_of(FIL21) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NoMalthusianExponent):
+        analytics.beta_star_of(laws.from_spec(doc))
 
 
 # ---------------------------------------------------------------------------

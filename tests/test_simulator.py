@@ -36,15 +36,6 @@ def test_bit_identical_reruns():
         assert x.frozen_beta_mass_bound == y.frozen_beta_mass_bound
 
 
-def test_thread_count_invariance():
-    cfg = _config()
-    one = sim.run_replicates(cfg, FIL21, 12, threads=1)
-    four = sim.run_replicates(cfg, FIL21, 12, threads=4)
-    for ra, rb in zip(one, four):
-        for x, y in zip(ra, rb):
-            assert np.array_equal(x.sizes, y.sizes)
-
-
 def test_snapshot_before_first_split_is_single_ancestor():
     cfg = _config(snapshot_times=(0.0, 5.0))
     snaps = sim.run(cfg, BINARY, replicate=0)
@@ -57,21 +48,6 @@ def test_replicates_differ():
     a = sim.run(cfg, BINARY, replicate=0)[0]
     b = sim.run(cfg, BINARY, replicate=1)[0]
     assert not np.array_equal(a.sizes, b.sizes)
-
-
-def test_particle_records_lineage():
-    cfg = _config(snapshot_times=(4.0,), master_seed=7)
-    snaps, particles = sim.run(cfg, BINARY, replicate=0, collect_particles=True)
-    by_path = {p.node_id: p for p in particles}
-    assert by_path[()].size == 1.0 and by_path[()].birth == 0.0
-    for p in particles:
-        assert p.death > p.birth
-        assert 0.0 < p.size <= 1.0
-        if p.node_id:
-            parent = by_path[p.node_id[:-1]]
-            assert p.size <= parent.size  # children never exceed the parent
-            assert p.birth == parent.death
-            assert p.generation == parent.generation + 1
 
 
 def test_conservative_mass_identity():
@@ -99,7 +75,7 @@ def test_population_cap_flags_snapshot():
 
 
 def test_no_root_law_needs_zero_floor():
-    chain = laws.poisson_reproduction(
+    chain = laws.UserPoisson(
         laws.AtomComponent(atoms=((0.5, 1.0),)), laws.AtomComponent(atoms=())
     )
     with pytest.raises(NoMalthusianExponent):
@@ -113,8 +89,8 @@ def test_no_root_law_needs_zero_floor():
 # martingale and mean checks
 # ---------------------------------------------------------------------------
 
-def _corrected_power_sums(cfg, law, n, bs, threads=1):
-    reps = sim.run_replicates(cfg, law, n, threads=threads, beta_star=bs)
+def _corrected_power_sums(cfg, law, n, bs):
+    reps = sim.run_replicates(cfg, law, n, beta_star=bs)
     out = []
     for i in range(len(cfg.snapshot_times)):
         out.append(
@@ -128,14 +104,14 @@ def _corrected_power_sums(cfg, law, n, bs, threads=1):
 def test_natural_time_martingale_stick():
     bs = an.beta_star_of(STICK)
     cfg = _config(t_max=5.0, snapshot_times=(1.0, 5.0), master_seed=29)
-    for vals in _corrected_power_sums(cfg, STICK, 1500, bs, threads=2):
+    for vals in _corrected_power_sums(cfg, STICK, 1500, bs):
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
 
 
 def test_power_sum_vs_series_mean():
     cfg = _config(t_max=2.0, snapshot_times=(2.0,), master_seed=31)
-    reps = sim.run_replicates(cfg, FIL21, 2500, threads=2)
+    reps = sim.run_replicates(cfg, FIL21, 2500)
     vals = np.array([sim.snapshot_power_sum(r[0], 1.8) for r in reps])
     target = an.m_series(FIL21, 2.0, 1.8, 1.0).value
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -146,7 +122,7 @@ def test_homogeneous_mode_matches_exponential():
     for law, beta in ((BINARY, 2.0), (FIL21, 1.5)):
         cfg = sim.SimulationConfig(alpha=0.0, t_max=3.0, snapshot_times=(1.0, 3.0),
                                    master_seed=37)
-        reps = sim.run_replicates(cfg, law, 1500, threads=2)
+        reps = sim.run_replicates(cfg, law, 1500)
         for i, t in enumerate(cfg.snapshot_times):
             vals = np.array([sim.snapshot_power_sum(r[i], beta) for r in reps])
             target = an.homogeneous_m(law, t, beta)
@@ -162,7 +138,7 @@ def test_truncation_accounting_floor_sweep():
     raw, frozen = {}, {}
     for floor in (1e-4, 1e-3):
         cfg = _config(t_max=4.0, snapshot_times=(4.0,), child_floor=floor, master_seed=43)
-        reps = sim.run_replicates(cfg, STICK, n, threads=2, beta_star=bs)
+        reps = sim.run_replicates(cfg, STICK, n, beta_star=bs)
         raw[floor] = np.array([sim.snapshot_power_sum(r[0], bs) for r in reps])
         frozen[floor] = np.array([r[0].frozen_beta_mass_bound for r in reps])
     gap_mean = raw[1e-4].mean() - raw[1e-3].mean()
@@ -178,7 +154,7 @@ def test_self_similarity_rescaling():
     y, t, beta = 0.6, 3.0, 1.5
     cfg = sim.SimulationConfig(alpha=1.0, t_max=t / y, snapshot_times=(t / y,),
                                master_seed=47, initial_size=y)
-    reps = sim.run_replicates(cfg, FIL21, 2500, threads=2)
+    reps = sim.run_replicates(cfg, FIL21, 2500)
     vals = np.array([sim.snapshot_power_sum(r[0], beta) for r in reps])
     target = y**beta * an.m_series(FIL21, t, beta, 1.0).value
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -231,9 +207,6 @@ def test_generation_martingale_counted_and_generic_paths():
 
         def sample_offspring(self, rng, floor=laws.DEFAULT_CHILD_FLOOR):
             return self._inner.sample_offspring(rng, floor=floor)
-
-        def tail_mass_exponent_factor(self, beta_star):
-            return self._inner.tail_mass_exponent_factor(beta_star)
 
     bs = an.beta_star_of(STICK)
     res2 = sim.generation_martingale(Wrapped(), bs, depth=5, eps_prune=1e-4, n_trees=500,
