@@ -28,7 +28,7 @@ for k in (1, 2):
     exact = t**k * an.m_series(binary, t, 1.0 + k, 1.0).value
     print(f"moment k={k}: {mo:.4f} +- {se:.4f}   exact mean {exact:.4f}   "
           f"limit {an.rho_moment(fil, k, 1.0):g}")
-ks = est.cdf_distance(measure, lambda x: an.filippov_rho_cdf(2.0, 1.0, 1.0, x))
+ks = est.cdf_distance(measure, lambda x: an.rho_cdf(fil, 1.0, x))
 print(f"Kolmogorov distance to the gamma-type CDF at t={t:g}: {ks:.4f}")
 
 edges, mass = measure.histogram(n_bins=12)
@@ -42,7 +42,7 @@ print("\n== tagged fragment: one size, tilted shrink factors ==")
 x = sim.tagged_final_sizes(fil, 1.0, 100.0, 50_000, master_seed=9)
 scaled = np.sort(100.0 * x)
 emp = np.arange(1, scaled.size + 1) / scaled.size
-ks_tag = float(np.max(np.abs(emp - an.filippov_rho_cdf(2.0, 1.0, 1.0, scaled))))
+ks_tag = float(np.max(np.abs(emp - an.rho_cdf(fil, 1.0, scaled))))
 print(f"t^(1/alpha) L_t at t=100: KS to gamma-type CDF = {ks_tag:.4f}")
 
 print("\n== the limit variable Y (exponential functional of the shrink chain) ==")

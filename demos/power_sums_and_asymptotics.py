@@ -35,9 +35,10 @@ for t in (10.0, 50.0, 200.0):
     print(f"t={t:>5g}: m={ev.value:.6e}  bits={ev.working_precision_bits}  "
           f"terms={ev.terms_used}  digits lost={ev.cancellation_digits_lost:.1f}")
 
-print("\n(2,1) power law has the Kummer closed form m(t,2) = 2(t-1+e^-t)/t^2:")
+print("\n(2,1) power law has the Kummer closed form m(t,2) = 1F1(1; 3; -t) = 2(t-1+e^-t)/t^2:")
 t = 50.0
 print(f"  series {an.m_series(fil, t, 2.0, 1.0).value:.12e} vs "
+      f"1F1 {an.rational_m(fil, t, 2.0, 1.0):.12e} vs "
       f"closed {2 * (t - 1 + math.exp(-t)) / t**2:.12e}")
 
 print("\n== derivative identity: d^k/dt^k m(t,b) = (-1)^k g(k,b) m(t, b+k alpha) ==")
@@ -48,7 +49,7 @@ for k in (1, 2):
 print("\n== extrapolated product and its gamma-ratio closed form ==")
 for z in (0.3, 1.7, 0.5 + 1.0j):
     g = an.gamma_z(fil, z, 1.3, 1.0)
-    ref = an.filippov_gamma_closed_form(z, 1.3, 2.0, 1.0)
+    ref = an.rational_gamma(fil, z, 1.3, 1.0)
     print(f"g({z}, 1.3): {g.value:.12g}  gamma-ratio {ref:.12g}  K={g.truncation_K}")
 
 print("\nfunctional equation g(z+1,b) = psi(b+z) g(z,b) for the stick law:")
@@ -77,8 +78,14 @@ print("power law (lam,theta): int x^(alpha k) drho = (lam/alpha)_k;")
 for k in range(1, 5):
     print(f"  k={k}: rho_moment = {an.rho_moment(fil, k, 1.0):.10g} "
           f"(Pochhammer {math.factorial(k + 1)})")
-terms = ((1.2, 0.7), (0.9, 2.0))
-print("two-term Dirichlet polynomial: gamma-function coefficient and moments")
-print(f"  roots of phi=1: {an.dirichlet_roots(terms)}")
-print(f"  c(1.8) = {an.hypergeometric_coefficient(terms, 1.8):.10g} vs generic "
-      f"{an.asymptotic_coefficient(laws.DirichletPolynomial(terms=terms), 1.8, 1.0):.10g}")
+diri = laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0)))
+roots, poles = diri.rational_psi()
+print("two-term Dirichlet polynomial: psi = prod (b - r_i) / prod (b + theta_j), so")
+print(f"  roots of phi=1: {roots}, poles: {-poles}")
+for alpha in (1.0, 0.7):
+    print(f"  alpha={alpha:g}: C(1.8) = {an.rational_coefficient(diri, 1.8, alpha):.10g} "
+          f"(gamma ratios) vs {an.asymptotic_coefficient(diri, 1.8, alpha):.10g} (residue); "
+          f"moment 3 = {an.rational_rho_moment(diri, 3, alpha):.10g} vs "
+          f"{an.rho_moment(diri, 3, alpha):.10g}")
+print(f"  m(1000, 1.8) = {an.rational_m(diri, 1000.0, 1.8, 1.0):.10e} as a 2F2, "
+      "(the series needs 4096 bits here)")

@@ -8,8 +8,12 @@ the tree's ``src`` directory; the candidate defaults to this checkout's).
 For the power laws FilippovPower(2,1), (1.5,1) and (2,0.8) the probe
 records offspring draws, natural-time snapshots, generation-martingale
 values, the size-biased tilt and its samplers, the limit variable Y and
-tagged-fragment sizes; for one spec of every kind it records the bytes
-``fragkit law inspect`` prints.  The report gives, per quantity, the largest
+tagged-fragment sizes, and the closed forms ``filippov_gamma_closed_form``
+and ``filippov_asymptotic_coefficient``; for one spec of every kind it records
+the bytes ``fragkit law inspect`` prints and the general analytics paths:
+``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
+``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name).
+The report gives, per quantity, the largest
 relative deviation between the trees and the bound it must stay within
 (0 means bit-identical).  Exit status 1 if any bound is exceeded.
 """
@@ -62,7 +66,37 @@ BOUNDS = (
     ("sample_Y", 1e-15),
     ("tagged_final", 1e-15),
     ("inspect", 0.0),
+    ("gamma_z", 0.0),
+    ("asymptotic_coefficient", 0.0),
+    ("rho_moment", 0.0),
+    ("m_series", 0.0),
+    ("filippov_gamma", 1e-14),
+    ("filippov_coefficient", 1e-14),
 )
+
+
+def _analytics_probe(rec, name, law):
+    """General analytics paths at alpha = 1 and 0.7, beta = beta* + 0.7."""
+    from fragkit import analytics
+    from fragkit.errors import FragkitError
+
+    def record(key, f):
+        try:
+            rec[key] = np.array([complex(v) for v in f()]).view(float)
+        except FragkitError as exc:
+            rec[key] = np.frombuffer(type(exc).__name__.encode(), dtype=np.uint8)
+
+    bs = analytics.beta_star_of(law)
+    for alpha in (1.0, 0.7):
+        tag = f"{name} alpha={alpha:g}"
+        record(f"gamma_z {tag}", lambda: [
+            analytics.gamma_z(law, z, bs + 0.7, alpha).value for z in (0.4, 0.5 + 1.0j)])
+        record(f"asymptotic_coefficient {tag}",
+               lambda: [analytics.asymptotic_coefficient(law, bs + 0.7, alpha)])
+        record(f"rho_moment {tag}",
+               lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
+        record(f"m_series {tag}",
+               lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
 
 
 def probe(out_path):
@@ -70,7 +104,7 @@ def probe(out_path):
     import contextlib
     import io
 
-    from fragkit import cli, laws, simulate
+    from fragkit import analytics, cli, laws, simulate
     from fragkit.rng import stream
 
     rec = {}
@@ -103,6 +137,13 @@ def probe(out_path):
         rec[f"sample_Y {tag}"] = simulate.sample_Y(law, 1.0, 20000, master_seed=6).values
         rec[f"tagged_final {tag}"] = simulate.tagged_final_sizes(law, 1.0, 10.0, 20000,
                                                                  master_seed=7)
+        for alpha in (1.0, 0.7):
+            rec[f"filippov_gamma {tag} alpha={alpha:g}"] = np.array([
+                analytics.filippov_gamma_closed_form(z, b, lam, theta, alpha)
+                for z in (0.3, 1.7, 0.5 + 1.0j) for b in (0.4, 1.3, 2.6)]).view(float)
+            rec[f"filippov_coefficient {tag} alpha={alpha:g}"] = np.array([
+                analytics.filippov_asymptotic_coefficient(lam, theta, alpha, b)
+                for b in (0.0, 1.3, 2.6)])
     with tempfile.TemporaryDirectory() as d:
         for name, doc in SPECS.items():
             path = os.path.join(d, f"{name}.json")
@@ -112,6 +153,7 @@ def probe(out_path):
             with contextlib.redirect_stdout(buf):
                 cli.main(["law", "inspect", path])
             rec[f"inspect {name}"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
+            _analytics_probe(rec, name, laws.from_spec(doc))
     np.savez(out_path, **rec)
 
 
@@ -151,13 +193,13 @@ def main(argv):
         ref, new = np.load(ref_file), np.load(new_file)
         bound_of = dict(BOUNDS)
         bad = 0
-        print(f"{'quantity':<36} {'max rel deviation':>18} {'bound':>8}  ok")
+        print(f"{'quantity':<52} {'max rel deviation':>18} {'bound':>8}  ok")
         for key in sorted(ref.files, key=lambda k: ([p for p, _ in BOUNDS].index(k.split()[0]), k)):
             dev = _deviation(ref[key], new[key]) if key in new.files else float("inf")
             bound = bound_of[key.split()[0]]
             ok = dev <= bound
             bad += not ok
-            print(f"{key:<36} {dev:>18.3g} {bound:>8.0g}  {'yes' if ok else 'NO'}")
+            print(f"{key:<52} {dev:>18.3g} {bound:>8.0g}  {'yes' if ok else 'NO'}")
         print(f"{len(ref.files) - bad} of {len(ref.files)} quantities within their bounds")
     return 1 if bad else 0
 

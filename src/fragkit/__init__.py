@@ -57,18 +57,18 @@ from .analytics import (
     asymptotic_coefficient,
     beta_star_of,
     derivative_identity_check,
-    dirichlet_integer_moment,
-    dirichlet_roots,
     filippov_asymptotic_coefficient,
     filippov_gamma_closed_form,
-    filippov_rho_cdf,
-    filippov_rho_density,
     gamma_n,
     gamma_z,
     homogeneous_m,
-    hypergeometric_coefficient,
     m_integro,
     m_series,
+    rational_coefficient,
+    rational_gamma,
+    rational_m,
+    rational_rho_moment,
+    rho_cdf,
     rho_moment,
     rho_moments,
 )

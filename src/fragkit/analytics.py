@@ -21,10 +21,15 @@ evaluates:
 * the leading large-t asymptotics m(t,beta) ~ C(beta) t^((beta*-beta)/alpha)
   through the residue coefficient C, and the limit-measure moments
   int x^(alpha k) rho(dx) = (k-1)!/(alpha psi'(beta*)) prod_{j<k} 1/psi(beta*+alpha j);
-* closed forms for the power-density family (Kummer-type series, gamma-ratio
-  extrapolation, gamma-type limit density) and for Dirichlet polynomials.
+* closed forms for every law whose sigma is made of power terms, so that psi
+  is a ratio of monic polynomials (``rational_*``): m as the hypergeometric
+  pFp(a; b; -t), g(z, beta) and C(beta) as gamma-function ratios, the rho
+  moments as Pochhammer ratios, and the gamma-type CDF of rho when psi has
+  a single pole.  They are independent of the general paths above, which
+  serve as their oracles.
 """
 
+import cmath
 import contextlib
 import functools
 import math
@@ -37,13 +42,13 @@ from scipy import special
 from .errors import (
     ArithmeticLaw,
     DomainError,
+    NoClosedForm,
     PoleError,
     PrecisionExhausted,
-    RootFindingFailure,
     SingularBeta,
     UnsupportedRepresentation,
 )
-from .laws import malthusian_exponent
+from .laws import FilippovPower, malthusian_exponent
 
 
 @functools.lru_cache(maxsize=256)
@@ -118,13 +123,13 @@ def _series_sum_mp(law, t, beta, alpha):
     return total, n + 1, max_term
 
 
-def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128, max_bits=4096):
+def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     """Sum the power series for m(t, beta), doubling precision until stable.
 
     Two successive evaluations (at p and 2p bits) must agree to ``rel_tol``;
     the accepted value is the higher-precision one.  Raises
-    PrecisionExhausted (with diagnostics attached) at the ``max_bits`` cap,
-    which bounds usable t to roughly max_bits * ln 2 / 1 ~ 2800.
+    PrecisionExhausted (with diagnostics attached) at 4096 bits, which bounds
+    usable t to roughly 4096 * ln 2 ~ 2800.
     """
     if np.real(beta) <= law.beta_a:
         raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
@@ -136,7 +141,7 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128, max_bits=4096):
     prev = None
     bits = start_bits
     last = None
-    while bits <= max_bits:
+    while bits <= 4096:
         with mp.workprec(bits):
             total, n_terms, max_term = _series_sum_mp(law, t, beta, alpha)
         last = (total, n_terms, max_term, bits)
@@ -162,7 +167,7 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128, max_bits=4096):
         prev = total
         bits *= 2
     raise PrecisionExhausted(
-        f"series for m({t}, {beta}) not stable at {max_bits} bits",
+        f"series for m({t}, {beta}) not stable at 4096 bits",
         diagnostics=SeriesEvaluation(
             value=complex(last[0]),
             working_precision_bits=last[3],
@@ -217,7 +222,7 @@ def _gauss_unit_weight(gamma_exp, n):
     return (x + 1.0) / 2.0, w * (1.0 / (gamma_exp + 1.0) / w.sum())
 
 
-def m_integro(law, t_max, beta, alpha, step=None, quad_tol=1e-9, n_nodes=48):
+def m_integro(law, t_max, beta, alpha, step=None):
     """Solve the Cauchy problem for m(., beta) forward on a uniform grid.
 
     Causality (x <= 1 so x^alpha t <= t) makes this a method of steps: the
@@ -226,8 +231,8 @@ def m_integro(law, t_max, beta, alpha, step=None, quad_tol=1e-9, n_nodes=48):
     implicit dependence near x = 1 by fixed-point iteration on the
     integrating-factor Simpson rule.  The x-integral folds the structural
     density's power behaviour into Gauss-Jacobi weights exactly (one rule per
-    power component; node count doubled until two rules agree to quad_tol).
-    Independent of m_series by construction.
+    power component; 48 nodes, doubled up to 512 until two rules agree to
+    1e-9).  Independent of m_series by construction.
     """
     if not math.isfinite(beta) or np.iscomplexobj(beta):
         raise ValueError("m_integro is a real-beta oracle")
@@ -238,6 +243,7 @@ def m_integro(law, t_max, beta, alpha, step=None, quad_tol=1e-9, n_nodes=48):
     if comps is None and atoms is None:
         raise UnsupportedRepresentation(f"{law.kind}: no density/atom representation")
 
+    n_nodes = 48
     while True:
         sol = _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes)
         if comps is None:
@@ -246,7 +252,7 @@ def m_integro(law, t_max, beta, alpha, step=None, quad_tol=1e-9, n_nodes=48):
                                alpha, step, comps, atoms, 2 * n_nodes)
         i = len(check.ts) - 1
         ref = check.values[i]
-        if abs(sol(check.ts[i]) - ref) <= quad_tol * max(1.0, abs(ref)):
+        if abs(sol(check.ts[i]) - ref) <= 1e-9 * max(1.0, abs(ref)):
             return sol
         n_nodes *= 2
         if n_nodes > 512:
@@ -389,16 +395,15 @@ class GammaExtrapolation:
     tail_estimate: float
 
 
-def _logpsi_window_float(law, s0, az, psi_inf):
-    """integral_0^1 [log psi(s0 + u*az) - log psi_inf] du, 64-node Gauss."""
+def _logpsi_window_float(law, s0, az):
+    """integral_0^1 log psi(s0 + u*az) du, 64-node Gauss."""
     x, w = np.polynomial.legendre.leggauss(64)
     u = (x + 1.0) / 2.0
-    vals = np.array([np.log(law.psi(s0 + uu * az)) for uu in u]) - np.log(psi_inf)
+    vals = np.array([np.log(law.psi(s0 + uu * az)) for uu in u])
     return 0.5 * np.dot(w, vals)
 
 
 def _gamma_z_once_float(law, z, beta, alpha, K):
-    psi_inf = 1.0 - law.atom_mass_at_one
     prod = 1.0 + 0.0j
     for k in range(K):
         num = law.psi(beta + alpha * k)
@@ -411,7 +416,7 @@ def _gamma_z_once_float(law, z, beta, alpha, K):
 
     G = lambda k: np.log(law.psi(beta + alpha * k)) - np.log(law.psi(beta + alpha * (k + z)))
     g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
-    window = z * _logpsi_window_float(law, beta + alpha * K, alpha * z, psi_inf)
+    window = z * _logpsi_window_float(law, beta + alpha * K, alpha * z)
     d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
     d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
     tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
@@ -420,7 +425,6 @@ def _gamma_z_once_float(law, z, beta, alpha, K):
 
 def _gamma_z_once_mp(law, z, beta, alpha, K):
     one = mp.mpf(1)
-    psi_inf = one - mp.mpmathify(law.atom_mass_at_one)
     zm = mp.mpmathify(z)
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
@@ -436,7 +440,7 @@ def _gamma_z_once_mp(law, z, beta, alpha, K):
         prod *= num / den
     G = lambda k: mp.log(psi(bm + am * k)) - mp.log(psi(bm + am * (k + zm)))
     sK = bm + am * K
-    window = zm * mp.quad(lambda u: mp.log(psi(sK + u * am * zm)) - mp.log(psi_inf), [0, 1])
+    window = zm * mp.quad(lambda u: mp.log(psi(sK + u * am * zm)), [0, 1])
     d1 = mp.diff(G, K, 1)
     d3 = mp.diff(G, K, 3)
     d5 = mp.diff(G, K, 5)
@@ -445,14 +449,16 @@ def _gamma_z_once_mp(law, z, beta, alpha, K):
 
 
 def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
-    """Extrapolate g(., beta) to complex z via the normalised infinite product.
+    """Extrapolate g(., beta) to complex z via the infinite product.
 
     Satisfies the functional equation g(z+1, beta) = psi(beta + alpha z) g(z, beta)
     and the reciprocal identity g(-z, alpha z + beta) g(z, beta) = 1.  The tail
     past the truncation K is summed by Euler-Maclaurin: a window integral of
     log psi plus derivative corrections; K doubles until two evaluations agree
-    to ``tol``.  ``precision_bits`` switches to big-float arithmetic (needed
-    when downstream asymptotics consume the value at extreme accuracy).
+    to ``tol``.  The window integrates log psi itself: with an atom at 1, its
+    limit log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
+    equation needs.  ``precision_bits`` switches to big-float arithmetic
+    (needed when downstream asymptotics consume the value at extreme accuracy).
     """
     if np.real(beta) <= law.beta_a:
         raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
@@ -525,14 +531,10 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     if precision_bits:
         with mp.workprec(precision_bits):
             psi_b = 1 - law.phi_mp(mp.mpmathify(beta))
-            dpsi = _psi_prime_mp(law, bs)
+            dpsi = -mp.diff(law.phi_mp, mp.mpmathify(bs))
             return mp.gamma(mp.mpmathify(_tidy_complex(z0))) * psi_b / (alpha * dpsi) / g.value
     val = special.gamma(z0) * law.psi(beta) / (alpha * law.psi_prime(bs)) / g.value
     return _tidy_complex(val)
-
-
-def _psi_prime_mp(law, beta, h=None):
-    return -mp.diff(lambda b: law.phi_mp(b), mp.mpmathify(beta))
 
 
 def rho_moment(law, k, alpha, beta_star=None):
@@ -575,158 +577,96 @@ def rho_moments(law, k_max, alpha):
 
 
 # ---------------------------------------------------------------------------
-# power-density closed forms
+# closed forms for rational psi (the general paths above never dispatch here)
 # ---------------------------------------------------------------------------
 
-def filippov_rho_density(lam, theta, alpha, x):
-    """Limit density alpha x^(lam-1) e^(-x^alpha) / Gamma(lam/alpha) on x > 0.
+def _rational_args(law, beta, alpha):
+    """a_i = (beta - r_i)/alpha and b_j = (beta + theta_j)/alpha; beta=None means beta*.
 
-    The moments int x^(alpha k) rho(dx) = (lam/alpha)_k identify rho as the
-    law of G^(1/alpha) with G ~ Gamma(lam/alpha, 1).
+    With psi = prod_i (beta - r_i) / prod_j (beta + theta_j) (law.rational_psi)
+    every factor of g is psi(beta + alpha k) = prod_i (a_i + k) / prod_j (b_j + k).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = alpha * x[pos] ** (lam - 1.0) * np.exp(-x[pos] ** alpha) / special.gamma(lam / alpha)
-    return out if out.shape else float(out)
+    roots, thetas = law.rational_psi()
+    if beta is None:
+        beta = roots[0].real
+    return (beta - roots) / alpha, (beta + thetas) / alpha
 
 
-def filippov_rho_cdf(lam, theta, alpha, x):
+def _closed_value(val, *args):
+    """Complex roots of psi come in conjugate pairs: real arguments give a real value."""
+    val = complex(val)
+    if not cmath.isfinite(val):
+        raise PoleError("gamma factor hit a pole")
+    return val.real if all(np.isreal(x) for x in args) else _tidy_complex(val)
+
+
+def rational_m(law, t, beta, alpha):
+    """m(t, beta) = pFp(a; b; -t), evaluated by mpmath's hypergeometric series."""
+    a, b = _rational_args(law, beta, alpha)
+    val = mp.hyper([_tidy_complex(x) for x in a], [_tidy_complex(x) for x in b], -mp.mpf(t))
+    return _closed_value(val, t, beta, alpha)
+
+
+def rational_gamma(law, z, beta, alpha):
+    """g(z, beta) = prod_i Gamma(a_i+z)/Gamma(a_i) * prod_j Gamma(b_j)/Gamma(b_j+z)."""
+    a, b = _rational_args(law, beta, alpha)
+    g = special.gamma
+    val = np.prod(g(a + z)) * np.prod(g(b)) / (np.prod(g(a)) * np.prod(g(b + z)))
+    return _closed_value(val, z, beta, alpha)
+
+
+def rational_coefficient(law, beta, alpha):
+    """C(beta) = prod_{i>=2} Gamma(a*_i)/Gamma(a_i) * prod_j Gamma(b_j)/Gamma(b*_j).
+
+    Starred parameters are taken at beta*; this is the coefficient of the
+    leading term t^(-a_1), a_1 = (beta - beta*)/alpha, of pFp(a; b; -t).
+    """
+    a, b = _rational_args(law, beta, alpha)
+    a0, b0 = _rational_args(law, None, alpha)
+    g = special.gamma
+    val = np.prod(g(a0[1:])) * np.prod(g(b)) / (np.prod(g(a[1:])) * np.prod(g(b0)))
+    return _closed_value(val, beta, alpha)
+
+
+def rational_rho_moment(law, k, alpha):
+    """k-th power moment of rho as a Pochhammer ratio at beta*:
+
+        (k-1)!/(alpha psi'(beta*)) prod_{m=1}^{k-1} prod_j (b*_j+m) / prod_i (a*_i+m),
+
+    with alpha psi'(beta*) = prod_{i>=2} a*_i / prod_j b*_j, since a*_1 = 0.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    a0, b0 = _rational_args(law, None, alpha)
+    val = math.factorial(k - 1) * np.prod(b0) / np.prod(a0[1:])
+    for m in range(1, k):
+        val = val * np.prod(b0 + m) / np.prod(a0 + m)
+    return _closed_value(val, alpha)
+
+
+def rho_cdf(law, alpha, x):
+    """CDF of rho when psi has one pole: phi = lam/(beta + theta) makes rho the
+    law of G^(1/alpha), G ~ Gamma(lam/alpha, 1), with lam = beta* + theta.
+
+    Raises NoClosedForm for any other law.
+    """
+    roots, thetas = law.rational_psi()
+    if thetas.size != 1:
+        raise NoClosedForm(f"{law.kind}: rho has a closed-form CDF only for one power term")
+    lam = roots[0].real + thetas[0]
     x = np.asarray(x, dtype=float)
     out = special.gammainc(lam / alpha, np.clip(x, 0.0, None) ** alpha)
     return out if out.shape else float(out)
 
 
 def filippov_gamma_closed_form(z, beta, lam, theta, alpha=1.0):
-    """Gamma-ratio form of g(z, beta) for the power-density law.
-
-    With a = (beta - beta*)/alpha and b = (beta + theta)/alpha the telescoping
-    product collapses to Gamma(a+z) Gamma(b) / (Gamma(a) Gamma(b+z)).
-    """
-    bs = lam - theta
-    a = (beta - bs) / alpha
-    b = (beta + theta) / alpha
-    return _tidy_complex(
-        special.gamma(a + z) * special.gamma(b) / (special.gamma(a) * special.gamma(b + z))
-    )
+    """rational_gamma of FilippovPower(lam, theta); kept for the benchmark workloads."""
+    return rational_gamma(FilippovPower(lam, theta), z, beta, alpha)
 
 
 def filippov_asymptotic_coefficient(lam, theta, alpha, beta):
-    """Closed form of C(beta) for the power-density law: Gamma((beta+theta)/alpha)/Gamma(lam/alpha)."""
-    return _tidy_complex(special.gamma((beta + theta) / alpha) / special.gamma(lam / alpha))
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet polynomials (alpha = 1 normalisation)
-# ---------------------------------------------------------------------------
-
-def dirichlet_roots(terms):
-    """All p roots of phi(beta) = sum_j lam_j/(theta_j + beta) = 1.
-
-    Clears denominators to the monic degree-p polynomial
-    prod_j (beta + theta_j) - sum_j lam_j prod_{i != j} (beta + theta_i),
-    takes companion-matrix eigenvalues and polishes with Newton.  The root
-    with the largest real part is the Malthusian exponent.
-    """
-    P = np.polynomial.Polynomial
-    terms = [(float(l), float(t)) for l, t in terms]
-    full = P.fromroots([-t for _, t in terms])
-    num = full.copy()
-    for j, (l, _) in enumerate(terms):
-        others = [-t for i, (_, t) in enumerate(terms) if i != j]
-        num = num - l * (P.fromroots(others) if others else P([1.0]))
-    roots = num.roots()
-    dnum = num.deriv()
-    polished = []
-    for r in roots:
-        x = r
-        for _ in range(50):
-            fx = num(x)
-            dfx = dnum(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x = x - step
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-        else:
-            raise RootFindingFailure(f"Newton did not converge from root estimate {r}")
-        polished.append(x)
-    polished = np.array(polished)
-    scale = 1.0 + np.max(np.abs(polished))
-    for i in range(len(polished)):
-        for j in range(i + 1, len(polished)):
-            if abs(polished[i] - polished[j]) < 1e-8 * scale:
-                raise RootFindingFailure("roots not simple/isolated")
-    order = np.argsort(-polished.real)
-    return polished[order]
-
-
-def _dirichlet_beta_star(roots, terms):
-    b1 = roots[0]
-    if abs(b1.imag) > 1e-9:
-        raise RootFindingFailure(f"rightmost root {b1} is not real")
-    if b1.real <= -min(t for _, t in terms):
-        raise RootFindingFailure("rightmost root left of the abscissa")
-    return b1.real
-
-
-def hypergeometric_coefficient(terms, beta):
-    """Leading asymptotic coefficient for a Dirichlet-polynomial law, alpha = 1.
-
-    c(beta) = prod_{j>=2} Gamma(beta*-beta_j)/Gamma(beta-beta_j)
-              * prod_j Gamma(beta+theta_j)/Gamma(beta*+theta_j),
-    the beta_j running over all roots of phi = 1 (beta_1 = beta*), so that
-    m(t, beta) ~ c(beta) t^(beta* - beta).  Agrees with asymptotic_coefficient
-    evaluated on the same law.
-    """
-    roots = dirichlet_roots(terms)
-    bs = _dirichlet_beta_star(roots, terms)
-    val = 1.0 + 0.0j
-    for bj in roots[1:]:
-        val *= special.gamma(bs - bj) / special.gamma(beta - bj)
-    for _, th in terms:
-        val *= special.gamma(beta + th) / special.gamma(bs + th)
-    if not np.isfinite(val.real):
-        raise PoleError("gamma factor hit a pole")
-    out = _tidy_complex(val)
-    if isinstance(out, complex) and abs(out.imag) < 1e-10 * max(1.0, abs(out.real)):
-        out = out.real
-    return out
-
-
-def dirichlet_psi_prime_at_root(terms, beta_star):
-    """psi'(beta*) = sum_j lam_j/(beta* + theta_j)^2."""
-    return sum(l / (beta_star + t) ** 2 for l, t in terms)
-
-
-def _pochhammer(x, n):
-    out = 1.0 + 0.0j if isinstance(x, complex) else 1.0
-    for i in range(n):
-        out = out * (x + i)
-    return out
-
-
-def dirichlet_integer_moment(terms, k):
-    """Integer moments of rho for a Dirichlet-polynomial law, alpha = 1:
-
-    (k-1)!/psi'(beta*) * prod_j (beta*+1+theta_j)_{k-1} / (beta*+1-beta_j)_{k-1},
-    the denominator product running over all p roots (the beta_1 = beta* factor
-    contributes (1)_{k-1} = (k-1)!).
-    """
-    roots = dirichlet_roots(terms)
-    bs = _dirichlet_beta_star(roots, terms)
-    val = math.factorial(k - 1) / dirichlet_psi_prime_at_root(terms, bs)
-    for _, th in terms:
-        val = val * _pochhammer(bs + 1.0 + th, k - 1)
-    for bj in roots:
-        val = val / _pochhammer(complex(bs) + 1.0 - bj, k - 1)
-    val = complex(val)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise RootFindingFailure(f"moment not real: {val}")
-    return val.real
+    """rational_coefficient of FilippovPower(lam, theta); kept for the benchmark workloads."""
+    return rational_coefficient(FilippovPower(lam, theta), beta, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytics, estimators, laws, simulate
-from .errors import FragkitError
+from .errors import FragkitError, NoClosedForm
 
 _PROBE_OFFSETS = (0.5, 1.0, 2.0)
 _THREADS_HELP = "accepted for compatibility; has no effect (replicates run serially)"
@@ -264,13 +264,11 @@ def _validate_suite(law, args):
                                         master_seed=args.seed + 4)
         reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
         measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
-        if isinstance(law, laws.FilippovPower):
-            target = lambda x: analytics.filippov_rho_cdf(law.lam, law.theta, alpha, x)
+        try:
+            analytics.rho_cdf(law, alpha, 1.0)  # NoClosedForm unless psi has one pole
+            target = lambda x: analytics.rho_cdf(law, alpha, x)
             tag = "closed-form gamma-type CDF"
-        elif isinstance(law, laws.BinaryUniformConservative):
-            target = lambda x: analytics.filippov_rho_cdf(2.0, 1.0, alpha, x)
-            tag = "closed-form gamma-type CDF"
-        else:
+        except NoClosedForm:
             ys = simulate.sample_Y(law, alpha, 200_000, master_seed=args.seed + 5)
             samples = np.sort(ys.values ** (1.0 / alpha))
             target = lambda x: np.searchsorted(samples, x, side="right") / samples.size

@@ -51,6 +51,7 @@ from .errors import (
     NoClosedForm,
     NoMalthusianExponent,
     NoQuadrature,
+    RootFindingFailure,
     UnsupportedSampler,
     UnsupportedTilt,
 )
@@ -146,7 +147,6 @@ class ReproductionLaw:
     power_terms = None
     atoms = None
     beta_a_estimated = False
-    atom_mass_at_one = 0.0
     conservative = False
     has_sampler = False
     beta_a_override = None
@@ -186,6 +186,49 @@ class ReproductionLaw:
         """sigma's atoms ((x, weight), ...), or None."""
         return self.atoms
 
+    @property
+    def atom_mass_at_one(self):
+        """sigma{1}, the limit of phi(beta) as beta -> +inf."""
+        return sum(w for x, w in self.atoms or () if x == 1.0)
+
+    def rational_psi(self):
+        """(roots, thetas) with psi(beta) = prod_i (beta - r_i) / prod_j (beta + theta_j).
+
+        Power terms with equal theta merge (dropping those whose lam cancels);
+        the numerator is solved by companion-matrix eigenvalues polished with
+        Newton.  The roots are simple and sorted by decreasing real part, so
+        roots[0] is beta*.  Raises NoClosedForm when sigma has atoms or no
+        power terms.
+        """
+        merged = {}
+        for l, t in self.power_terms or ():
+            merged[t] = merged.get(t, 0.0) + l
+        terms = [(l, t) for t, l in merged.items() if l != 0.0]
+        if self.atoms or not terms:
+            raise NoClosedForm(f"{self.kind}: psi is rational only for power terms without atoms")
+        P = np.polynomial.Polynomial
+        thetas = np.array([t for _, t in terms])
+        den = P.fromroots(-thetas)
+        num = den - sum(l * (den // P([t, 1.0])) for l, t in terms)
+        dnum = num.deriv()
+        roots = num.roots()
+        for _ in range(50):
+            step = num(roots) / dnum(roots)
+            roots = roots - step
+            if np.all(np.abs(step) <= 1e-15 * np.maximum(1.0, np.abs(roots))):
+                break
+        else:
+            raise RootFindingFailure("Newton did not converge on the roots of phi = 1")
+        gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
+        if np.any(gaps < 1e-8 * (1.0 + np.max(np.abs(roots)))):
+            raise RootFindingFailure("roots not simple/isolated")
+        roots = roots[np.argsort(-roots.real)]
+        if abs(roots[0].imag) > 1e-9:
+            raise RootFindingFailure(f"rightmost root {roots[0]} is not real")
+        if roots[0].real <= -thetas.min():
+            raise RootFindingFailure("rightmost root left of the abscissa")
+        return roots, thetas
+
     # -- Mellin data --------------------------------------------------------
 
     def _check_domain(self, beta):
@@ -214,9 +257,6 @@ class ReproductionLaw:
 
     def psi(self, beta):
         return 1.0 - self.phi(beta)
-
-    def psi_mp(self, beta):
-        return 1 - self.phi_mp(beta)
 
     def psi_prime(self, beta):
         """d/dbeta [1 - phi]; analytic where available, else Richardson."""
@@ -622,10 +662,6 @@ class UserAtomic(ReproductionLaw):
 
     def _key(self):
         return self.groups
-
-    @property
-    def atom_mass_at_one(self):
-        return sum(w for x, w in self.atoms if x == 1.0)
 
     def _detect_arithmetic(self):
         return arithmetic_check(self)

@@ -362,20 +362,22 @@ class _GenerationEngine:
         return kids, owner, tail_mean
 
 
-def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, master_seed=0,
-                          batch_size=1000):
+#: trees per generation-engine batch; each batch draws from its own stream
+TREE_BATCH = 1000
+
+
+def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, master_seed=0):
     """Intrinsic-martingale values M_0..M_depth for an ensemble of trees.
 
     Returns a GenerationMartingaleResult: raw per-generation weights of the
     materialised tree plus the exact expected weight of pruned lineages (the
     corrected sum is unbiased for E M_n = 1).  Trees run in memory-bounded
-    batches; results are independent of the batch layout only through the
-    per-batch streams, so determinism requires the same batch_size.
+    batches of TREE_BATCH.
     """
     m_hat_parts, corr_parts = [], []
-    for b, start in enumerate(range(0, n_trees, batch_size)):
+    for b, start in enumerate(range(0, n_trees, TREE_BATCH)):
         eng = _GenerationEngine(
-            law, beta_star, min(batch_size, n_trees - start), eps_prune, master_seed,
+            law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune, master_seed,
             batch_index=b,
         )
         for _ in range(depth):
@@ -400,7 +402,6 @@ class MInftyEstimate:
 
 def estimate_m_infinity_moments(
     law, beta_star, n_trees=10000, max_depth=24, eps_prune=1e-3, master_seed=0,
-    batch_size=1000,
 ):
     """Monte Carlo moments of the terminal martingale value.
 
@@ -413,7 +414,7 @@ def estimate_m_infinity_moments(
     remaining trees run to the selected depth in memory-bounded batches.
     Reports mean (should be 1) and second moment with SEs over all trees.
     """
-    pilot_n = min(batch_size, n_trees)
+    pilot_n = min(TREE_BATCH, n_trees)
     q = float(law.phi(2.0 * beta_star))
     eng = _GenerationEngine(law, beta_star, pilot_n, eps_prune, master_seed, batch_index=0)
     cols = [np.ones(pilot_n)]
@@ -430,9 +431,9 @@ def estimate_m_infinity_moments(
                 break
     depth = len(cols) - 1
     values = [cols[-1]]
-    for b, start in enumerate(range(pilot_n, n_trees, batch_size), start=1):
+    for b, start in enumerate(range(pilot_n, n_trees, TREE_BATCH), start=1):
         eng = _GenerationEngine(
-            law, beta_star, min(batch_size, n_trees - start), eps_prune, master_seed,
+            law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune, master_seed,
             batch_index=b,
         )
         col = None

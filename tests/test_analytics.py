@@ -11,6 +11,7 @@ from fragkit import analytics as an, laws
 from fragkit.errors import (
     ArithmeticLaw,
     DomainError,
+    NoClosedForm,
     PoleError,
     SingularBeta,
 )
@@ -196,6 +197,19 @@ def test_gamma_z_identities_random_points():
             checked += 1
 
 
+def test_gamma_z_functional_equation_with_atom_at_one():
+    # sigma{1} = 1/2: psi -> 1/2 at infinity, and g must still satisfy
+    # g(z+1) = psi(beta+z) g(z); the same sigma as a Poisson pair gives the same g
+    atomic = laws.UserAtomic(groups=((0.5, (1.0, 0.5)), (0.5, (0.7, 0.3))))
+    poisson = laws.UserPoisson(laws.AtomComponent(((1.0, 0.5), (0.7, 0.5))),
+                               laws.AtomComponent(((0.5, 0.5), (0.3, 0.5))))
+    z, beta = 0.4, 1.3
+    g0 = an.gamma_z(atomic, z, beta, 1.0, tol=1e-13).value
+    g1 = an.gamma_z(atomic, z + 1, beta, 1.0, tol=1e-13).value
+    assert abs(g1 - atomic.psi(beta + z) * g0) <= 1e-10 * abs(g0)
+    assert an.gamma_z(poisson, z, beta, 1.0, tol=1e-13).value == pytest.approx(g0, rel=1e-10)
+
+
 def test_gamma_z_pole_and_singular_errors():
     # z = (beta* - beta)/alpha is the rightmost pole
     with pytest.raises(PoleError):
@@ -267,81 +281,109 @@ def test_rho_moments_log_convex():
 
 
 # ---------------------------------------------------------------------------
-# power-law closed forms
+# closed forms for rational psi
 # ---------------------------------------------------------------------------
 
+#: every law whose sigma is made of power terms only, the last a power-only
+#: UserPoisson with two distinct thetas
+RATIONAL = [BINARY, STICK, STICK_C, FIL21, laws.FilippovPower(2.0, 0.8), DIRI,
+            laws.UserPoisson(laws.PowerComponent(1.0, 1.5), laws.PowerComponent(0.8, 0.6))]
+ALPHAS = (0.7, 1.0, 1.3)
+
+
 def test_limit_density_gamma_shape():
-    # (lam, theta, alpha) = (2,1,1): density x e^-x
-    xs = np.linspace(0.1, 6.0, 25)
-    assert np.allclose(an.filippov_rho_density(2.0, 1.0, 1.0, xs), xs * np.exp(-xs), rtol=1e-12)
-    total, _ = integrate.quad(lambda x: an.filippov_rho_density(2.0, 1.0, 1.0, x), 0, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    mean, _ = integrate.quad(lambda x: x * an.filippov_rho_density(2.0, 1.0, 1.0, x), 0, np.inf)
-    assert mean == pytest.approx(2.0, abs=1e-9)
-    assert mean == pytest.approx(an.rho_moment(FIL21, 1, 1.0), abs=1e-9)
+    # (lam, theta, alpha) = (2,1,1): density x e^-x, CDF 1 - (1+x) e^-x
+    xs = np.linspace(0.0, 6.0, 25)
+    ref = 1.0 - (1.0 + xs) * np.exp(-xs)
+    for law in (FIL21, BINARY):
+        assert np.allclose(an.rho_cdf(law, 1.0, xs), ref, rtol=1e-12, atol=1e-15)
+    assert an.rho_cdf(FIL21, 1.0, -1.0) == 0.0
 
 
 def test_limit_density_general_alpha_moments():
-    lam, theta, alpha = 2.0, 0.8, 1.5
-    for k in (1, 2, 3):
-        val, _ = integrate.quad(
-            lambda x: x ** (alpha * k) * an.filippov_rho_density(lam, theta, alpha, x),
-            0,
-            np.inf,
-        )
-        assert val == pytest.approx(an.rho_moment(laws.FilippovPower(lam, theta), k, alpha),
-                                    rel=1e-8)
-    cdf_mid = an.filippov_rho_cdf(lam, theta, alpha, 1.0)
-    num, _ = integrate.quad(lambda x: an.filippov_rho_density(lam, theta, alpha, x), 0, 1.0)
-    assert cdf_mid == pytest.approx(num, abs=1e-10)
+    # int x^(alpha k) rho(dx) = int_0^inf alpha k x^(alpha k - 1) (1 - F(x)) dx
+    for law, alpha in ((laws.FilippovPower(2.0, 0.8), 1.5), (STICK_C, 0.7)):
+        for k in (1, 2, 3):
+            val, _ = integrate.quad(
+                lambda x: alpha * k * x ** (alpha * k - 1) * (1.0 - an.rho_cdf(law, alpha, x)),
+                0, np.inf, epsabs=0, epsrel=1e-12, limit=200,
+            )
+            assert val == pytest.approx(an.rho_moment(law, k, alpha), rel=1e-8)
 
-
-# ---------------------------------------------------------------------------
-# Dirichlet polynomials
-# ---------------------------------------------------------------------------
 
 def test_dirichlet_roots_and_psi_factorisation():
-    terms = ((1.2, 0.7), (0.9, 2.0))
-    roots = an.dirichlet_roots(terms)
-    assert roots.size == 2
-    # psi(beta) = prod (beta - beta_i) / prod (beta + theta_j)
-    law = laws.DirichletPolynomial(terms=terms)
-    for beta in (1.3, 2.6):
-        ref = np.prod([beta - r for r in roots]) / np.prod([beta + t for _, t in terms])
-        assert law.psi(beta) == pytest.approx(float(np.real(ref)), rel=1e-12)
-    assert roots[0].real == pytest.approx(an.beta_star_of(law), abs=1e-11)
+    # psi(beta) = prod (beta - r_i) / prod (beta + theta_j), roots[0] = beta*
+    for law in RATIONAL:
+        roots, thetas = law.rational_psi()
+        assert roots.size == thetas.size
+        for beta in (1.3, 2.6, 0.9 + 0.4j):
+            ref = np.prod(beta - roots) / np.prod(beta + thetas)
+            assert abs(law.psi(beta) - ref) <= 1e-12 * abs(law.psi(beta))
+        assert roots[0].real == pytest.approx(an.beta_star_of(law), abs=1e-11)
+    # equal thetas merge: 1 x^0 dx + 1 x^0 dx is the binary law's 2 dx
+    twin = laws.UserPoisson(laws.PowerComponent(1.0, 1.0), laws.PowerComponent(1.0, 1.0))
+    assert twin.rational_psi()[1].tolist() == [1.0]
+
+
+def test_rational_forms_need_power_terms():
+    atomic = laws.UserAtomic(groups=((1.0, (0.5, 0.5)),))
+    mixed = laws.UserPoisson(laws.PowerComponent(1.0, 2.0), laws.AtomComponent(((0.5, 0.7),)))
+    for law in (atomic, mixed, laws.no_malthusian_example()):
+        with pytest.raises(NoClosedForm):
+            law.rational_psi()
+        with pytest.raises(NoClosedForm):
+            an.rho_cdf(law, 1.0, 1.0)
+    # two poles: rho is not gamma-type
+    for law in (STICK, DIRI):
+        with pytest.raises(NoClosedForm):
+            an.rho_cdf(law, 1.0, 1.0)
+
+
+def test_rational_gamma_matches_gamma_z():
+    for law in RATIONAL:
+        beta = an.beta_star_of(law) + 0.6
+        for alpha in ALPHAS:
+            for z in (0.4, 1.7, 0.5 + 1.0j):
+                g = an.gamma_z(law, z, beta, alpha, tol=1e-13).value
+                assert abs(an.rational_gamma(law, z, beta, alpha) - g) <= 1e-10 * abs(g)
 
 
 def test_hypergeometric_coefficient_matches_generic():
-    terms = ((1.2, 0.7), (0.9, 2.0))
-    law = laws.DirichletPolynomial(terms=terms)
-    for beta in (1.4, 2.2, 3.1):
-        c = an.hypergeometric_coefficient(terms, beta)
-        C = an.asymptotic_coefficient(law, beta, 1.0)
-        assert abs(c - C) <= 1e-8 * abs(C)
-
-
-def test_hypergeometric_p1_reduces_to_power_law():
-    c = an.hypergeometric_coefficient(((2.0, 1.0),), 1.6)
-    assert c == pytest.approx(an.filippov_asymptotic_coefficient(2.0, 1.0, 1.0, 1.6), rel=1e-12)
-
-
-def test_dirichlet_slope_formula():
-    terms = ((1.2, 0.7), (0.9, 2.0))
-    law = laws.DirichletPolynomial(terms=terms)
-    bs = an.beta_star_of(law)
-    assert an.dirichlet_psi_prime_at_root(terms, bs) == pytest.approx(
-        law.psi_prime(bs), rel=1e-12
-    )
+    for law in RATIONAL:
+        bs = an.beta_star_of(law)
+        for alpha in ALPHAS:
+            for beta in (bs + 0.4, bs + 1.2, bs + 2.1):
+                C = an.asymptotic_coefficient(law, beta, alpha)
+                assert abs(an.rational_coefficient(law, beta, alpha) - C) <= 1e-10 * abs(C)
 
 
 def test_dirichlet_integer_moments_match_generic():
-    terms = ((1.2, 0.7), (0.9, 2.0))
-    law = laws.DirichletPolynomial(terms=terms)
-    for k in range(1, 7):
-        assert an.dirichlet_integer_moment(terms, k) == pytest.approx(
-            an.rho_moment(law, k, 1.0), rel=1e-10
-        )
+    for law in RATIONAL:
+        for alpha in ALPHAS:
+            for k in range(1, 7):
+                assert an.rational_rho_moment(law, k, alpha) == pytest.approx(
+                    an.rho_moment(law, k, alpha), rel=1e-10
+                )
+
+
+def test_rational_m_matches_series():
+    for law in RATIONAL:
+        beta = an.beta_star_of(law) + 0.6
+        for alpha in ALPHAS:
+            for t in (0.5, 5.0, 40.0):
+                ref = an.m_series(law, t, beta, alpha, rel_tol=1e-14).value
+                assert abs(an.rational_m(law, t, beta, alpha) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("t", [200.0, 1000.0])
+def test_series_large_t_matches_rational_m(t):
+    # 1024 and 4096 bits: the series loses ~t/ln 10 digits to cancellation
+    law = STICK
+    beta = an.beta_star_of(law) + 1.0
+    ev = an.m_series(law, t, beta, 1.0)
+    assert ev.working_precision_bits >= 1024
+    ref = an.rational_m(law, t, beta, 1.0)
+    assert abs(ev.value - ref) <= 1e-10 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_cdf_distance_against_own_samples():
         replicate_index=np.zeros(xs.size, dtype=int),
         replicate_totals=np.array([float(xs.size)]),
     )
-    d = est.cdf_distance(measure, lambda x: an.filippov_rho_cdf(2.0, 1.0, 1.0, x))
+    d = est.cdf_distance(measure, lambda x: an.rho_cdf(FIL21, 1.0, x))
     assert d < 3.0 * math.sqrt(math.log(40.0) / (2.0 * xs.size))
 
 
@@ -208,13 +208,13 @@ def test_cdf_distance_singleton_vs_continuous():
         locations=np.array([1e-8]), weights=np.array([1.0]),
         replicate_index=np.array([0]), replicate_totals=np.array([1.0]),
     )
-    d = est.cdf_distance(measure, lambda x: an.filippov_rho_cdf(2.0, 1.0, 1.0, x))
+    d = est.cdf_distance(measure, lambda x: an.rho_cdf(FIL21, 1.0, x))
     assert d > 0.95
 
 
 def test_cdf_distance_simulation_converges():
     measure, _ = _measure(BINARY, 25.0, 800, seed=27)
-    d = est.cdf_distance(measure, lambda x: an.filippov_rho_cdf(2.0, 1.0, 1.0, x))
+    d = est.cdf_distance(measure, lambda x: an.rho_cdf(FIL21, 1.0, x))
     assert d < 0.05
 
 

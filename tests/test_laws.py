@@ -25,6 +25,7 @@ BINARY = laws.BinaryUniformConservative()
 STICK = laws.StickBreakingLossy()
 STICK_C = laws.StickBreakingConservative()
 FIL21 = laws.FilippovPower(2.0, 1.0)
+DIRI = laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0)))
 ATOMIC = laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1))))
 # power terms 1.5 x^0.5 dx + 0.4 x^-0.5 dx: a two-term tilt mixture
 POISSON = laws.UserPoisson(laws.PowerComponent(1.0, 1.5), laws.PowerComponent(0.8, 0.5))
@@ -55,7 +56,7 @@ def test_psi_values_and_derivative():
     assert FIL21.psi_prime(1.0) == pytest.approx(0.5, rel=1e-12)
     assert STICK.psi(1.0) == pytest.approx(0.5, abs=1e-15)
     # closed-form derivatives agree with the generic Richardson fallback
-    for law, b in [(STICK, 0.9), (FIL21, 1.4), (ATOMIC, 0.8), (BINARY, 1.1)]:
+    for law, b in [(STICK, 0.9), (FIL21, 1.4), (ATOMIC, 0.8), (BINARY, 1.1), (DIRI, 1.2)]:
         fd = laws._richardson_derivative(law.psi, b, law.beta_a)
         assert law.psi_prime(b) == pytest.approx(fd, rel=1e-7)
 
@@ -243,6 +244,15 @@ def test_poisson_matches_power_law_mellin():
 def test_poisson_requires_probability_sigma1():
     with pytest.raises(Exception):
         laws.UserPoisson(laws.PowerComponent(0.5, 1.0), laws.PowerComponent(1.0, 1.0))
+
+
+def test_atom_mass_at_one_in_either_spec_form():
+    # sigma = 0.5 (delta_1 + delta_0.7 + delta_0.5 + delta_0.3), as groups and as a Poisson pair
+    atomic = laws.UserAtomic(groups=((0.5, (1.0, 0.5)), (0.5, (0.7, 0.3))))
+    poisson = laws.UserPoisson(laws.AtomComponent(((1.0, 0.5), (0.7, 0.5))),
+                               laws.AtomComponent(((0.5, 0.5), (0.3, 0.5))))
+    assert atomic.atom_mass_at_one == poisson.atom_mass_at_one == 0.5
+    assert BINARY.atom_mass_at_one == ATOMIC.atom_mass_at_one == 0.0
 
 
 # ---------------------------------------------------------------------------

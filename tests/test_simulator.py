@@ -274,7 +274,7 @@ def test_tagged_limit_distribution():
     x = sim.tagged_final_sizes(FIL21, 1.0, t, 40000, master_seed=25)
     scaled = np.sort(t * x)
     emp = np.arange(1, scaled.size + 1) / scaled.size
-    ks = np.max(np.abs(emp - an.filippov_rho_cdf(2.0, 1.0, 1.0, scaled)))
+    ks = np.max(np.abs(emp - an.rho_cdf(FIL21, 1.0, scaled)))
     assert ks < 0.03
 
 
