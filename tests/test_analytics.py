@@ -325,6 +325,20 @@ def test_dirichlet_roots_and_psi_factorisation():
     assert twin.rational_psi()[1].tolist() == [1.0]
 
 
+def test_dirichlet_slope_formula():
+    # psi = 1 - sum lam/(theta+beta): psi'(beta*) = sum lam/(theta+beta*)^2,
+    # and from the factorisation psi'(r_0) = prod_{i>0}(r_0 - r_i) / prod(r_0 + theta_j)
+    terms = ((1.2, 0.7), (0.9, 2.0))
+    law = laws.DirichletPolynomial(terms=terms)
+    bs = an.beta_star_of(law)
+    slope = sum(l / (t + bs) ** 2 for l, t in terms)
+    assert law.psi_prime(bs) == pytest.approx(slope, rel=1e-12)
+    roots, thetas = law.rational_psi()
+    r0 = roots[0].real
+    factored = np.prod(r0 - roots[1:]) / np.prod(r0 + thetas)
+    assert abs(factored - slope) <= 1e-10 * slope
+
+
 def test_rational_forms_need_power_terms():
     atomic = laws.UserAtomic(groups=((1.0, (0.5, 0.5)),))
     mixed = laws.UserPoisson(laws.PowerComponent(1.0, 2.0), laws.AtomComponent(((0.5, 0.7),)))
