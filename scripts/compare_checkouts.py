@@ -12,7 +12,9 @@ tagged-fragment sizes, and the closed forms ``filippov_gamma_closed_form``
 and ``filippov_asymptotic_coefficient``; for one spec of every kind it records
 the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
-``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name).
+``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
+and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
+and 2 (a spec with no sampler records its error class name instead).
 The report gives, per quantity, the largest
 relative deviation between the trees and the bound it must stay within
 (0 means bit-identical).  Exit status 1 if any bound is exceeded.
@@ -66,6 +68,8 @@ BOUNDS = (
     ("sample_Y", 1e-15),
     ("tagged_final", 1e-15),
     ("inspect", 0.0),
+    ("simulate_stdout", 0.0),
+    ("simulate_dump", 0.0),
     ("gamma_z", 0.0),
     ("asymptotic_coefficient", 0.0),
     ("rho_moment", 0.0),
@@ -97,6 +101,34 @@ def _analytics_probe(rec, name, law):
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
         record(f"m_series {tag}",
                lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
+
+
+def _simulate_probe(rec, name, path, workdir):
+    """Bytes of ``fragkit simulate`` (stdout and --dump) at alpha = 0.5, 1, 2."""
+    import contextlib
+    import io
+
+    from fragkit import cli
+    from fragkit.errors import FragkitError
+
+    for alpha in ("0.5", "1", "2"):
+        tag = f"{name} alpha={alpha}"
+        dump = os.path.join(workdir, f"{name}-{alpha}.csv")
+        args = cli._build_parser().parse_args([
+            "simulate", "--law", path, "--alpha", alpha, "--tmax", "5",
+            "--snapshots", "0.5,2,5", "--replicates", "20", "--seed", "11",
+            "--floor", "1e-4", "--dump", dump])
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(buf):
+                args.func(args)
+        except FragkitError as exc:
+            rec[f"simulate_stdout {tag}"] = np.frombuffer(type(exc).__name__.encode(),
+                                                          dtype=np.uint8)
+            continue
+        rec[f"simulate_stdout {tag}"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
+        with open(dump, "rb") as fh:
+            rec[f"simulate_dump {tag}"] = np.frombuffer(fh.read(), dtype=np.uint8)
 
 
 def probe(out_path):
@@ -153,6 +185,7 @@ def probe(out_path):
             with contextlib.redirect_stdout(buf):
                 cli.main(["law", "inspect", path])
             rec[f"inspect {name}"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
+            _simulate_probe(rec, name, path, d)
             _analytics_probe(rec, name, laws.from_spec(doc))
     np.savez(out_path, **rec)
 

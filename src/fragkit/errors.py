@@ -77,7 +77,7 @@ class UnsupportedRepresentation(FragkitError):
 
 
 class TreeSizeExceeded(FragkitError):
-    """Genealogical simulation exceeded its node cap."""
+    """A simulation exceeded its node cap (generation engine) or particle cap (natural time)."""
 
 
 class EmptySnapshot(FragkitError):

@@ -389,8 +389,11 @@ class BinaryUniformConservative(ReproductionLaw):
         return -2.0 / (1.0 + beta) ** 2
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
-        u = rng.uniform()
-        kids = (u, 1.0 - u) if u >= 1.0 - u else (1.0 - u, u)
+        u = rng.random()
+        v = 1.0 - u
+        kids = (u, v) if u >= v else (v, u)
+        if kids[1] >= floor:
+            return OffspringSample(np.array(kids))
         kept = [k for k in kids if k >= floor]
         dropped = sum(k for k in kids if k < floor)  # beta_star = 1: exact mass
         return OffspringSample(np.array(kept), truncated_beta_mass_bound=dropped)
@@ -412,9 +415,9 @@ class _StickBreakingBase(ReproductionLaw):
         kids = []
         residual = 1.0
         if self._lossy:
-            residual = rng.uniform()  # portion 1 - U0 is lost
+            residual = rng.random()  # portion 1 - U0 is lost
         while residual >= floor:
-            u = rng.uniform()
+            u = rng.random()
             kids.append((1.0 - u) * residual)
             residual *= u
         bs = self._beta_star_exact()
@@ -671,7 +674,7 @@ class UserAtomic(ReproductionLaw):
         return all(abs(sum(s) - 1.0) < 1e-12 for _, s in self.groups)
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
-        u = rng.uniform()
+        u = rng.random()
         acc = 0.0
         sizes = self.groups[-1][1]
         for p, s in self.groups:

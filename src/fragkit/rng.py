@@ -4,22 +4,42 @@ Every stochastic object in the package draws from a Philox generator whose
 128-bit key is a hash of (master seed, purpose tag, lineage coordinates).
 Streams are therefore pure functions of *what* is being simulated, never of
 event ordering or heap layout.
+
+A stream can be re-keyed in place: ``node_stream(..., reuse=g)`` resets the
+Philox of ``g`` to the new key with counter 0 and an empty buffer, so it
+yields exactly the draws of a freshly built stream.  This costs about 2 us
+on top of the key hash, against about 18 us for a new ``Philox`` (numpy
+seeds every new one from OS entropy before the key replaces it).  The
+caller must be done with the previous node's draws: every reference to
+``g`` continues with the new node's stream.
 """
 
+import functools
 import hashlib
+import struct
 
 import numpy as np
 
+_PREFIX = b"fragkit.v1"
+_ZERO4 = (0, 0, 0, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _coords_format(n):
+    # each coordinate is b"/" followed by its 8-byte little-endian two's complement
+    return struct.Struct("<" + "cq" * n)
+
+
+def _digest(master_seed, purpose, coords):
+    args = [b"/"] * (2 * len(coords))
+    args[1::2] = coords
+    msg = (_PREFIX + int(master_seed).to_bytes(8, "little", signed=False)
+           + purpose.encode("ascii") + _coords_format(len(coords)).pack(*args))
+    return hashlib.blake2b(msg, digest_size=16).digest()
+
 
 def _key(master_seed, purpose, coords):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(b"fragkit.v1")
-    h.update(int(master_seed).to_bytes(8, "little", signed=False))
-    h.update(purpose.encode("ascii"))
-    for c in coords:
-        h.update(b"/")
-        h.update(int(c).to_bytes(8, "little", signed=True))
-    return np.frombuffer(h.digest(), dtype=np.uint64)
+    return np.frombuffer(_digest(master_seed, purpose, coords), dtype=np.uint64)
 
 
 def stream(master_seed, purpose, *coords):
@@ -31,12 +51,24 @@ def stream(master_seed, purpose, *coords):
     return np.random.Generator(np.random.Philox(key=_key(master_seed, purpose, coords)))
 
 
-def node_stream(master_seed, replicate, path):
+def node_stream(master_seed, replicate, path, reuse=None):
     """Stream owned by one genealogical node, keyed by its child-index path.
 
     A node's randomness (offspring sequence, children lifetimes) is a pure
-    function of (master_seed, replicate, path); the root has path ().
+    function of (master_seed, replicate, path); the root has path ().  With
+    ``reuse`` (a Philox-backed Generator) that Generator is re-keyed in place
+    and returned instead of a new one.
     """
-    return np.random.Generator(
-        np.random.Philox(key=_key(master_seed, "node", (replicate, len(path)) + tuple(path)))
-    )
+    coords = (replicate, len(path)) + tuple(path)
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=_key(master_seed, "node", coords)))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4,
+                  "key": struct.unpack("<2Q", _digest(master_seed, "node", coords))},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse

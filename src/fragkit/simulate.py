@@ -49,7 +49,9 @@ class SimulationConfig:
     ``child_floor`` freezes children below the given absolute size instead of
     simulating them (for alpha > 0 they split extremely rarely on desk-scale
     horizons); every snapshot carries the accumulated expected beta*-mass of
-    frozen lineages so the bias stays auditable.
+    frozen lineages so the bias stays auditable.  ``max_particles`` bounds
+    the live population: ``run`` raises TreeSizeExceeded beyond it rather
+    than return a truncated state.
     """
 
     alpha: float
@@ -88,7 +90,6 @@ class PopulationSnapshot:
     frozen_beta_mass_bound: float
     replicate_id: int
     master_seed: int
-    cap_exceeded: bool = False
 
 
 def snapshot_power_sum(snapshot, beta):
@@ -107,8 +108,9 @@ def run(config, law, replicate=0, beta_star=None):
 
     Deterministic in (config, law, replicate): each node's offspring and its
     children's lifetimes are drawn from a stream keyed by the node's path.
-    When the population cap trips, splitting stops and the remaining
-    snapshots carry the stale state with ``cap_exceeded`` set.
+    The replicate holds one Generator and re-keys it at every split.  Raises
+    TreeSizeExceeded as soon as more than ``config.max_particles`` particles
+    are alive.
     """
     alpha = config.alpha
     if beta_star is None:
@@ -122,37 +124,45 @@ def run(config, law, replicate=0, beta_star=None):
         )
 
     seed = config.master_seed
+    floor = config.child_floor
+    cap = config.max_particles
+    heappush, heappop = heapq.heappush, heapq.heappop
     # the root's lifetime lives on its own purpose tag: its node stream is
     # reserved for the offspring draw at death (like every other node)
-    root_stream = rngmod.stream(seed, "root-life", replicate)
+    stream = rngmod.stream(seed, "root-life", replicate)
     x0 = config.initial_size
     rate0 = x0**alpha if alpha != 0 else 1.0
-    d0 = root_stream.exponential() / rate0
+    d0 = stream.exponential() / rate0
     heap = [(d0, 0, x0, (), 0)]
     seq = 1
     frozen = 0.0
-    capped = False
 
     out = []
     si = 0
     times = config.snapshot_times
-    while si < len(times):
+    n_times = len(times)
+    while si < n_times:
         t_snap = times[si]
-        if heap and not capped and heap[0][0] <= t_snap:
-            d, _, x, path, gen = heapq.heappop(heap)
-            stream = rngmod.node_stream(seed, replicate, path)
-            rel_floor = config.child_floor / x if config.child_floor > 0 else 0.0
-            sample = law.sample_offspring(stream, floor=rel_floor)
+        if heap and heap[0][0] <= t_snap:
+            d, _, x, path, gen = heappop(heap)
+            stream = rngmod.node_stream(seed, replicate, path, reuse=stream)
+            sample = law.sample_offspring(stream, floor=floor / x if floor > 0 else 0.0)
             if beta_star is not None and sample.truncated_beta_mass_bound:
                 frozen += x**beta_star * sample.truncated_beta_mass_bound
-            for j, xi in enumerate(sample.sizes):
+            sizes = sample.sizes.tolist()
+            # one call draws the same doubles as len(sizes) exponential() calls
+            lives = stream.standard_exponential(len(sizes)).tolist()
+            for j, xi in enumerate(sizes):
                 cx = x * xi
-                rate = cx**alpha if alpha != 0 else 1.0
-                life = stream.exponential() / rate
-                heapq.heappush(heap, (d + life, seq, cx, path + (j,), gen + 1))
+                rate = cx**alpha  # 1.0 when alpha == 0
+                # a rate that underflows to 0 means the child never splits
+                death = d + lives[j] / rate if rate else math.inf
+                heappush(heap, (death, seq, cx, path + (j,), gen + 1))
                 seq += 1
-            if len(heap) > config.max_particles:
-                capped = True
+            if len(heap) > cap:
+                raise TreeSizeExceeded(
+                    f"more than {cap} particles alive at t={d:g} in replicate {replicate}"
+                )
         else:
             sizes = np.array(sorted((e[2] for e in heap), reverse=True))
             out.append(
@@ -162,7 +172,6 @@ def run(config, law, replicate=0, beta_star=None):
                     frozen_beta_mass_bound=frozen,
                     replicate_id=replicate,
                     master_seed=seed,
-                    cap_exceeded=capped,
                 )
             )
             si += 1

@@ -175,3 +175,18 @@ def test_simulate_zero_floor_stick_exits_one(specs):
                    check=False, timeout=60)
     assert proc.returncode == 1
     assert "floor" in proc.stderr
+
+
+def test_simulate_population_cap_exits_one(specs, monkeypatch, capsys):
+    import functools
+
+    from fragkit import cli, simulate
+
+    monkeypatch.setattr(simulate, "SimulationConfig",
+                        functools.partial(simulate.SimulationConfig, max_particles=8))
+    code = cli.main(["simulate", "--law", specs["binary"], "--alpha", "1", "--tmax", "30",
+                     "--snapshots", "30", "--replicates", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no CSV of a truncated population
+    assert "more than 8 particles" in captured.err

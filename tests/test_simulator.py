@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fragkit import analytics as an, laws, simulate as sim
-from fragkit.errors import NoMalthusianExponent
+from fragkit import analytics as an, laws, rng, simulate as sim
+from fragkit.errors import NoMalthusianExponent, TreeSizeExceeded
 from fragkit.rng import stream
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -68,10 +68,10 @@ def test_frozen_bound_nondecreasing():
         assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
-def test_population_cap_flags_snapshot():
+def test_population_cap_raises():
     cfg = _config(snapshot_times=(5.0,), max_particles=8, master_seed=3)
-    snaps = sim.run(cfg, STICK, replicate=0)
-    assert snaps[0].cap_exceeded
+    with pytest.raises(TreeSizeExceeded, match="more than 8 particles"):
+        sim.run(cfg, STICK, replicate=0)
 
 
 def test_no_root_law_needs_zero_floor():
@@ -83,6 +83,65 @@ def test_no_root_law_needs_zero_floor():
     cfg = _config(snapshot_times=(2.0,), child_floor=0.0)
     snaps = sim.run(cfg, chain, replicate=0)
     assert snaps[0].sizes.size == 1  # always exactly one particle
+
+
+def test_underflowing_rate_never_splits():
+    # at alpha = 400 a child below ~0.16 has rate x^alpha = 0.0 in floating
+    # point: its lifetime is infinite and it stays alive
+    cfg = _config(alpha=400.0, snapshot_times=(5.0,), child_floor=0.0)
+    smallest = []
+    for r in range(20):
+        snap = sim.run(cfg, BINARY, replicate=r)[0]
+        assert abs(snap.sizes.sum() - 1.0) < 1e-12
+        smallest.append(snap.sizes.min())
+    assert min(smallest) ** 400.0 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+#: keys and first ``random()`` of the streams, recorded before ``_key`` was
+#: rewritten; a change here moves every simulated number
+STREAM_KEYS = (
+    ((0, "root-life", (0,)), "73dec783f50fad7df3a1d23c02a499ea", 0.9083641940670607),
+    ((7, "genealogy", (3, 20)), "98a32e461861bdf65fb3012a047161a7", 0.6749114822179739),
+    ((5, "tagged", (-4,)), "d91e88fce61596dcbae63c8e1a8830e9", 0.44695416319539416),
+    ((2**40 + 5, "limit-Y", ()), "607d4461ac1113192025bbd8a2fa164f", 0.6553228042546241),
+)
+NODE_KEYS = (
+    ((0, 0, ()), "c8e2340b094acf3ca41e58d0237fae1a", 0.4670283789829035),
+    ((7, 3, tuple(range(20))), "9a687277e44eb7202821ef8123bb7a73", 0.2796433800235989),
+    ((5, -2, (1, -3)), "2801651894e127253fd9af9fc72856d2", 0.8084579727487018),
+    ((2**40 + 5, 1, (4,)), "86dd87f54ce3fd0cc5c3e20fef8a929d", 0.9340005456243072),
+)
+
+
+def test_stream_keys_known_answers():
+    for (seed, purpose, coords), key, first in STREAM_KEYS:
+        assert rng._key(seed, purpose, coords).tobytes().hex() == key
+        assert stream(seed, purpose, *coords).random() == first
+    for (seed, rep, path), key, first in NODE_KEYS:
+        assert rng._key(seed, "node", (rep, len(path)) + path).tobytes().hex() == key
+        assert rng.node_stream(seed, rep, path).random() == first
+
+
+def _next_draws(g):
+    return (g.random(), g.standard_exponential(5).tolist(), g.poisson(3.0),
+            g.integers(0, 1000, size=3, dtype=np.uint32).tolist())
+
+
+@pytest.mark.parametrize("depth", [0, 20])
+def test_node_stream_reuse_matches_fresh(depth):
+    path = tuple(range(depth))
+    mid_buffer = rng.node_stream(9, 4, (1, 2))
+    mid_buffer.random()
+    half_word = rng.node_stream(9, 4, (3,))
+    half_word.integers(0, 10, dtype=np.uint32)
+    for g in (mid_buffer, half_word):
+        reused = rng.node_stream(2, 5, path, reuse=g)
+        assert reused is g
+        assert _next_draws(reused) == _next_draws(rng.node_stream(2, 5, path))
 
 
 # ---------------------------------------------------------------------------
