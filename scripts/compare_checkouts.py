@@ -14,7 +14,10 @@ the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
 ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
-and 2 (a spec with no sampler records its error class name instead).
+and 2 (a spec with no sampler records its error class name instead).  Every
+spec with a sampler also records ``sample_offspring`` draws at the floors 0.2
+and 1e-12, the generation martingale's raw values and corrections, and the
+terminal-martingale moments of ``estimate_m_infinity_moments``.
 The report gives, per quantity, the largest
 relative deviation between the trees and the bound it must stay within
 (0 means bit-identical).  Exit status 1 if any bound is exceeded.
@@ -60,6 +63,7 @@ BOUNDS = (
     ("children", 0.0),
     ("snapshot_sizes", 0.0),
     ("m_tilde", 0.0),
+    ("m_infinity", 0.0),
     ("child_truncation", 1e-13),
     ("snapshot_frozen", 1e-13),
     ("eta", 1e-15),
@@ -101,6 +105,30 @@ def _analytics_probe(rec, name, law):
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
         record(f"m_series {tag}",
                lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
+
+
+def _sampler_probe(rec, name, law):
+    """Offspring draws and generation-engine output of a law with a sampler."""
+    from fragkit import analytics, simulate
+    from fragkit.rng import stream
+
+    rng = stream(8, "compare-sampler")
+    kids, cut = [], []
+    for i in range(2000):
+        s = law.sample_offspring(rng, floor=0.2 if i % 4 == 0 else 1e-12)
+        kids.append(s.sizes)
+        cut.append(s.truncated_beta_mass_bound)
+    rec[f"children {name}"] = np.concatenate(kids)
+    rec[f"child_truncation {name}"] = np.array(cut)
+    bs = analytics.beta_star_of(law)
+    gen = simulate.generation_martingale(law, bs, depth=8, eps_prune=1e-4, n_trees=300,
+                                         master_seed=9)
+    rec[f"m_tilde {name}"] = np.concatenate([gen.m_hat, gen.correction])
+    est = simulate.estimate_m_infinity_moments(law, bs, n_trees=1500, max_depth=10,
+                                               master_seed=10)
+    rec[f"m_infinity {name}"] = np.array([est.mean, est.mean_se, est.second_moment,
+                                          est.second_moment_se, est.n_generations,
+                                          est.converged])
 
 
 def _simulate_probe(rec, name, path, workdir):
@@ -186,7 +214,10 @@ def probe(out_path):
                 cli.main(["law", "inspect", path])
             rec[f"inspect {name}"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
             _simulate_probe(rec, name, path, d)
-            _analytics_probe(rec, name, laws.from_spec(doc))
+            law = laws.from_spec(doc)
+            _analytics_probe(rec, name, law)
+            if law.has_sampler:
+                _sampler_probe(rec, name, law)
     np.savez(out_path, **rec)
 
 

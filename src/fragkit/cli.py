@@ -29,6 +29,14 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _seed(text):
+    """argparse type: a master seed in [0, 2^63), so validate's seed + 5 still
+    fits the 8 unsigned bytes a stream key encodes it in."""
+    if not (text.isdecimal() and int(text) < 2**63):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^63), got {text!r}")
+    return int(text)
+
+
 def _parse_complex(s):
     try:
         return float(s)
@@ -379,7 +387,7 @@ def _build_parser():
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--snapshots", required=True, help="comma-separated times")
     q.add_argument("--replicates", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--dump", help="also write per-particle sizes CSV here")
@@ -390,14 +398,14 @@ def _build_parser():
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--paths", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=_cmd_tagged)
 
     q = sub.add_parser("sample-y", help="samples of the limit variable Y")
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--n", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--eps-tail", type=float, default=1e-12)
     q.set_defaults(func=_cmd_sample_y)
 
@@ -406,7 +414,7 @@ def _build_parser():
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--replicates", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--bins", type=int, default=40)
@@ -419,7 +427,7 @@ def _build_parser():
     q.add_argument("--suite", choices=["moments", "martingale", "l2", "cdf", "all"],
                    default="all")
     q.add_argument("--replicates", type=int, default=2000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--t", type=float, default=20.0)
     q.add_argument("--cdf-threshold", type=float, default=0.05)

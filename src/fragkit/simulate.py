@@ -13,7 +13,9 @@ used for the intrinsic martingale M_n = sum_{|u|=n} xi_u^beta* and its
 terminal second moment.  Lineages whose beta*-weight falls below a prune
 threshold are cut, and the *exact conditional expectation* of their missing
 descendant weight is carried along, so the corrected per-tree statistic has
-mean exactly 1 at every generation.
+mean exactly 1 at every generation.  Each generation's children come from
+the law's own batch sampler, ``offspring_batch``; this module knows no law
+class.
 
 Tagged fragment: the single-size chain whose shrink factors follow the
 size-biased tilt sigma_hat(dx) = x^beta* sigma(dx), plus the series
@@ -27,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DomainError, NoMalthusianExponent, TreeSizeExceeded
-from .laws import (
-    BinaryUniformConservative,
-    DirichletPolynomial,
-    UserAtomic,
-    UserPoisson,
-    _StickBreakingBase,
-    _beta_star_newton,
-)
+from .errors import NoMalthusianExponent, TreeSizeExceeded
+from .laws import _beta_star_newton
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +59,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(t < 0 or t > self.t_max for t in times):
-            raise ValueError("snapshot_times must lie in [0, t_max]")
+        if not math.isfinite(self.t_max) or not all(0 <= t <= self.t_max for t in times):
+            raise ValueError("snapshot_times must lie in [0, t_max] with t_max finite")
         if sorted(times) != list(times):
             raise ValueError("snapshot_times must be sorted")
-        if self.child_floor < 0 or self.alpha < 0:
+        if not (self.child_floor >= 0 and self.alpha >= 0):
             raise ValueError("child_floor and alpha must be >= 0")
         if not (0 < self.initial_size <= 1.0):
             raise ValueError("initial_size must lie in ]0, 1]")
@@ -180,11 +175,6 @@ def run(config, law, replicate=0, beta_star=None):
 
 def run_replicates(config, law, n_replicates, beta_star=None):
     """Independent replicates, ordered by replicate id."""
-    if beta_star is None:
-        try:
-            beta_star = _beta_star_newton(law)
-        except NoMalthusianExponent:
-            beta_star = None
     return [run(config, law, r, beta_star) for r in range(n_replicates)]
 
 
@@ -217,7 +207,11 @@ class GenerationMartingaleResult:
 
 
 class _GenerationEngine:
-    """Vectorised breadth-first tree evolution across an ensemble of trees."""
+    """Vectorised breadth-first tree evolution across an ensemble of trees.
+
+    ``step`` draws a generation with one ``law.offspring_batch`` call at the
+    floor eps_prune^(1/beta*), the size whose beta*-weight is the threshold.
+    """
 
     def __init__(self, law, beta_star, n_trees, eps_prune, master_seed, node_cap=60_000_000,
                  batch_index=0):
@@ -241,7 +235,8 @@ class _GenerationEngine:
     def step(self):
         n = self.gen + 1
         stream = rngmod.stream(self.seed, "genealogy", self.batch, n)
-        kids, owner, tail_mean = self._emit(stream)
+        kids, owner, tail_mean = self.law.offspring_batch(
+            stream, self.sizes, self.eps ** (1 / self.bs), self.bs)
         self.nodes_seen += kids.size
         if self.nodes_seen > self.cap:
             raise TreeSizeExceeded(f"more than {self.cap} nodes materialised")
@@ -276,103 +271,18 @@ class _GenerationEngine:
         corr = np.column_stack([self._m_tilde_col(n) for n in range(depth + 1)]) - m_hat
         return GenerationMartingaleResult(m_hat=m_hat, correction=corr)
 
-    # -- child emission (law-specific vectorised kernels) -------------------
-
-    def _emit(self, stream):
-        law = self.law
-        sizes = self.sizes
-        if sizes.size == 0:
-            return np.empty(0), np.empty(0, dtype=int), np.zeros(sizes.shape)
-        if isinstance(law, _StickBreakingBase):
-            return self._emit_stick(stream, law._lossy)
-        if isinstance(law, BinaryUniformConservative):
-            u = stream.uniform(size=sizes.size)
-            kids = np.concatenate([sizes * u, sizes * (1.0 - u)])
-            owner = np.concatenate([np.arange(sizes.size)] * 2)
-            return kids, owner, np.zeros(sizes.size)
-        if isinstance(law, (DirichletPolynomial, UserPoisson, UserAtomic)):
-            return self._emit_counted(stream)
-        return self._emit_generic(stream)
-
-    def _emit_stick(self, stream, lossy):
-        # children (1-U_j) * residual, residual *= U_j, until the absolute
-        # beta*-weight of the residual drops below the prune threshold
-        delta = self.eps ** (1.0 / self.bs)
-        if delta <= 0:
-            raise DomainError("stick-breaking laws have infinitely many children: "
-                              "eps_prune must be > 0")
-        residual = self.sizes.copy()
-        idx = np.arange(residual.size)
-        tail_mean = np.zeros(residual.size)
-        if lossy:
-            residual = residual * stream.uniform(size=residual.size)
-        kids_parts, owner_parts = [], []
-        while idx.size:
-            done = residual < delta
-            if done.any():
-                # conservative continuation: E[sum tail xi^bs | r] = r^bs / bs
-                tail_mean[idx[done]] += residual[done] ** self.bs / self.bs
-                residual = residual[~done]
-                idx = idx[~done]
-                if idx.size == 0:
-                    break
-            u = stream.uniform(size=idx.size)
-            kids_parts.append((1.0 - u) * residual)
-            owner_parts.append(idx.copy())
-            residual = residual * u
-        kids = np.concatenate(kids_parts) if kids_parts else np.empty(0)
-        owner = np.concatenate(owner_parts) if owner_parts else np.empty(0, dtype=int)
-        return kids, owner, tail_mean
-
-    def _counts_and_draw(self, stream, n_nodes):
-        """Per-node child counts and a flat child-factor draw."""
-        law = self.law
-        if isinstance(law, DirichletPolynomial):
-            counts = 1 + stream.poisson(law._total_mass() - 1.0, size=n_nodes)
-            return counts, law._draw_factors(stream, int(counts.sum()))
-        if isinstance(law, UserPoisson):
-            counts = 1 + stream.poisson(law.sigma2.mass, size=n_nodes)
-            total = int(counts.sum())
-            # interleave: first child of each node from sigma1, rest from sigma2
-            draws = np.empty(total)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            first = np.zeros(total, dtype=bool)
-            first[starts.astype(int)] = True
-            draws[first] = law.sigma1.sample(stream, n_nodes)
-            if total > n_nodes:
-                draws[~first] = law.sigma2.sample(stream, total - n_nodes)
-            return counts, draws
-        # UserAtomic
-        groups = law.groups
-        probs = np.array([p for p, _ in groups])
-        gidx = stream.choice(len(groups), size=n_nodes, p=probs)
-        counts = np.array([len(groups[g][1]) for g in gidx])
-        draws = np.concatenate([np.array(groups[g][1]) for g in gidx]) if counts.sum() else np.empty(0)
-        return counts, draws
-
-    def _emit_counted(self, stream):
-        counts, factors = self._counts_and_draw(stream, self.sizes.size)
-        owner = np.repeat(np.arange(self.sizes.size), counts)
-        kids = self.sizes[owner] * factors
-        return kids, owner, np.zeros(self.sizes.size)
-
-    def _emit_generic(self, stream):
-        kids_parts, owner_parts = [], []
-        tail_mean = np.zeros(self.sizes.size)
-        delta = self.eps ** (1.0 / self.bs)
-        for i, s in enumerate(self.sizes):
-            sample = self.law.sample_offspring(stream, floor=delta / s)
-            kids_parts.append(s * sample.sizes)
-            owner_parts.append(np.full(sample.sizes.size, i))
-            if sample.truncated_beta_mass_bound:
-                tail_mean[i] += s**self.bs * sample.truncated_beta_mass_bound
-        kids = np.concatenate(kids_parts) if kids_parts else np.empty(0)
-        owner = np.concatenate(owner_parts).astype(int) if owner_parts else np.empty(0, dtype=int)
-        return kids, owner, tail_mean
-
 
 #: trees per generation-engine batch; each batch draws from its own stream
 TREE_BATCH = 1000
+
+
+def _grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth):
+    """The engine of the batch of trees from ``start`` on, grown ``depth`` generations."""
+    eng = _GenerationEngine(law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune,
+                            master_seed, batch_index=start // TREE_BATCH)
+    for _ in range(depth):
+        eng.step()
+    return eng
 
 
 def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, master_seed=0):
@@ -383,20 +293,10 @@ def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, mast
     corrected sum is unbiased for E M_n = 1).  Trees run in memory-bounded
     batches of TREE_BATCH.
     """
-    m_hat_parts, corr_parts = [], []
-    for b, start in enumerate(range(0, n_trees, TREE_BATCH)):
-        eng = _GenerationEngine(
-            law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune, master_seed,
-            batch_index=b,
-        )
-        for _ in range(depth):
-            eng.step()
-        res = eng.result()
-        m_hat_parts.append(res.m_hat)
-        corr_parts.append(res.correction)
-    return GenerationMartingaleResult(
-        m_hat=np.vstack(m_hat_parts), correction=np.vstack(corr_parts)
-    )
+    results = [_grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth).result()
+               for start in range(0, n_trees, TREE_BATCH)]
+    return GenerationMartingaleResult(m_hat=np.vstack([r.m_hat for r in results]),
+                                      correction=np.vstack([r.correction for r in results]))
 
 
 @dataclass
@@ -439,17 +339,9 @@ def estimate_m_infinity_moments(
                 converged = True
                 break
     depth = len(cols) - 1
-    values = [cols[-1]]
-    for b, start in enumerate(range(pilot_n, n_trees, TREE_BATCH), start=1):
-        eng = _GenerationEngine(
-            law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune, master_seed,
-            batch_index=b,
-        )
-        col = None
-        for _ in range(depth):
-            col = eng.step()
-        values.append(col)
-    m = np.concatenate(values)
+    m = np.concatenate([cols[-1]] + [
+        _grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth)
+        ._m_tilde_col(depth) for start in range(pilot_n, n_trees, TREE_BATCH)])
     return MInftyEstimate(
         mean=float(m.mean()),
         mean_se=float(m.std(ddof=1) / math.sqrt(m.size)),
@@ -464,12 +356,18 @@ def estimate_m_infinity_moments(
 # tagged fragment and the limit variable Y
 # ---------------------------------------------------------------------------
 
+def _check_horizon(t_max):
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+
+
 def tagged_fragment_path(law, alpha, t_max, master_seed=0, beta_star=None):
     """One path of the tagged-fragment chain: (jump_times, sizes_after_jump).
 
     The chain starts at size 1, waits Exp(rate x^alpha), then multiplies by
     eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).
     """
+    _check_horizon(t_max)
     bs = _beta_star_newton(law) if beta_star is None else beta_star
     tagged = law.tagged(bs)
     stream = rngmod.stream(master_seed, "tagged-path")
@@ -488,6 +386,7 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0, beta_star=None):
 
 def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0, beta_star=None):
     """Vectorised L_{t_max} over independent tagged-fragment paths."""
+    _check_horizon(t_max)
     bs = _beta_star_newton(law) if beta_star is None else beta_star
     tagged = law.tagged(bs)
     stream = rngmod.stream(master_seed, "tagged")
@@ -523,6 +422,8 @@ class YSampleResult:
 def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12, beta_star=None):
     if alpha <= 0:
         raise ValueError("the limit variable Y needs alpha > 0")
+    if not eps_tail > 0:
+        raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
     bs = _beta_star_newton(law) if beta_star is None else beta_star
     tagged = law.tagged(bs)
     stream = rngmod.stream(master_seed, "limit-Y")

@@ -190,3 +190,50 @@ def test_simulate_population_cap_exits_one(specs, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # no CSV of a truncated population
     assert "more than 8 particles" in captured.err
+
+
+#: inputs that would loop forever or print NaN sizes unless rejected
+_UNENDING_OR_NAN = (
+    ("sample-y", "--alpha", "1", "--n", "2", "--eps-tail", "0"),
+    ("sample-y", "--alpha", "1", "--n", "2", "--eps-tail", "-1"),
+    ("tagged", "--alpha", "1", "--tmax", "inf", "--paths", "2"),
+    ("tagged", "--alpha", "1", "--tmax", "nan", "--paths", "2"),
+    ("simulate", "--alpha", "1", "--tmax", "1", "--snapshots", "nan", "--replicates", "1"),
+)
+
+
+def test_unending_or_nan_inputs_exit_one(specs):
+    # one interpreter runs every command, under a timeout that catches a hang
+    argvs = [[cmd, "--law", specs["binary"], *rest] for cmd, *rest in _UNENDING_OR_NAN]
+    script = ("import json\nfrom fragkit import cli\n"
+              f"print(json.dumps([cli.main(argv) for argv in {argvs!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout.splitlines() == [json.dumps([1] * len(argvs))], proc.stderr
+    assert proc.stderr.count("fragkit: ") == len(argvs)
+
+
+#: the arguments each seeded subcommand needs besides --law and --seed
+_SEEDED = {
+    "simulate": ("--alpha", "1", "--tmax", "1", "--snapshots", "1", "--replicates", "1"),
+    "tagged": ("--alpha", "1", "--tmax", "1", "--paths", "1"),
+    "sample-y": ("--alpha", "1", "--n", "1"),
+    "rho-empirical": ("--alpha", "1", "--t", "1", "--replicates", "1", "--hist", "h.csv"),
+    "validate": ("--alpha", "1", "--replicates", "2", "--t", "1"),
+}
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_seed_outside_key_range_is_a_usage_error(specs, command, capsys):
+    from fragkit import cli
+
+    # stream keys encode the seed in 8 unsigned bytes, and validate adds up to 5
+    argv = [command, "--law", specs["binary"], *_SEEDED[command], "--seed"]
+    for seed in ("-1", str(2**63), "1.5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [seed])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fragkit {command}")
+        assert "seed must be an integer in [0, 2^63)" in err
+    assert cli._build_parser().parse_args(argv + [str(2**63 - 1)]).seed == 2**63 - 1

@@ -171,6 +171,36 @@ def test_mc_power_sums_match_phi(law):
         assert abs(counts.mean() - law.phi(0.0)) <= 3.0 * se
 
 
+#: every law with a sampler, UserPoisson in both component forms
+BATCH_LAWS = {law.kind: law for law in SAMPLER_LAWS + [DIRI]}
+BATCH_LAWS["UserPoisson-power"] = POISSON
+BATCH_LAWS["UserPoisson-atoms"] = laws.UserPoisson(
+    laws.AtomComponent(((0.6, 1.0),)), laws.AtomComponent(((0.5, 0.7), (0.25, 0.4))))
+
+
+@pytest.mark.parametrize("floor", [1e-12, 1e-3, 0.2])
+@pytest.mark.parametrize("law", BATCH_LAWS.values(), ids=BATCH_LAWS.keys())
+def test_scalar_sampler_matches_batch_on_a_unit_parent(law, floor):
+    # on identical streams the scalar sampler (derived, or a law's own loop)
+    # and the batch on one unit parent, sorted and floored, give the same
+    # children; the truncated mass differs at most by summation order and
+    # by the root finder's beta* against a law's exact one
+    bs = laws._beta_star_newton(law)
+    scalar, batch = stream(21, "two-paths"), stream(21, "two-paths")
+    for _ in range(300):
+        s = law.sample_offspring(scalar, floor=floor)
+        kids, owner, tail = law.offspring_batch(batch, np.ones(1), floor, bs)
+        assert np.all(owner == 0)
+        kids = np.sort(kids)[::-1]
+        keep = kids >= floor
+        assert np.array_equal(s.sizes, kids[keep])
+        mass = tail[0] + np.sum(kids[~keep] ** bs)
+        assert s.truncated_beta_mass_bound == pytest.approx(mass, rel=1e-13, abs=0.0)
+    # an extinct generation hands the batch no parents
+    kids, owner, tail = law.offspring_batch(batch, np.empty(0), floor, bs)
+    assert kids.size == owner.size == tail.size == 0
+
+
 _ZERO_FLOOR_CALLS = {
     "sampler": "laws.StickBreakingConservative().sample_offspring(stream(0, 't'), floor=0.0)",
     "engine": "simulate.generation_martingale(laws.StickBreakingLossy(), 0.618, depth=2, "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fragkit import analytics as an, laws, rng, simulate as sim
-from fragkit.errors import NoMalthusianExponent, TreeSizeExceeded
+from fragkit.errors import NoMalthusianExponent, TreeSizeExceeded, UnsupportedSampler
 from fragkit.rng import stream
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -247,32 +247,37 @@ def test_generation_martingale_unbiased_stick():
     assert res.m_hat[:, 10].mean() < mt[:, 10].mean()
 
 
-def test_generation_martingale_counted_and_generic_paths():
-    res = sim.generation_martingale(FIL21, 1.0, depth=8, eps_prune=1e-7, n_trees=3000,
+#: laws whose batch draws a random child count per parent
+COUNTED_LAWS = {
+    "FilippovPower": FIL21,
+    "DirichletPolynomial": laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0))),
+    "UserAtomic": laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1)))),
+    "UserPoisson-power": laws.UserPoisson(laws.PowerComponent(1.0, 1.5),
+                                          laws.PowerComponent(0.8, 0.5)),
+    "UserPoisson-atoms": laws.UserPoisson(laws.AtomComponent(((0.6, 1.0),)),
+                                          laws.AtomComponent(((0.5, 0.7), (0.25, 0.4)))),
+}
+
+
+@pytest.mark.parametrize("law", COUNTED_LAWS.values(), ids=COUNTED_LAWS.keys())
+def test_generation_martingale_counted_laws(law):
+    bs = an.beta_star_of(law)
+    res = sim.generation_martingale(law, bs, depth=8, eps_prune=1e-7, n_trees=3000,
                                     master_seed=9)
     mt = res.m_tilde[:, 8]
     se = mt.std(ddof=1) / math.sqrt(mt.size)
-    assert abs(mt.mean() - 1.0) <= 3.0 * se
+    # the conservative UserAtomic law has M_n = 1 up to rounding and se ~ 0
+    assert abs(mt.mean() - 1.0) <= 3.0 * se + 1e-12
 
-    # a law outside every isinstance fast path exercises the per-node fallback
-    class Wrapped(laws.ReproductionLaw):
-        kind = "WrappedStick"
-        beta_a = 0.0
-        has_sampler = True
-        _inner = laws.StickBreakingLossy()
 
-        def _phi(self, beta):
-            return self._inner._phi(beta)
-
-        def sample_offspring(self, rng, floor=laws.DEFAULT_CHILD_FLOOR):
-            return self._inner.sample_offspring(rng, floor=floor)
-
-    bs = an.beta_star_of(STICK)
-    res2 = sim.generation_martingale(Wrapped(), bs, depth=5, eps_prune=1e-4, n_trees=500,
-                                     master_seed=11)
-    mt2 = res2.m_tilde[:, 5]
-    se2 = mt2.std(ddof=1) / math.sqrt(mt2.size)
-    assert abs(mt2.mean() - 1.0) <= 3.0 * se2
+@pytest.mark.parametrize("law", [laws.FilippovPower(1.0, -0.3),
+                                 laws.DirichletPolynomial(terms=((2.0, 1.0), (-0.1, 3.0)))],
+                         ids=["FilippovPower", "DirichletPolynomial-signed"])
+def test_generation_martingale_needs_a_sampler(law):
+    # an analytics-only law has no batch sampler: the engine must say so
+    # rather than hand numpy parameters it rejects
+    with pytest.raises(UnsupportedSampler):
+        sim.generation_martingale(law, an.beta_star_of(law), depth=2, n_trees=10)
 
 
 def test_generation_martingale_supercritical_survival():
