@@ -14,10 +14,13 @@ the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
 ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
-and 2 (a spec with no sampler records its error class name instead).  Every
-spec with a sampler also records ``sample_offspring`` draws at the floors 0.2
-and 1e-12, the generation martingale's raw values and corrections, and the
-terminal-martingale moments of ``estimate_m_infinity_moments``.
+and 2 (a spec with no sampler records its error class name instead).
+``m_integro`` runs to t = 5 at beta* + 0.5 (grid values and derivatives) for
+FilippovPower(2,1), the lossy stick and one ``UserAtomic``, at alpha = 0.5
+and 1.  Every spec with a sampler also records ``sample_offspring`` draws at
+the floors 0.2 and 1e-12, the generation martingale's raw values and
+corrections, and the terminal-martingale moments of
+``estimate_m_infinity_moments``.
 The report gives, per quantity, the largest
 relative deviation between the trees and the bound it must stay within
 (0 means bit-identical).  Exit status 1 if any bound is exceeded.
@@ -78,6 +81,7 @@ BOUNDS = (
     ("asymptotic_coefficient", 0.0),
     ("rho_moment", 0.0),
     ("m_series", 0.0),
+    ("m_integro", 1e-13),
     ("filippov_gamma", 1e-14),
     ("filippov_coefficient", 1e-14),
 )
@@ -105,6 +109,19 @@ def _analytics_probe(rec, name, law):
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
         record(f"m_series {tag}",
                lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
+
+
+def _integro_probe(rec):
+    """m_integro's grid values and derivatives to t = 5 at beta* + 0.5."""
+    from fragkit import analytics, laws
+
+    for name in ("filippov-2-1", "stick-lossy", "atomic"):
+        law = laws.from_spec(SPECS[name])
+        bs = analytics.beta_star_of(law)
+        for alpha in (0.5, 1.0):
+            sol = analytics.m_integro(law, 5.0, bs + 0.5, alpha)
+            rec[f"m_integro {name} alpha={alpha:g}"] = np.concatenate([sol.values,
+                                                                      sol.derivatives])
 
 
 def _sampler_probe(rec, name, law):
@@ -218,6 +235,7 @@ def probe(out_path):
             _analytics_probe(rec, name, law)
             if law.has_sampler:
                 _sampler_probe(rec, name, law)
+    _integro_probe(rec)
     np.savez(out_path, **rec)
 
 

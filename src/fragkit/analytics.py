@@ -14,10 +14,13 @@ evaluates:
 * g(n, beta) exactly and its extrapolation g(z, beta) to complex z as the
   infinite product prod_k psi(beta+alpha k)/psi(beta+alpha(k+z)), accelerated
   with an Euler-Maclaurin tail;
-* the series in adaptive-precision arithmetic (the terms alternate and lose
-  about t/ln 10 digits to cancellation);
-* the integro-differential equation by a causal method of steps (independent
-  cross-check of the series);
+* the series in big-float arithmetic, at a precision read off its largest
+  term before summing (the terms alternate and lose about t/ln 10 digits to
+  cancellation), verified by a second pass 64 bits higher and capped at
+  MAX_SERIES_BITS;
+* the integro-differential equation by a causal method of steps, one array
+  pass over the quadrature nodes per step (independent cross-check of the
+  series);
 * the leading large-t asymptotics m(t,beta) ~ C(beta) t^((beta*-beta)/alpha)
   through the residue coefficient C, and the limit-measure moments
   int x^(alpha k) rho(dx) = (k-1)!/(alpha psi'(beta*)) prod_{j<k} 1/psi(beta*+alpha j);
@@ -81,8 +84,10 @@ class SeriesEvaluation:
 
     ``cancellation_digits_lost`` = log10(max term / |value|): the alternating
     series loses about t/ln 10 digits, which is why the summation runs in
-    adaptive-precision arithmetic.  ``mp_value`` keeps the full-precision
-    result for downstream big-float work.
+    big-float arithmetic.  ``working_precision_bits`` is the precision of the
+    accepted pass; in the diagnostics of PrecisionExhausted it is the pass
+    that would have come next.  ``mp_value`` keeps the full-precision result
+    for downstream big-float work.
     """
 
     value: complex
@@ -93,15 +98,23 @@ class SeriesEvaluation:
     mp_value: object = None
 
 
+#: no pass of m_series runs at more bits than this
+MAX_SERIES_BITS = 4096
+#: the verifying pass carries this many bits more than the main one
+_VERIFY_BITS = 64
+#: bits kept beyond log2(1/rel_tol) once the cancellation is paid for
+_GUARD_BITS = 32
+
+
 def _series_sum_mp(law, t, beta, alpha):
     """One summation pass at the ambient mpmath precision."""
-    tm = mp.mpmathify(t)
+    neg_t = -mp.mpmathify(t)
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
     eps = mp.mpf(2) ** (1 - mp.mp.prec)
     term = mp.mpf(1)
     total = mp.mpf(0) if mp.im(bm) == 0 else mp.mpc(0)
-    max_term = mp.mpf(0)
+    max_term = small = mp.mpf(0)
     consec = 0
     n = 0
     while n < 200000:
@@ -109,72 +122,124 @@ def _series_sum_mp(law, t, beta, alpha):
         a = abs(term)
         if a > max_term:
             max_term = a
+            small = eps * max_term
         if term == 0:  # singular beta: the series terminated exactly
             break
-        nxt = term * (-tm) / (n + 1) * (1 - law.phi_mp(bm + am * n))
-        if a < eps * max_term:
+        if a < small:
             consec += 1
             if consec >= 10:
                 break
         else:
             consec = 0
-        term = nxt
+        term = term * neg_t / (n + 1) * (1 - law.phi_mp(bm + am * n))
         n += 1
     return total, n + 1, max_term
 
 
-def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
-    """Sum the power series for m(t, beta), doubling precision until stable.
+def _series_log2_max_term(law, t, beta, alpha):
+    """(log2 of the largest term, terms read), from a pass over log |term|.
 
-    Two successive evaluations (at p and 2p bits) must agree to ``rel_tol``;
-    the accepted value is the higher-precision one.  Raises
-    PrecisionExhausted (with diagnostics attached) at 4096 bits, which bounds
-    usable t to roughly 4096 * ln 2 ~ 2800.
+    The terms are products, so their logarithms are accurate at double
+    precision even where the alternating sum keeps no correct bit; psi comes
+    from the same ``phi_mp`` as the summation.  The pass stops once ten
+    consecutive terms lie 2^16 below the largest: a later regrowth past it
+    would show in the summation's measured loss.
+    """
+    with mp.workprec(53):
+        bm = mp.mpmathify(beta)
+        am = mp.mpmathify(alpha)
+        log_t = math.log(t)
+        cut = 16 * math.log(2.0)
+        log_term = log_max = 0.0
+        consec = 0
+        n = 0
+        while n < 200000:
+            psi = 1 - law.phi_mp(bm + am * n)
+            if psi == 0:  # singular beta: the series terminated exactly
+                break
+            a = abs(complex(psi))
+            log_term += log_t - math.log(n + 1) + (
+                math.log(a) if 0.0 < a < math.inf else float(mp.log(abs(psi))))
+            if log_term > log_max:
+                log_max = log_term
+            if log_term < log_max - cut:
+                consec += 1
+                if consec >= 10:
+                    break
+            else:
+                consec = 0
+            n += 1
+    return log_max / math.log(2.0), n + 1
+
+
+def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
+    """Sum the power series for m(t, beta) at the precision its cancellation needs.
+
+    The alternating sum loses about log2(max term) bits, and a double-precision
+    pass over log |term| reads that off before any big-float summation.  The
+    series is then summed at p = max(start_bits, log2(max term) +
+    log2(1/rel_tol) + 32) bits and verified by one pass at p + 64 bits.  The
+    two evaluations must agree to ``rel_tol``, and the accepted (p + 64)-bit
+    one must keep log2(1/rel_tol) + 32 bits after the measured loss
+    log2(max term / |value|); otherwise p rises and both passes repeat.
+    ``start_bits`` is a floor on p.  Raises PrecisionExhausted (with
+    diagnostics attached) as soon as a pass would need more than
+    MAX_SERIES_BITS = 4096 bits: the loss is about t log2(e) bits, so at the
+    default ``rel_tol`` usable t ends near 2750.
     """
     if np.real(beta) <= law.beta_a:
         raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if not rel_tol > 0:
+        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
     if t == 0:
         return SeriesEvaluation(1.0, start_bits, 1, 1.0, 0.0, mp.mpf(1))
 
-    prev = None
-    bits = start_bits
+    need = math.ceil(-math.log2(rel_tol)) + _GUARD_BITS
+    log2_max, probe_terms = _series_log2_max_term(law, t, beta, alpha)
+    bits = max(start_bits, math.ceil(log2_max) + need)
     last = None
-    while bits <= 4096:
+    while bits + _VERIFY_BITS <= MAX_SERIES_BITS:
         with mp.workprec(bits):
-            total, n_terms, max_term = _series_sum_mp(law, t, beta, alpha)
-        last = (total, n_terms, max_term, bits)
-        if prev is not None:
-            with mp.workprec(bits):
-                diff = abs(total - prev)
-                scale = abs(total)
-                stable = (scale == 0 and diff == 0) or (scale > 0 and diff <= rel_tol * scale)
-            if stable:
-                absval = abs(total)
-                lost = float(mp.log10(max_term / absval)) if absval > 0 else float("inf")
-                val = complex(total)
-                if abs(val.imag) == 0.0:
-                    val = val.real
-                return SeriesEvaluation(
-                    value=val,
-                    working_precision_bits=bits,
-                    terms_used=n_terms,
-                    max_term_magnitude=float(max_term),
-                    cancellation_digits_lost=max(lost, 0.0),
-                    mp_value=total,
-                )
-        prev = total
-        bits *= 2
+            prev, _, _ = _series_sum_mp(law, t, beta, alpha)
+        with mp.workprec(bits + _VERIFY_BITS):
+            last = total, n_terms, max_term = _series_sum_mp(law, t, beta, alpha)
+            diff = abs(total - prev)
+            scale = abs(total)
+            lost = float(mp.log10(max_term / scale)) if scale > 0 else math.inf
+        lost_bits = lost * math.log2(10.0)
+        if (scale == 0 and diff == 0) or (
+            diff <= rel_tol * scale and bits + _VERIFY_BITS - lost_bits >= need
+        ):
+            val = complex(total)
+            if abs(val.imag) == 0.0:
+                val = val.real
+            return SeriesEvaluation(
+                value=val,
+                working_precision_bits=bits + _VERIFY_BITS,
+                terms_used=n_terms,
+                max_term_magnitude=float(max_term),
+                cancellation_digits_lost=max(lost, 0.0),
+                mp_value=total,
+            )
+        # the measured loss sets the precision the main pass needs; a
+        # disagreement it does not explain grows p by half, the last try
+        # landing on the ceiling
+        required = math.ceil(min(lost_bits, MAX_SERIES_BITS)) + need
+        grown = max(required, bits + bits // 2)
+        ceiling = MAX_SERIES_BITS - _VERIFY_BITS
+        bits = ceiling if bits < ceiling and required <= ceiling < grown else grown
     raise PrecisionExhausted(
-        f"series for m({t}, {beta}) not stable at 4096 bits",
+        f"series for m({t}, {beta}) not resolved within MAX_SERIES_BITS = "
+        f"{MAX_SERIES_BITS} (next pass: {bits + _VERIFY_BITS} bits)",
         diagnostics=SeriesEvaluation(
-            value=complex(last[0]),
-            working_precision_bits=last[3],
-            terms_used=last[1],
-            max_term_magnitude=float(last[2]),
+            value=complex(last[0]) if last else math.nan,
+            working_precision_bits=bits + _VERIFY_BITS,
+            terms_used=last[1] if last else probe_terms,
+            max_term_magnitude=float(last[2] if last else mp.mpf(2) ** log2_max),
             cancellation_digits_lost=float("nan"),
-            mp_value=last[0],
+            mp_value=last[0] if last else None,
         ),
     )
 
@@ -227,15 +292,20 @@ def m_integro(law, t_max, beta, alpha, step=None):
 
     Causality (x <= 1 so x^alpha t <= t) makes this a method of steps: the
     integral term needs m only at earlier scaled times, read from a cubic
-    Hermite interpolant with exact stored derivatives.  Each step closes the
-    implicit dependence near x = 1 by fixed-point iteration on the
-    integrating-factor Simpson rule.  The x-integral folds the structural
-    density's power behaviour into Gauss-Jacobi weights exactly (one rule per
-    power component; 48 nodes, doubled up to 512 until two rules agree to
-    1e-9).  Independent of m_series by construction.
+    Hermite interpolant with exact stored derivatives.  The x-integral folds
+    the structural density's power behaviour into Gauss-Jacobi weights exactly
+    (one rule per power component, merged with the atoms into one node and
+    weight array; 48 nodes, doubled up to 512 until two rules agree to 1e-9).
+    Each step reads the integral at t_i, t_i + h/2 and t_{i+1} in one array
+    pass over the nodes.  The interpolant is linear in the step's unknown end
+    values, so the fixed-point iteration that closes the implicit dependence
+    near x = 1 (integrating-factor Simpson rule) runs on scalars.
+    Independent of m_series by construction.
     """
-    if not math.isfinite(beta) or np.iscomplexobj(beta):
+    if np.iscomplexobj(beta) or not math.isfinite(beta):
         raise ValueError("m_integro is a real-beta oracle")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if beta <= law.beta_a:
         raise DomainError(f"beta = {beta} <= abscissa {law.beta_a}")
     comps = law.sigma_power_components()
@@ -264,34 +334,25 @@ def _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes):
     n = max(1, int(math.ceil(t_max / h)))
     h = t_max / n
     ts = np.linspace(0.0, t_max, n + 1)
-    ms = np.empty(n + 1)
-    ds = np.empty(n + 1)
+    # zeros: the end values of the cell being solved read as 0 in the history
+    ms = np.zeros(n + 1)
+    ds = np.zeros(n + 1)
 
-    rules = []
+    # one rule for the whole x-integral: I(t) = sum_k w_k m(xa_k t)
+    xa, w = [], []
     if comps is not None:
         for c, q in comps:
-            u, w = _gauss_unit_weight(beta + q, n_nodes)
-            rules.append((c, u**alpha, w))
+            u, wq = _gauss_unit_weight(beta + q, n_nodes)
+            xa.append(u**alpha)
+            w.append(c * wq)
     if atoms is not None:
-        ax = np.array([x for x, _ in atoms])
-        aw = np.array([wt * x**beta for x, wt in atoms])
-        rules.append((1.0, ax**alpha, aw))
-
-    def I_of(tq, upto, m_end=None, d_end=None, t_end=None):
-        tt = ts[: upto + 1]
-        mm = ms[: upto + 1]
-        dd = ds[: upto + 1]
-        if m_end is not None:
-            tt = np.append(tt, t_end)
-            mm = np.append(mm, m_end)
-            dd = np.append(dd, d_end)
-        tot = 0.0
-        for c, xa, w in rules:
-            tot += c * np.dot(w, _hermite_eval(tt, mm, dd, xa * tq))
-        return tot
+        xa.append(np.array([x for x, _ in atoms]) ** alpha)
+        w.append(np.array([wt * x**beta for x, wt in atoms]))
+    xa = np.concatenate(xa)
+    w = np.concatenate(w)
 
     ms[0] = 1.0
-    ds[0] = -1.0 + I_of(0.0, 0)
+    ds[0] = -1.0 + w.sum()
     eh = math.exp(-h)
     # integrating factor m(t+h) = e^-h m(t) + int_0^h e^-(h-s) I(t+s) ds with
     # the s-integral exact for quadratic I (so constants are preserved exactly):
@@ -307,16 +368,31 @@ def _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes):
     W2 = 2.0 * b - a
     W0 = M0 - W1 - W2
     for i in range(n):
-        t0 = ts[i]
-        t1 = ts[i + 1]
-        tm = t0 + h / 2
-        I0 = I_of(t0, i)
-        m1 = ms[i] + h * ds[i]
-        d1 = ds[i]
+        # I at t_i, t_i + h/2 and t_{i+1} in one pass over the nodes.  The
+        # Hermite history is linear in the unknown end values (m1, d1) of
+        # cell i, so I(q) = base_q + b_q m1 + c_q d1, where only the nodes
+        # falling in cell i contribute b_q and c_q.
+        t0 = float(ts[i])
+        tq = np.multiply.outer(np.array([t0, t0 + h / 2, float(ts[i + 1])]), xa)
+        idx = np.minimum((tq * (1.0 / h)).astype(np.intp), i)
+        s = (tq - ts[idx]) / h
+        ss = s * s
+        s1s1 = (1.0 - s) ** 2
+        h01 = ss * (3.0 - 2.0 * s)
+        h11 = h * ss * (s - 1.0)
+        hist = ((1.0 + 2.0 * s) * s1s1 * ms[idx] + h * s * s1s1 * ds[idx]
+                + h01 * ms[idx + 1] + h11 * ds[idx + 1])
+        cur = idx == i
+        B0, Bmid, B1 = (hist @ w).tolist()
+        b0, bmid, b1 = ((h01 * cur) @ w).tolist()
+        c0, cmid, c1 = ((h11 * cur) @ w).tolist()
+        m0 = float(ms[i])
+        m1 = m0 + h * float(ds[i])
+        d1 = float(ds[i])
         for _ in range(8):
-            Imid = I_of(tm, i, m1, d1, t1)
-            I1 = I_of(t1, i, m1, d1, t1)
-            m_new = eh * ms[i] + W0 * I0 + W1 * Imid + W2 * I1
+            I1 = B1 + b1 * m1 + c1 * d1
+            m_new = (eh * m0 + W0 * (B0 + b0 * m1 + c0 * d1)
+                     + W1 * (Bmid + bmid * m1 + cmid * d1) + W2 * I1)
             d_new = -m_new + I1
             done = abs(m_new - m1) <= 1e-15 * (1.0 + abs(m_new))
             m1, d1 = m_new, d_new
@@ -395,10 +471,20 @@ class GammaExtrapolation:
     tail_estimate: float
 
 
+@functools.cache
+def _legendre_unit_rule():
+    """64-node Gauss-Legendre nodes on [0, 1] and their [-1, 1] weights.
+
+    Computed on first use rather than at import: the eigenvalue solve
+    behind it grows every process that imports fragkit by about 1 MB.
+    """
+    x, w = np.polynomial.legendre.leggauss(64)
+    return (x + 1.0) / 2.0, w
+
+
 def _logpsi_window_float(law, s0, az):
     """integral_0^1 log psi(s0 + u*az) du, 64-node Gauss."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    u = (x + 1.0) / 2.0
+    u, w = _legendre_unit_rule()
     vals = np.array([np.log(law.psi(s0 + uu * az)) for uu in u])
     return 0.5 * np.dot(w, vals)
 

@@ -152,6 +152,9 @@ def _cmd_rho_moments(args):
 def _cmd_simulate(args):
     law = _load_law(args.law)
     times = tuple(float(x) for x in args.snapshots.split(","))
+    if not all(0 <= t <= args.tmax for t in times):
+        raise ValueError(f"--snapshots must lie in [0, --tmax] = [0, {args.tmax:g}]; "
+                         f"got {args.snapshots}")
     cfg = simulate.SimulationConfig(
         alpha=args.alpha,
         t_max=max(times) if times else 0.0,

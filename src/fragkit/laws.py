@@ -692,9 +692,9 @@ class FilippovPower(DirichletPolynomial):
 class UserAtomic(ReproductionLaw):
     """Finitely many possible child-size sets, chosen with given probabilities.
 
-    ``groups`` is ((prob, (sizes...)), ...); probabilities sum to 1.  The
-    structural measure is atomic, beta_a = -inf; the arithmetic flag is
-    *detected* (common-ratio test) rather than declared.
+    ``groups`` is ((prob, (sizes...)), ...); probabilities are nonnegative
+    and sum to 1.  The structural measure is atomic, beta_a = -inf; the
+    arithmetic flag is *detected* (common-ratio test) rather than declared.
     """
 
     groups: tuple
@@ -708,6 +708,8 @@ class UserAtomic(ReproductionLaw):
             if any(x > 1.0 for x in sizes):
                 raise ValueError("child sizes must lie in [0,1]")
             gs.append((float(p), sizes))
+        if not all(p >= 0.0 for p, _ in gs):
+            raise ValueError("group probabilities must be >= 0")
         if abs(sum(p for p, _ in gs) - 1.0) > 1e-12:
             raise ValueError("group probabilities must sum to 1")
         object.__setattr__(self, "groups", tuple(gs))

@@ -13,6 +13,7 @@ from fragkit.errors import (
     DomainError,
     NoClosedForm,
     PoleError,
+    PrecisionExhausted,
     SingularBeta,
 )
 
@@ -102,9 +103,74 @@ def test_series_stability_under_doubling():
         assert abs(ev.mp_value - again) <= 1e-12 * abs(again)
 
 
+def test_series_rejects_unusable_t_and_tolerance():
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            an.m_series(STICK, t, 1.0, 1.0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        an.m_series(STICK, 1.0, 1.0, 1.0, rel_tol=0.0)
+
+
+def _agrees_at_twice_the_bits(law, t, beta, alpha, ev, rel_tol):
+    with mp.workprec(2 * ev.working_precision_bits):
+        again, _, _ = an._series_sum_mp(law, t, beta, alpha)
+        return abs(ev.mp_value - again) <= rel_tol * abs(again)
+
+
+@pytest.mark.parametrize("law, t, beta", [
+    (STICK, 40.0, GOLDEN + 0.5 + 1.5j),  # complex beta
+    (STICK, 40.0, 0.3),  # beta_a < beta < beta*: psi(beta) < 0, m grows
+    (FIL21, 150.0, 1.8),
+    (FIL21, 100.0, 21.0),  # m ~ 4e-21: the measured loss raises p once
+])
+def test_series_precision_from_largest_term(law, t, beta):
+    ev = an.m_series(law, t, beta, 1.0, rel_tol=1e-13)
+    assert _agrees_at_twice_the_bits(law, t, beta, 1.0, ev, 1e-13)
+    # the pass is sized from the largest term, not doubled past it
+    lost_bits = ev.cancellation_digits_lost * math.log2(10.0)
+    assert lost_bits + 53 <= ev.working_precision_bits <= max(192, lost_bits + 256)
+
+
+def test_series_terminating_far_below_ceiling():
+    # beta + 2 alpha = beta*: a quadratic at t = 1e6, whose largest term
+    # needs ~40 bits, not the t log2(e) bits of an entire series
+    alpha = 0.4
+    beta = 1.0 - 2 * alpha
+    ev = an.m_series(FIL21, 1e6, beta, alpha, rel_tol=1e-14)
+    assert ev.working_precision_bits <= 256
+    assert _agrees_at_twice_the_bits(FIL21, 1e6, beta, alpha, ev, 1e-14)
+
+
+def test_series_beyond_ceiling_fails_fast(monkeypatch):
+    # t log2(e) ~ 4300 bits of cancellation at t = 3000: no pass may run
+    passes = []
+    summed = an._series_sum_mp
+
+    def counted(*args):
+        passes.append(mp.mp.prec)
+        return summed(*args)
+
+    monkeypatch.setattr(an, "_series_sum_mp", counted)
+    with pytest.raises(PrecisionExhausted) as exc:
+        an.m_series(STICK, 3000.0, an.beta_star_of(STICK) + 1.0, 1.0)
+    diag = exc.value.diagnostics
+    assert isinstance(diag, an.SeriesEvaluation)
+    assert diag.working_precision_bits > an.MAX_SERIES_BITS
+    assert diag.max_term_magnitude >= 1.0
+    assert passes == []
+
+
 # ---------------------------------------------------------------------------
 # integro-differential oracle
 # ---------------------------------------------------------------------------
+
+def test_integro_rejects_complex_beta_and_unusable_horizon():
+    with pytest.raises(ValueError, match="real-beta"):
+        an.m_integro(FIL21, 1.0, 1.5 + 1.0j, 1.0)
+    for t_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_max"):
+            an.m_integro(FIL21, t_max, 1.5, 1.0)
+
 
 def test_integro_slope_at_zero():
     sol = an.m_integro(FIL21, 2.0, 1.5, 1.0, step=0.01)
@@ -391,11 +457,12 @@ def test_rational_m_matches_series():
 
 @pytest.mark.parametrize("t", [200.0, 1000.0])
 def test_series_large_t_matches_rational_m(t):
-    # 1024 and 4096 bits: the series loses ~t/ln 10 digits to cancellation
+    # the series loses ~t/ln 10 digits to cancellation; the accepted pass
+    # must carry them plus a double's 53 bits
     law = STICK
     beta = an.beta_star_of(law) + 1.0
     ev = an.m_series(law, t, beta, 1.0)
-    assert ev.working_precision_bits >= 1024
+    assert ev.working_precision_bits >= ev.cancellation_digits_lost * math.log2(10.0) + 53
     ref = an.rational_m(law, t, beta, 1.0)
     assert abs(ev.value - ref) <= 1e-10 * abs(ref)
 

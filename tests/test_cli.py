@@ -192,6 +192,17 @@ def test_simulate_population_cap_exits_one(specs, monkeypatch, capsys):
     assert "more than 8 particles" in captured.err
 
 
+def test_simulate_snapshot_beyond_tmax_exits_one(specs, capsys):
+    from fragkit import cli
+
+    code = cli.main(["simulate", "--law", specs["binary"], "--alpha", "1", "--tmax", "1",
+                     "--snapshots", "5", "--replicates", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--snapshots must lie in [0, --tmax]" in captured.err
+
+
 #: inputs that would loop forever or print NaN sizes unless rejected
 _UNENDING_OR_NAN = (
     ("sample-y", "--alpha", "1", "--n", "2", "--eps-tail", "0"),

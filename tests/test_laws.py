@@ -417,6 +417,14 @@ def test_from_spec_rejects_unknown_fields():
         laws.from_spec({"kind": "FilippovPower", "params": {"lam": 2.0}})
 
 
+def test_from_spec_rejects_negative_group_probability():
+    # the probabilities sum to 1, but a negative one declares no law
+    doc = {"kind": "UserAtomic", "params": {"groups": [
+        {"prob": 1.5, "sizes": [0.5, 0.5]}, {"prob": -0.5, "sizes": [0.9]}]}}
+    with pytest.raises(LawSpecError, match="probabilities must be >= 0"):
+        laws.from_spec(doc)
+
+
 def test_from_spec_overrides():
     doc = {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0}, "beta_a": -0.5,
            "arithmetic_flag": True}
