@@ -88,4 +88,4 @@ for alpha in (1.0, 0.7):
           f"moment 3 = {an.rational_rho_moment(diri, 3, alpha):.10g} vs "
           f"{an.rho_moment(diri, 3, alpha):.10g}")
 print(f"  m(1000, 1.8) = {an.rational_m(diri, 1000.0, 1.8, 1.0):.10e} as a 2F2, "
-      "(the series needs 4096 bits here)")
+      f"(the series needs {an.m_series(diri, 1000.0, 1.8, 1.0).working_precision_bits} bits here)")
