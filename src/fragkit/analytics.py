@@ -295,7 +295,9 @@ def m_integro(law, t_max, beta, alpha, step=None):
     Hermite interpolant with exact stored derivatives.  The x-integral folds
     the structural density's power behaviour into Gauss-Jacobi weights exactly
     (one rule per power component, merged with the atoms into one node and
-    weight array; 48 nodes, doubled up to 512 until two rules agree to 1e-9).
+    weight array; 48 nodes, doubled until two rules agree to 1e-9, raising
+    PrecisionExhausted when the 384-node march and its 768-node check still
+    disagree).
     Each step reads the integral at t_i, t_i + h/2 and t_{i+1} in one array
     pass over the nodes.  The interpolant is linear in the step's unknown end
     values, so the fixed-point iteration that closes the implicit dependence
@@ -322,11 +324,15 @@ def m_integro(law, t_max, beta, alpha, step=None):
                                alpha, step, comps, atoms, 2 * n_nodes)
         i = len(check.ts) - 1
         ref = check.values[i]
-        if abs(sol(check.ts[i]) - ref) <= 1e-9 * max(1.0, abs(ref)):
+        gap = abs(sol(check.ts[i]) - ref)
+        if gap <= 1e-9 * max(1.0, abs(ref)):
             return sol
+        if 2 * n_nodes > 512:
+            raise PrecisionExhausted(
+                f"m_integro: the {n_nodes}-node march and its {2 * n_nodes}-node check "
+                f"differ by {gap:.3g} at t = {check.ts[i]:g} (bound 1e-9 * max(1, |m|))"
+            )
         n_nodes *= 2
-        if n_nodes > 512:
-            return sol
 
 
 def _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes):

@@ -428,7 +428,7 @@ class BinaryUniformConservative(ReproductionLaw):
         return OffspringSample(np.array(kept), truncated_beta_mass_bound=dropped)
 
     def offspring_batch(self, rng, sizes, floor, beta_star):
-        u = rng.uniform(size=sizes.size)
+        u = rng.random(sizes.size)
         kids = np.concatenate([sizes * u, sizes * (1.0 - u)])
         owner = np.concatenate([np.arange(sizes.size)] * 2)
         return kids, owner, np.zeros(sizes.size)
@@ -466,22 +466,29 @@ class _StickBreakingBase(ReproductionLaw):
 
     def offspring_batch(self, rng, sizes, floor, beta_star):
         # children (1-U_j) * residual, residual *= U_j, until the residual drops
-        # below the floor; re-breaking it would add beta*-mass r^beta*/beta*
+        # below the floor; re-breaking it would add beta*-mass r^beta*/beta*.
+        # Each parent leaves the loop exactly once, so assigning its tail gives
+        # the bits that adding it to 0.0 would; survivors are compacted by
+        # position (flatnonzero + take), not by boolean mask.  rng.random(n)
+        # returns the doubles rng.uniform(size=n) does (0 + 1 * u is u)
+        # without uniform's scaling pass, so the draws are unchanged.
         if floor <= 0:
             raise DomainError(f"{self.kind}: infinitely many children need a floor > 0")
-        residual = sizes * rng.uniform(size=sizes.size) if self._lossy else sizes
+        residual = sizes * rng.random(sizes.size) if self._lossy else sizes
         idx = np.arange(sizes.size)
         tail = np.zeros(sizes.size)
         kids_parts, owner_parts = [], []
         while idx.size:
-            done = residual < floor
-            if done.any():
-                tail[idx[done]] += residual[done] ** beta_star / beta_star
-                residual = residual[~done]
-                idx = idx[~done]
-                if idx.size == 0:
+            below = residual < floor
+            gone = np.flatnonzero(below)
+            if gone.size:
+                tail[idx.take(gone)] = residual.take(gone) ** beta_star / beta_star
+                if gone.size == idx.size:
                     break
-            u = rng.uniform(size=idx.size)
+                keep = np.flatnonzero(~below)
+                residual = residual.take(keep)
+                idx = idx.take(keep)
+            u = rng.random(idx.size)
             kids_parts.append((1.0 - u) * residual)
             owner_parts.append(idx)
             residual = residual * u
@@ -629,7 +636,7 @@ class DirichletPolynomial(ReproductionLaw):
         """n i.i.d. child factors from the normalised intensity."""
         probs, inv_thetas = self._mixture
         comp = rng.choice(probs.size, size=n, p=probs) if probs.size > 1 else 0
-        return rng.uniform(size=n) ** inv_thetas[comp]
+        return rng.random(n) ** inv_thetas.take(comp)
 
     def offspring_batch(self, rng, sizes, floor, beta_star):
         if not self.has_sampler:
@@ -638,7 +645,7 @@ class DirichletPolynomial(ReproductionLaw):
             )
         counts = 1 + rng.poisson(self._total_mass() - 1.0, size=sizes.size)
         owner = np.repeat(np.arange(sizes.size), counts)
-        kids = sizes[owner] * self._draw_factors(rng, owner.size)
+        kids = sizes.take(owner) * self._draw_factors(rng, owner.size)
         return kids, owner, np.zeros(sizes.size)
 
     def offspring_square_mean(self, beta_star):
@@ -801,7 +808,7 @@ class PowerComponent:
         return self.mass * self.theta / (self.theta + beta)
 
     def sample(self, rng, n):
-        return rng.uniform(size=n) ** (1.0 / self.theta)
+        return rng.random(n) ** (1.0 / self.theta)
 
 
 @dataclass(frozen=True)
@@ -862,13 +869,13 @@ class UserPoisson(ReproductionLaw):
         counts = 1 + rng.poisson(self.sigma2.mass, size=n)
         owner = np.repeat(np.arange(n), counts)
         # each parent's first child comes from sigma1, the rest from sigma2
-        first = np.zeros(owner.size, dtype=bool)
-        first[np.cumsum(counts) - counts] = True
+        first = np.cumsum(counts) - counts
         factors = np.empty(owner.size)
         factors[first] = self.sigma1.sample(rng, n)
         if owner.size > n:
-            factors[~first] = self.sigma2.sample(rng, owner.size - n)
-        return sizes[owner] * factors, owner, np.zeros(n)
+            rest = np.delete(np.arange(owner.size), first)
+            factors[rest] = self.sigma2.sample(rng, owner.size - n)
+        return sizes.take(owner) * factors, owner, np.zeros(n)
 
     def offspring_square_mean(self, beta_star):
         b = beta_star

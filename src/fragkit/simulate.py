@@ -210,7 +210,14 @@ class _GenerationEngine:
     """Vectorised breadth-first tree evolution across an ensemble of trees.
 
     ``step`` draws a generation with one ``law.offspring_batch`` call at the
-    floor eps_prune^(1/beta*), the size whose beta*-weight is the threshold.
+    floor eps_prune^(1/beta*), the size whose beta*-weight is the threshold,
+    and returns that generation's corrected column m_tilde.  Per-tree sums
+    use ``np.bincount``, which adds in element order as ``np.add.at`` does,
+    so the columns carry the same bits; live and pruned children are split
+    by position (``flatnonzero`` + ``take``) rather than by boolean masks.
+    Tail corrections enter at their own generation, prune corrections one
+    generation later (the pruned node itself was materialised); both are
+    kept as running sums, added in generation order.
     """
 
     def __init__(self, law, beta_star, n_trees, eps_prune, master_seed, node_cap=60_000_000,
@@ -227,13 +234,15 @@ class _GenerationEngine:
         self.gen = 0
         self.nodes_seen = n_trees
         self.m_hat_cols = [np.ones(n_trees)]
-        # corr_tail[n]: missing weight first visible at generation n
-        # corr_prune[n]: weight of nodes materialised at n but not extended
-        self.corr_tail_cols = [np.zeros(n_trees)]
-        self.corr_prune_cols = [np.zeros(n_trees)]
+        self.m_tilde_cols = [np.ones(n_trees)]
+        # tail: missing weight first visible up to the current generation;
+        # prune: weight of nodes materialised before it but not extended
+        self.tail = np.zeros(n_trees)
+        self.prune = np.zeros(n_trees)
 
     def step(self):
         n = self.gen + 1
+        nt = self.n_trees
         stream = rngmod.stream(self.seed, "genealogy", self.batch, n)
         kids, owner, tail_mean = self.law.offspring_batch(
             stream, self.sizes, self.eps ** (1 / self.bs), self.bs)
@@ -241,34 +250,32 @@ class _GenerationEngine:
         if self.nodes_seen > self.cap:
             raise TreeSizeExceeded(f"more than {self.cap} nodes materialised")
 
-        m_col = np.zeros(self.n_trees)
-        tail_col = np.zeros(self.n_trees)
-        prune_col = np.zeros(self.n_trees)
+        kid_tree = self.tree.take(owner)
+        del owner
+        self.tail = self.tail + np.bincount(self.tree, weights=tail_mean, minlength=nt)
         w = kids**self.bs
-        np.add.at(m_col, self.tree[owner], w)
-        np.add.at(tail_col, self.tree, tail_mean)
-        live = w >= self.eps
-        if not live.all():
-            np.add.at(prune_col, self.tree[owner[~live]], w[~live])
-        self.m_hat_cols.append(m_col)
-        self.corr_tail_cols.append(tail_col)
-        self.corr_prune_cols.append(prune_col)
-        self.sizes = kids[live]
-        self.tree = self.tree[owner[live]]
-        self.gen = n
-        return self._m_tilde_col(n)
+        m_col = np.bincount(kid_tree, weights=w, minlength=nt)
+        below = w < self.eps
+        dead = np.flatnonzero(below)
+        prune_col = np.bincount(kid_tree.take(dead), weights=w.take(dead), minlength=nt)
+        del w, dead
+        live = np.flatnonzero(~below)
+        del below
+        self.sizes = kids.take(live)
+        del kids
+        self.tree = kid_tree.take(live)
+        del kid_tree, live
 
-    def _m_tilde_col(self, n):
-        # tail corrections enter at their own generation, prune corrections
-        # one generation later (the pruned node itself was materialised)
-        tail = sum(self.corr_tail_cols[: n + 1])
-        prune = sum(self.corr_prune_cols[:n]) if n >= 1 else 0.0
-        return self.m_hat_cols[n] + tail + prune
+        m_tilde = m_col + self.tail + self.prune
+        self.prune = self.prune + prune_col
+        self.m_hat_cols.append(m_col)
+        self.m_tilde_cols.append(m_tilde)
+        self.gen = n
+        return m_tilde
 
     def result(self):
-        depth = self.gen
         m_hat = np.column_stack(self.m_hat_cols)
-        corr = np.column_stack([self._m_tilde_col(n) for n in range(depth + 1)]) - m_hat
+        corr = np.column_stack(self.m_tilde_cols) - m_hat
         return GenerationMartingaleResult(m_hat=m_hat, correction=corr)
 
 
@@ -326,10 +333,10 @@ def estimate_m_infinity_moments(
     pilot_n = min(TREE_BATCH, n_trees)
     q = float(law.phi(2.0 * beta_star))
     eng = _GenerationEngine(law, beta_star, pilot_n, eps_prune, master_seed, batch_index=0)
-    cols = [np.ones(pilot_n)]
+    cols = eng.m_tilde_cols
     converged = False
     for n in range(1, max_depth + 1):
-        cols.append(eng.step())
+        eng.step()
         if n >= 4 and n % 2 == 0:
             v_n = cols[n].var(ddof=1)
             var_inf = v_n / max(1.0 - q**n, 1e-12)
@@ -341,7 +348,7 @@ def estimate_m_infinity_moments(
     depth = len(cols) - 1
     m = np.concatenate([cols[-1]] + [
         _grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth)
-        ._m_tilde_col(depth) for start in range(pilot_n, n_trees, TREE_BATCH)])
+        .m_tilde_cols[depth] for start in range(pilot_n, n_trees, TREE_BATCH)])
     return MInftyEstimate(
         mean=float(m.mean()),
         mean_se=float(m.std(ddof=1) / math.sqrt(m.size)),

@@ -208,6 +208,14 @@ def test_integro_mixed_power_and_atoms():
         assert abs(float(sol(t)) - ref) <= 1e-10 * abs(ref)
 
 
+def test_integro_unconverged_at_node_cap_raises():
+    # at alpha = 0.15 the 384-node march and its 768-node check still differ
+    # by more than 1e-9 on the check horizon: the cap raises rather than
+    # return a march whose m(5) is off by ~4e-7 relative
+    with pytest.raises(PrecisionExhausted, match=r"384-node march .* 768-node check differ by"):
+        an.m_integro(STICK, 5.0, GOLDEN + 0.5, 0.15)
+
+
 # ---------------------------------------------------------------------------
 # derivative identity
 # ---------------------------------------------------------------------------

@@ -201,6 +201,50 @@ def test_scalar_sampler_matches_batch_on_a_unit_parent(law, floor):
     assert kids.size == owner.size == tail.size == 0
 
 
+def _stick_batch_by_masks(law, rng, sizes, floor, beta_star):
+    """The stick sampler as a boolean-mask loop, kept as the reference."""
+    residual = sizes * rng.uniform(size=sizes.size) if law._lossy else sizes
+    idx = np.arange(sizes.size)
+    tail = np.zeros(sizes.size)
+    kids_parts, owner_parts = [], []
+    while idx.size:
+        done = residual < floor
+        if done.any():
+            tail[idx[done]] += residual[done] ** beta_star / beta_star
+            residual = residual[~done]
+            idx = idx[~done]
+            if idx.size == 0:
+                break
+        u = rng.uniform(size=idx.size)
+        kids_parts.append((1.0 - u) * residual)
+        owner_parts.append(idx)
+        residual = residual * u
+    kids = np.concatenate(kids_parts) if kids_parts else np.empty(0)
+    owner = np.concatenate(owner_parts) if owner_parts else np.empty(0, dtype=int)
+    return kids, owner, tail
+
+
+_STICK_BATCHES = {
+    "random-1e-12": (np.random.default_rng(1).random(400), 1e-12),
+    "random-1e-3": (np.random.default_rng(2).random(400), 1e-3),
+    "random-0.2": (np.random.default_rng(3).random(400), 0.2),
+    "empty": (np.empty(0), 1e-3),
+    "all-below-floor": (np.full(50, 1e-4), 1e-3),
+}
+
+
+@pytest.mark.parametrize("sizes,floor", _STICK_BATCHES.values(), ids=_STICK_BATCHES.keys())
+@pytest.mark.parametrize("law", [STICK, STICK_C], ids=["lossy", "conservative"])
+def test_stick_batch_matches_boolean_mask_loop(law, sizes, floor):
+    # the position-compacted sampler draws and returns exactly what the
+    # boolean-mask loop does, including when no parent survives round one
+    bs = laws._beta_star_newton(law)
+    got = law.offspring_batch(stream(23, "stick"), sizes.copy(), floor, bs)
+    ref = _stick_batch_by_masks(law, stream(23, "stick"), sizes.copy(), floor, bs)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 _ZERO_FLOOR_CALLS = {
     "sampler": "laws.StickBreakingConservative().sample_offspring(stream(0, 't'), floor=0.0)",
     "engine": "simulate.generation_martingale(laws.StickBreakingLossy(), 0.618, depth=2, "

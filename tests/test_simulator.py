@@ -1,5 +1,6 @@
 """Simulator contracts: determinism, conservation, martingales, tagged chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -303,6 +304,47 @@ def test_m_infinity_moment_estimator():
     assert abs(est2.mean - 1.0) <= 3.0 * est2.mean_se
     oracle = 1.3093160954979437  # fixed-point closed form, frozen
     assert abs(est2.second_moment - oracle) <= 3.0 * est2.second_moment_se
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+#: SHA-256 of m_hat and correction (depth 8, eps 1e-4, 300 trees, seed 17)
+GENERATION_KNOWN_ANSWERS = {
+    "StickBreakingLossy": (
+        STICK,
+        "86f2be7cb7ddab861d58b44b85abb3503e0c22f05bedcb35fd35661f6d60bd8a",
+        "86a87fe7412150dd79c12854823f59db348920ed41667a0e2898de30b90f87cb"),
+    "StickBreakingConservative": (
+        STICK_C,
+        "73a32aa6f76277f427b269c5a5f90035a7be9ea1e1796cb8ba90659ac0745ae8",
+        "07f17c673b642337c56c1bb25d27b59f372cb644edc8f58809e438af0a9b3aca"),
+    "UserAtomic": (
+        COUNTED_LAWS["UserAtomic"],
+        "6271554a617bab399cb15e446fe09f8ff223f682defe5d5529e9b2279b7cd44a",
+        "999dc956db643292159bfa8f88d9f6333ea5f264cbd12e76c807f5f453b325ad"),
+}
+
+
+@pytest.mark.parametrize("law,m_hat_sha,correction_sha", GENERATION_KNOWN_ANSWERS.values(),
+                         ids=GENERATION_KNOWN_ANSWERS.keys())
+def test_generation_martingale_known_answers(law, m_hat_sha, correction_sha):
+    # the engine's draws and sums, pinned bit for bit
+    res = sim.generation_martingale(law, laws._beta_star_newton(law), depth=8, eps_prune=1e-4,
+                                    n_trees=300, master_seed=17)
+    assert res.m_hat.shape == (300, 9)
+    assert (_sha(res.m_hat), _sha(res.correction)) == (m_hat_sha, correction_sha)
+
+
+def test_m_infinity_known_answer():
+    # pilot batch plus a full and a partial batch, pinned bit for bit
+    est = sim.estimate_m_infinity_moments(STICK, laws._beta_star_newton(STICK), n_trees=2500,
+                                          max_depth=10, eps_prune=1e-3, master_seed=5)
+    assert repr(est) == (
+        "MInftyEstimate(mean=1.0228332180175854, mean_se=0.011156318253245492, "
+        "second_moment=1.357221920862488, second_moment_se=0.027002926387908785, "
+        "n_generations=4, converged=True)")
 
 
 def test_m_infinity_nonconvergence_flag():
