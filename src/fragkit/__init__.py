@@ -2,9 +2,10 @@
 
 A particle of size x splits at rate x^alpha into children x*xi_j; the total
 child size may exceed the parent's (size creation is allowed).  The package
-couples an exact event-driven simulator with the closed-form analytics of
-mean power sums, asymptotic coefficients, and the random limit of the
-weighted scaled empirical measure, and cross-validates the two statistically.
+couples an exact breadth-first natural-time simulator with the closed-form
+analytics of mean power sums, asymptotic coefficients, and the random limit
+of the weighted scaled empirical measure, and cross-validates the two
+statistically.
 """
 
 __version__ = "0.1.0"
@@ -80,6 +81,7 @@ from .simulate import (
     YSampleResult,
     estimate_m_infinity_moments,
     generation_martingale,
+    natural_replicates,
     run,
     run_replicates,
     sample_Y,

@@ -495,49 +495,57 @@ def _logpsi_window_float(law, s0, az):
     return 0.5 * np.dot(w, vals)
 
 
-def _gamma_z_once_float(law, z, beta, alpha, K):
+def _gamma_z_ladder_float(law, z, beta, alpha, K):
+    """(value, |tail|) at truncations K, 2K, 4K, ...; the product runs on across doublings."""
     prod = 1.0 + 0.0j
-    for k in range(K):
-        num = law.psi(beta + alpha * k)
-        den = law.psi(beta + alpha * (k + z))
-        if abs(num) < 1e-300:
-            raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
-        if abs(den) < 1e-12:
-            raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
-        prod *= num / den
+    k0 = 0
+    while True:
+        for k in range(k0, K):
+            num = law.psi(beta + alpha * k)
+            den = law.psi(beta + alpha * (k + z))
+            if abs(num) < 1e-300:
+                raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
+            if abs(den) < 1e-12:
+                raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
+            prod *= num / den
 
-    G = lambda k: np.log(law.psi(beta + alpha * k)) - np.log(law.psi(beta + alpha * (k + z)))
-    g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
-    window = z * _logpsi_window_float(law, beta + alpha * K, alpha * z)
-    d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
-    d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
-    tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
-    return prod * np.exp(tail), abs(tail)
+        G = lambda k: np.log(law.psi(beta + alpha * k)) - np.log(law.psi(beta + alpha * (k + z)))
+        g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
+        window = z * _logpsi_window_float(law, beta + alpha * K, alpha * z)
+        d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
+        d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
+        tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
+        yield prod * np.exp(tail), abs(tail)
+        k0, K = K, 2 * K
 
 
-def _gamma_z_once_mp(law, z, beta, alpha, K):
-    one = mp.mpf(1)
+def _gamma_z_ladder_mp(law, z, beta, alpha, K):
+    """The big-float ladder at the caller's working precision, which also sets its thresholds."""
+    tiny, pole = mp.mpf("1e-300"), mp.mpf("1e-14")
     zm = mp.mpmathify(z)
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
     psi = lambda s: 1 - law.phi_mp(s)
-    prod = one
-    for k in range(K):
-        num = psi(bm + am * k)
-        den = psi(bm + am * (k + zm))
-        if abs(num) < mp.mpf("1e-300"):
-            raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
-        if abs(den) < mp.mpf("1e-14"):
-            raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
-        prod *= num / den
     G = lambda k: mp.log(psi(bm + am * k)) - mp.log(psi(bm + am * (k + zm)))
-    sK = bm + am * K
-    window = zm * mp.quad(lambda u: mp.log(psi(sK + u * am * zm)), [0, 1])
-    d1 = mp.diff(G, K, 1)
-    d3 = mp.diff(G, K, 3)
-    d5 = mp.diff(G, K, 5)
-    tail = window + G(K) / 2 - d1 / 12 + d3 / 720 - d5 / 30240
-    return prod * mp.e**tail, abs(tail)
+    prod = mp.mpf(1)
+    k0 = 0
+    while True:
+        for k in range(k0, K):
+            num = psi(bm + am * k)
+            den = psi(bm + am * (k + zm))
+            if abs(num) < tiny:
+                raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
+            if abs(den) < pole:
+                raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
+            prod *= num / den
+        sK = bm + am * K
+        window = zm * mp.quad(lambda u: mp.log(psi(sK + u * am * zm)), [0, 1])
+        d1 = mp.diff(G, K, 1)
+        d3 = mp.diff(G, K, 3)
+        d5 = mp.diff(G, K, 5)
+        tail = window + G(K) / 2 - d1 / 12 + d3 / 720 - d5 / 30240
+        yield prod * mp.e**tail, abs(tail)
+        k0, K = K, 2 * K
 
 
 def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
@@ -563,14 +571,15 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
             val = gamma_n(law, n, beta, alpha)
             return GammaExtrapolation(z, beta, val, n, 0.0)
 
-    once = _gamma_z_once_mp if precision_bits else _gamma_z_once_float
+    ladder = _gamma_z_ladder_mp if precision_bits else _gamma_z_ladder_float
     ctx = mp.workprec(precision_bits) if precision_bits else contextlib.nullcontext()
     with ctx:
         K = 64
-        prev, _ = once(law, z, beta, alpha, K)
+        steps = ladder(law, z, beta, alpha, K)
+        prev, _ = next(steps)
         while K <= (1 << 17):
             K *= 2
-            cur, tail = once(law, z, beta, alpha, K)
+            cur, tail = next(steps)
             scale = abs(cur)
             if scale > 0 and abs(cur - prev) <= tol * scale:
                 value = cur if precision_bits else _tidy_complex(cur)

@@ -2,12 +2,11 @@
 
 Output conventions: CSV on stdout for bulk numerics, JSON for scalar
 reports (every JSON report embeds the build version).  All randomness is
-controlled by --seed (replicate streams are keyed by replicate index,
+controlled by --seed (replicate r's draws depend on the seed and r only,
 results emitted in replicate order).  ``--threads`` is accepted and ignored:
-replicates run serially, since the simulator is pure-Python code that
-threads only slow down under the interpreter lock.  Exit codes: 0 success,
-1 usage/configuration error, 2 validation-suite failure (some
-3-standard-error check failed).
+replicates run serially, in the vectorised blocks of the natural-time
+engine.  Exit codes: 0 success, 1 usage/configuration error, 2
+validation-suite failure (some 3-standard-error check failed).
 """
 
 import argparse
@@ -163,7 +162,7 @@ def _cmd_simulate(args):
         master_seed=args.seed,
     )
     bs = laws.malthusian_exponent(law, tol=1e-12)
-    reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
+    reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
     dump_lines = ["replicate,t,size"] if args.dump else None
     print("replicate,t,n_particles,M_beta_star,frozen_bound")
     for r, snaps in enumerate(reps):
@@ -208,7 +207,7 @@ def _cmd_rho_empirical(args):
         alpha=args.alpha, t_max=args.t, snapshot_times=(args.t,),
         master_seed=args.seed, child_floor=args.floor,
     )
-    reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
+    reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
     measure = estimators.empirical_weighted_measure([r[0] for r in reps], args.alpha, bs)
     edges, mass = measure.histogram(n_bins=args.bins)
     with open(args.hist, "w", encoding="utf-8", newline="\n") as fh:
@@ -232,7 +231,7 @@ def _validate_suite(law, args):
         t = args.t
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,),
                                         master_seed=args.seed)
-        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
+        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
         measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
         for k in (1, 2):
             est, se = measure.moment(k)
@@ -246,7 +245,7 @@ def _validate_suite(law, args):
         times = tuple(tt for tt in (1.0, 5.0, 20.0) if tt <= args.t) or (args.t,)
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=max(times),
                                         snapshot_times=times, master_seed=args.seed + 1)
-        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
+        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
         for i, tt in enumerate(times):
             vals = np.array([
                 simulate.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound
@@ -273,7 +272,7 @@ def _validate_suite(law, args):
     if run_all or args.suite == "cdf":
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=args.t, snapshot_times=(args.t,),
                                         master_seed=args.seed + 4)
-        reps = simulate.run_replicates(cfg, law, args.replicates, beta_star=bs)
+        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
         measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
         try:
             analytics.rho_cdf(law, alpha, 1.0)  # NoClosedForm unless psi has one pole
@@ -384,7 +383,7 @@ def _build_parser():
     q.add_argument("--kmax", type=int, required=True)
     q.set_defaults(func=_cmd_rho_moments)
 
-    q = sub.add_parser("simulate", help="event-driven simulation to CSV")
+    q = sub.add_parser("simulate", help="natural-time simulation to CSV")
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--tmax", type=float, required=True)

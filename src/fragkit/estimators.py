@@ -285,7 +285,7 @@ def l2_functional_test(
         master_seed=master_seed,
         child_floor=child_floor,
     )
-    reps = simulate.run_replicates(cfg, law, n_replicates, beta_star=bs)
+    reps = simulate.natural_replicates(cfg, law, n_replicates, beta_star=bs)
     A = {t: np.empty(n_replicates) for t in times}
     M = {t: np.empty(n_replicates) for t in times}
     for r, snaps in enumerate(reps):

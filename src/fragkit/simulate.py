@@ -3,10 +3,13 @@
 Natural time: a particle of size x lives an exponential time with *rate*
 x^alpha (mean x^-alpha, so smaller particles live longer when alpha > 0)
 and is replaced by children x*xi_j drawn from the reproduction law.  The
-process is piecewise constant, so an event-driven min-heap of death times
-simulates it without discretisation error.  Every particle's randomness is
-a pure function of its genealogical path (counter-based streams), making
-runs bit-identical regardless of event ordering.
+population at time t is exactly the set of tree nodes with birth <= t <
+death, so ``natural_replicates`` builds the tree breadth first, one
+generation of a block of replicates per ``offspring_batch`` call, without
+discretisation error; every simulation behind the CLI and the estimators
+runs on it.  The event-driven min-heap ``run``/``run_replicates``, whose
+every particle draws from a stream keyed by its genealogical path, stays
+as the reference the engine is tested against.
 
 Generation time: the same tree indexed by generation instead of time,
 used for the intrinsic martingale M_n = sum_{|u|=n} xi_u^beta* and its
@@ -45,8 +48,9 @@ class SimulationConfig:
     simulating them (for alpha > 0 they split extremely rarely on desk-scale
     horizons); every snapshot carries the accumulated expected beta*-mass of
     frozen lineages so the bias stays auditable.  ``max_particles`` bounds
-    the live population: ``run`` raises TreeSizeExceeded beyond it rather
-    than return a truncated state.
+    the live population of a ``run`` replicate and the nodes materialised in
+    one block of ``natural_replicates``: both raise TreeSizeExceeded beyond
+    it rather than return a truncated state.
     """
 
     alpha: float
@@ -98,6 +102,20 @@ def snapshot_power_sum(snapshot, beta):
 # natural-time event loop
 # ---------------------------------------------------------------------------
 
+def _frozen_mass_exponent(law, beta_star, child_floor):
+    """beta_star, else the law's Malthusian exponent; None only when nothing freezes."""
+    if beta_star is None:
+        try:
+            beta_star = _beta_star_newton(law)
+        except NoMalthusianExponent:
+            beta_star = None
+    if beta_star is None and child_floor > 0:
+        raise NoMalthusianExponent(
+            "child_floor truncation needs a Malthusian exponent; rerun with child_floor=0"
+        )
+    return beta_star
+
+
 def run(config, law, replicate=0, beta_star=None):
     """Simulate one replicate; returns snapshots at config.snapshot_times.
 
@@ -108,16 +126,7 @@ def run(config, law, replicate=0, beta_star=None):
     are alive.
     """
     alpha = config.alpha
-    if beta_star is None:
-        try:
-            beta_star = _beta_star_newton(law)
-        except NoMalthusianExponent:
-            beta_star = None
-    if beta_star is None and config.child_floor > 0:
-        raise NoMalthusianExponent(
-            "child_floor truncation needs a Malthusian exponent; rerun with child_floor=0"
-        )
-
+    beta_star = _frozen_mass_exponent(law, beta_star, config.child_floor)
     seed = config.master_seed
     floor = config.child_floor
     cap = config.max_particles
@@ -176,6 +185,126 @@ def run(config, law, replicate=0, beta_star=None):
 def run_replicates(config, law, n_replicates, beta_star=None):
     """Independent replicates, ordered by replicate id."""
     return [run(config, law, r, beta_star) for r in range(n_replicates)]
+
+
+# ---------------------------------------------------------------------------
+# breadth-first natural-time engine
+# ---------------------------------------------------------------------------
+
+#: replicates per natural-time block; a block always runs in full, so the
+#: draws of replicate r depend on (seed, r) only, never on the replicate count
+NATURAL_BLOCK = 512
+
+
+def _lifetimes(stream, sizes, alpha):
+    """Exp(size^alpha) lifetimes; a rate that underflows to 0 never ends.
+
+    A lifetime that overflows is infinite as well, as in the heap's float
+    arithmetic; neither case warns.
+    """
+    life = stream.standard_exponential(sizes.size)
+    if alpha == 0:
+        return life
+    with np.errstate(over="ignore", under="ignore"):
+        rate = sizes**alpha
+        return np.divide(life, rate, out=np.full(sizes.size, np.inf), where=rate > 0)
+
+
+def _natural_block(config, law, block, nb, beta_star):
+    """Snapshot columns of block ``block``, replicates block * nb to block * nb + nb - 1.
+
+    Returns, per snapshot time, the alive sizes ordered by replicate and
+    then decreasingly, the count per replicate and the frozen beta*-mass per
+    replicate.  Generation g draws offspring and lifetimes from the stream
+    keyed (seed, block, g); its nodes are materialised with birth and death
+    times, and only those that die by t_max are expanded.
+    """
+    floor, cap = config.child_floor, config.max_particles
+    times = config.snapshot_times
+    stream = rngmod.stream(config.master_seed, "natural", block, 0)
+    sizes = np.full(nb, config.initial_size)
+    rep = np.arange(nb)
+    birth = np.zeros(nb)
+    death = _lifetimes(stream, sizes, config.alpha)
+    seen = nb
+    alive = [([], []) for _ in times]
+    frozen = np.zeros((len(times), nb))
+    gen = 0
+    while True:
+        for (reps, kept), t in zip(alive, times):
+            on = np.flatnonzero((birth <= t) & (death > t))
+            reps.append(rep.take(on))
+            kept.append(sizes.take(on))
+        split = np.flatnonzero(death <= config.t_max)
+        if not split.size:
+            break
+        gen += 1
+        stream = rngmod.stream(config.master_seed, "natural", block, gen)
+        kids, owner, tail = law.offspring_batch(stream, sizes.take(split), floor, beta_star)
+        seen += kids.size
+        if seen > cap:
+            raise TreeSizeExceeded(f"more than {cap} particles materialised in natural-time "
+                                   f"block {block}")
+        rep, death = rep.take(split), death.take(split)
+        del split, sizes
+        kid_rep, birth = rep.take(owner), death.take(owner)
+        del owner
+        if floor > 0:
+            # children below the floor and the sampler's tail freeze at their
+            # beta*-mass, stamped with the parent's death time
+            below = kids < floor
+            small = np.flatnonzero(below)
+            f_rep = np.concatenate([kid_rep.take(small), rep])
+            f_at = np.concatenate([birth.take(small), death])
+            f_mass = np.concatenate([kids.take(small) ** beta_star, tail])
+            del small
+            for i, t in enumerate(times):
+                on = np.flatnonzero(f_at <= t)
+                frozen[i] += np.bincount(f_rep.take(on), weights=f_mass.take(on), minlength=nb)
+            del f_rep, f_at, f_mass
+            live = np.flatnonzero(~below)
+            del below
+            kids, kid_rep, birth = kids.take(live), kid_rep.take(live), birth.take(live)
+            del live
+        del tail, death
+        sizes, rep = kids, kid_rep
+        del kids, kid_rep
+        death = birth + _lifetimes(stream, sizes, config.alpha)
+    out = []
+    for (reps, kept), col in zip(alive, frozen):
+        reps, kept = np.concatenate(reps), np.concatenate(kept)
+        order = np.lexsort((-kept, reps))
+        out.append((kept.take(order), np.bincount(reps, minlength=nb), col))
+    return out
+
+
+def natural_replicates(config, law, n_replicates, beta_star=None):
+    """Independent replicates, ordered by replicate id, from the breadth-first engine.
+
+    The population at time t is the set of tree nodes with birth <= t <
+    death, plus the beta*-mass frozen at or before t; each generation of a
+    block of NATURAL_BLOCK replicates is one ``law.offspring_batch`` call.
+    Returns the snapshot lists ``run_replicates`` returns (the same law, not
+    the same draws).  Blocks always run in full and the surplus replicates
+    are dropped, so replicate r is a pure function of (config, law, r).
+    ``config.max_particles`` caps the nodes materialised in one block:
+    TreeSizeExceeded beyond it.
+    """
+    beta_star = _frozen_mass_exponent(law, beta_star, config.child_floor)
+    nb = NATURAL_BLOCK
+    out = []
+    for block in range(-(-n_replicates // nb)):
+        cols = _natural_block(config, law, block, nb, beta_star)
+        keep = min(nb, n_replicates - block * nb)
+        rows = [[] for _ in range(keep)]
+        for t, (sizes, counts, frozen) in zip(config.snapshot_times, cols):
+            ends = np.cumsum(counts[:keep]).tolist()
+            for r, a, b, f in zip(range(keep), [0] + ends, ends, frozen[:keep].tolist()):
+                rows[r].append(PopulationSnapshot(t=t, sizes=sizes[a:b], frozen_beta_mass_bound=f,
+                                                  replicate_id=block * nb + r,
+                                                  master_seed=config.master_seed))
+        out.extend(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_criterion_07_mean_measure_moments():
     t0 = time.monotonic()
     t, reps_n = 30.0, 10_000
     cfg = sim.SimulationConfig(alpha=1.0, t_max=t, snapshot_times=(t,), master_seed=2030)
-    reps = sim.run_replicates(cfg, BINARY, reps_n, beta_star=1.0)
+    reps = sim.natural_replicates(cfg, BINARY, reps_n, beta_star=1.0)
     measure = est.empirical_weighted_measure([r[0] for r in reps], 1.0, 1.0)
     limits = {1: 2.0, 2: 6.0}
     ok = True
@@ -213,7 +213,7 @@ def test_criterion_08_martingale_tests():
     bs = an.beta_star_of(STICK)
     times = (1.0, 5.0, 20.0)
     cfg = sim.SimulationConfig(alpha=1.0, t_max=20.0, snapshot_times=times, master_seed=808)
-    reps = sim.run_replicates(cfg, STICK, 3000, beta_star=bs)
+    reps = sim.natural_replicates(cfg, STICK, 3000, beta_star=bs)
     for i, t in enumerate(times):
         vals = np.array([
             sim.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound for r in reps
@@ -226,8 +226,8 @@ def test_criterion_08_martingale_tests():
         cfg = sim.SimulationConfig(alpha=1.0, t_max=20.0, snapshot_times=times,
                                    master_seed=809)
         worst = 0.0
-        for r in range(200):
-            for s in sim.run(cfg, law, replicate=r, beta_star=1.0):
+        for snaps in sim.natural_replicates(cfg, law, 200, beta_star=1.0):
+            for s in snaps:
                 worst = max(worst, abs(s.sizes.sum() + s.frozen_beta_mass_bound - 1.0))
         ok &= worst <= 1e-12
         parts.append(f"{tag} per-path dev {worst:.1e}")
@@ -340,3 +340,23 @@ def test_criterion_13_thread_determinism(tmp_path):
     elapsed = time.monotonic() - t0
     _report(13, ok, f"CSV bytes: {len(runs[1])} vs {len(runs[4])}, identical = "
                     f"{runs[1] == runs[4]}", elapsed)
+
+
+@pytest.mark.parametrize("block", [sim.NATURAL_BLOCK, 64])
+def test_criterion_13_rows_independent_of_replicate_count(tmp_path, monkeypatch, capsys, block):
+    # --threads is ignored, so criterion 13's two runs are one run; this test
+    # has teeth: replicate r's CSV rows must not depend on how many replicates
+    # run, at two block sizes of the natural-time engine
+    from fragkit import cli
+
+    monkeypatch.setattr(sim, "NATURAL_BLOCK", block)
+    spec = tmp_path / "binary.json"
+    spec.write_text(json.dumps({"kind": "BinaryUniformConservative", "params": {}}))
+    rows = {}
+    for n in (10, block + 1, 10_000):
+        assert cli.main(["simulate", "--law", str(spec), "--alpha", "1", "--tmax", "30",
+                         "--snapshots", "30", "--replicates", str(n), "--seed", "2030"]) == 0
+        rows[n] = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows[n]) == n
+    assert rows[10] == rows[block + 1][:10] == rows[10_000][:10]
+    assert rows[block + 1] == rows[10_000][:block + 1]

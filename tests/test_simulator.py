@@ -2,12 +2,22 @@
 
 import hashlib
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from fragkit import analytics as an, laws, rng, simulate as sim
-from fragkit.errors import NoMalthusianExponent, TreeSizeExceeded, UnsupportedSampler
+from fragkit.errors import (
+    DomainError,
+    FragkitError,
+    NoMalthusianExponent,
+    TreeSizeExceeded,
+    UnsupportedSampler,
+)
 from fragkit.rng import stream
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -351,6 +361,125 @@ def test_m_infinity_nonconvergence_flag():
     bs = an.beta_star_of(STICK)
     est = sim.estimate_m_infinity_moments(STICK, bs, n_trees=300, max_depth=2, master_seed=19)
     assert est.converged is False
+
+
+# ---------------------------------------------------------------------------
+# breadth-first natural-time engine against the heap
+# ---------------------------------------------------------------------------
+
+#: every sampler law the heap and the engine are compared on
+KS_LAWS = {
+    "BinaryUniformConservative": BINARY,
+    "StickBreakingLossy": STICK,
+    "StickBreakingConservative": STICK_C,
+    "FilippovPower": FIL21,
+    "UserAtomic": COUNTED_LAWS["UserAtomic"],
+    "UserPoisson-power": COUNTED_LAWS["UserPoisson-power"],
+}
+
+
+@pytest.mark.parametrize("law", KS_LAWS.values(), ids=KS_LAWS.keys())
+def test_engine_matches_heap_in_law(law):
+    # two-sample KS, heap against engine, on the particle count and on
+    # M(t, b*) + frozen at two snapshot times; the floor freezes often enough
+    # for the frozen mass to take part
+    bs = laws._beta_star_newton(law)
+    cfg = _config(t_max=5.0, snapshot_times=(1.0, 5.0), child_floor=1e-3, master_seed=61)
+    heap = sim.run_replicates(cfg, law, 2000, beta_star=bs)
+    engine = sim.natural_replicates(cfg, law, 2000, beta_star=bs)
+    stats = {"n": lambda s: s.sizes.size,
+             "M + frozen": lambda s: sim.snapshot_power_sum(s, bs) + s.frozen_beta_mass_bound}
+    for i, t in enumerate(cfg.snapshot_times):
+        for name, stat in stats.items():
+            a = [stat(r[i]) for r in heap]
+            b = [stat(r[i]) for r in engine]
+            p = ks_2samp(a, b, method="asymp").pvalue
+            assert p >= 1e-3, f"{name} at t={t:g}: KS p = {p:.2e}"
+
+
+@pytest.mark.parametrize("alpha,x0", [(0.0, 0.75), (1.0, 0.75), (400.0, 1.0)])
+@pytest.mark.parametrize("law", [BINARY, STICK_C, COUNTED_LAWS["UserAtomic"]],
+                         ids=["binary", "stick-c", "UserAtomic"])
+def test_engine_conserves_mass_per_row(law, alpha, x0):
+    # at alpha = 400 a particle below ~0.16 has rate 0.0: it must stay alive
+    # with an infinite lifetime, not turn into a NaN row
+    cfg = _config(alpha=alpha, t_max=3.0, snapshot_times=(0.0, 0.5, 3.0), child_floor=1e-3,
+                  master_seed=67, initial_size=x0)
+    reps = sim.natural_replicates(cfg, law, 300, beta_star=1.0)
+    assert len(reps) == 300
+    for snaps in reps:
+        assert snaps[0].sizes.tolist() == [x0]
+        for s in snaps:
+            assert abs(s.sizes.sum() + s.frozen_beta_mass_bound - x0) <= 1e-12
+    if alpha == 400.0:
+        assert min(snaps[-1].sizes.min() for snaps in reps) ** alpha == 0.0
+
+
+def test_engine_rows_sorted_and_frozen_nondecreasing():
+    cfg = _config(snapshot_times=(0.5, 1.0, 2.0, 5.0), master_seed=19, child_floor=1e-4)
+    for r, snaps in enumerate(sim.natural_replicates(cfg, STICK, 40)):
+        bounds = [s.frozen_beta_mass_bound for s in snaps]
+        assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
+        for s in snaps:
+            assert s.replicate_id == r and s.master_seed == 19
+            assert np.all(np.diff(s.sizes) <= 0)
+
+
+def test_engine_keeps_heap_input_rules():
+    chain = laws.UserPoisson(
+        laws.AtomComponent(atoms=((0.5, 1.0),)), laws.AtomComponent(atoms=())
+    )
+    with pytest.raises(NoMalthusianExponent):
+        sim.natural_replicates(_config(), chain, 2)
+    reps = sim.natural_replicates(_config(snapshot_times=(2.0,), child_floor=0.0), chain, 5)
+    assert [r[0].sizes.size for r in reps] == [1] * 5  # always exactly one particle
+    with pytest.raises(TreeSizeExceeded, match="more than 600 particles"):
+        sim.natural_replicates(_config(snapshot_times=(5.0,), max_particles=600), STICK, 2)
+    with pytest.raises(DomainError, match="floor"):
+        sim.natural_replicates(_config(child_floor=0.0), STICK, 2)
+
+
+#: laws of the engine's input-edge property: with and without beta*, one
+#: without a sampler
+EDGE_LAWS = [BINARY, STICK, STICK_C, FIL21,
+             laws.DirichletPolynomial(terms=((2.0, 1.0), (-0.1, 3.0))),
+             laws.UserPoisson(laws.AtomComponent(atoms=((0.5, 1.0),)),
+                              laws.AtomComponent(atoms=()))]
+
+
+@given(
+    law=st.sampled_from(EDGE_LAWS),
+    alpha=st.sampled_from([0.0, 400.0]) | st.floats(min_value=0.0, max_value=400.0),
+    t_max=st.sampled_from([0.0]) | st.floats(min_value=0.0, max_value=3.0),
+    initial_size=st.sampled_from([1.0, 1e-300]) | st.floats(min_value=1e-300, max_value=1.0),
+    child_floor=st.sampled_from([0.0, 1e-9, 1e-3]),
+    max_particles=st.sampled_from([8, 200_000]),
+    n=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_particles, n):
+    # every input ends in finite rows or a FragkitError/ValueError, in bounded
+    # time; numpy may not warn (a warning here is a NaN row in waiting), but
+    # a rate may underflow to 0.0: that is an infinite lifetime
+    t0 = time.monotonic()
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        try:
+            cfg = sim.SimulationConfig(alpha=alpha, t_max=t_max, snapshot_times=(0.0, t_max),
+                                       child_floor=child_floor, max_particles=max_particles,
+                                       master_seed=71, initial_size=initial_size)
+            reps = sim.natural_replicates(cfg, law, n)
+        except (FragkitError, ValueError):
+            reps = None
+    assert time.monotonic() - t0 < 30.0
+    if reps is not None:
+        assert len(reps) == n
+        for snaps in reps:
+            assert [s.t for s in snaps] == [0.0, t_max]
+            assert snaps[0].sizes.tolist() == [initial_size]
+            for s in snaps:
+                assert np.all(np.isfinite(s.sizes)) and np.all(s.sizes >= 0.0)
+                assert math.isfinite(s.frozen_beta_mass_bound) and s.frozen_beta_mass_bound >= 0
 
 
 # ---------------------------------------------------------------------------
