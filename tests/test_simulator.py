@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from fragkit import analytics as an, laws, rng, simulate as sim
@@ -456,6 +456,14 @@ EDGE_LAWS = [BINARY, STICK, STICK_C, FIL21,
     max_particles=st.sampled_from([8, 200_000]),
     n=st.integers(min_value=0, max_value=3),
 )
+@example(law=STICK, alpha=0.0, t_max=0.0, initial_size=1.0, child_floor=0.0,
+         max_particles=200_000, n=2)
+@example(law=BINARY, alpha=400.0, t_max=3.0, initial_size=1.0, child_floor=0.0,
+         max_particles=200_000, n=3)
+@example(law=FIL21, alpha=1.0, t_max=3.0, initial_size=1e-300, child_floor=1e-9,
+         max_particles=8, n=1)
+@example(law=EDGE_LAWS[4], alpha=0.0, t_max=3.0, initial_size=1.0, child_floor=1e-3,
+         max_particles=200_000, n=1)
 @settings(max_examples=150, deadline=None)
 def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_particles, n):
     # every input ends in finite rows or a FragkitError/ValueError, in bounded
