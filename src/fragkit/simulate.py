@@ -48,9 +48,9 @@ class SimulationConfig:
     simulating them (for alpha > 0 they split extremely rarely on desk-scale
     horizons); every snapshot carries the accumulated expected beta*-mass of
     frozen lineages so the bias stays auditable.  ``max_particles`` bounds
-    the live population of a ``run`` replicate and the nodes materialised in
-    one block of ``natural_replicates``: both raise TreeSizeExceeded beyond
-    it rather than return a truncated state.
+    one replicate: its live population in ``run``, the nodes materialised
+    for it in ``natural_replicates``; both raise TreeSizeExceeded beyond it
+    rather than return a truncated state.
     """
 
     alpha: float
@@ -191,9 +191,22 @@ def run_replicates(config, law, n_replicates, beta_star=None):
 # breadth-first natural-time engine
 # ---------------------------------------------------------------------------
 
-#: replicates per natural-time block; a block always runs in full, so the
-#: draws of replicate r depend on (seed, r) only, never on the replicate count
+#: width of the first natural-time block and of the widest: each block is
+#: as wide as all the blocks before it, between these two, so the layout of
+#: replicates into blocks, and with it every replicate's draws, never depends
+#: on the replicate count, while a run of n replicates simulates at most
+#: max(16, 2n) of them
+NATURAL_FIRST_BLOCK = 16
 NATURAL_BLOCK = 512
+
+
+def _natural_blocks(n_replicates):
+    """(first replicate, width) of each block that a run of n replicates touches."""
+    start = 0
+    while start < n_replicates:
+        width = min(max(start, NATURAL_FIRST_BLOCK), NATURAL_BLOCK)
+        yield start, width
+        start += width
 
 
 def _lifetimes(stream, sizes, alpha):
@@ -210,23 +223,24 @@ def _lifetimes(stream, sizes, alpha):
         return np.divide(life, rate, out=np.full(sizes.size, np.inf), where=rate > 0)
 
 
-def _natural_block(config, law, block, nb, beta_star):
-    """Snapshot columns of block ``block``, replicates block * nb to block * nb + nb - 1.
+def _natural_block(config, law, block, start, nb, beta_star):
+    """Snapshot columns of block ``block``, replicates start to start + nb - 1.
 
     Returns, per snapshot time, the alive sizes ordered by replicate and
     then decreasingly, the count per replicate and the frozen beta*-mass per
     replicate.  Generation g draws offspring and lifetimes from the stream
     keyed (seed, block, g); its nodes are materialised with birth and death
-    times, and only those that die by t_max are expanded.
+    times, and only those that die by the last snapshot are expanded.
     """
     floor, cap = config.child_floor, config.max_particles
     times = config.snapshot_times
+    horizon = times[-1]
     stream = rngmod.stream(config.master_seed, "natural", block, 0)
     sizes = np.full(nb, config.initial_size)
     rep = np.arange(nb)
     birth = np.zeros(nb)
     death = _lifetimes(stream, sizes, config.alpha)
-    seen = nb
+    seen = np.ones(nb, dtype=np.int64)
     alive = [([], []) for _ in times]
     frozen = np.zeros((len(times), nb))
     gen = 0
@@ -235,20 +249,21 @@ def _natural_block(config, law, block, nb, beta_star):
             on = np.flatnonzero((birth <= t) & (death > t))
             reps.append(rep.take(on))
             kept.append(sizes.take(on))
-        split = np.flatnonzero(death <= config.t_max)
+        split = np.flatnonzero(death <= horizon)
         if not split.size:
             break
         gen += 1
         stream = rngmod.stream(config.master_seed, "natural", block, gen)
         kids, owner, tail = law.offspring_batch(stream, sizes.take(split), floor, beta_star)
-        seen += kids.size
-        if seen > cap:
-            raise TreeSizeExceeded(f"more than {cap} particles materialised in natural-time "
-                                   f"block {block}")
         rep, death = rep.take(split), death.take(split)
         del split, sizes
         kid_rep, birth = rep.take(owner), death.take(owner)
         del owner
+        seen += np.bincount(kid_rep, minlength=nb)
+        worst = int(seen.argmax())
+        if seen[worst] > cap:
+            raise TreeSizeExceeded(f"more than {cap} particles materialised in replicate "
+                                   f"{start + worst} by generation {gen}")
         if floor > 0:
             # children below the floor and the sampler's tail freeze at their
             # beta*-mass, stamped with the parent's death time
@@ -283,25 +298,27 @@ def natural_replicates(config, law, n_replicates, beta_star=None):
 
     The population at time t is the set of tree nodes with birth <= t <
     death, plus the beta*-mass frozen at or before t; each generation of a
-    block of NATURAL_BLOCK replicates is one ``law.offspring_batch`` call.
-    Returns the snapshot lists ``run_replicates`` returns (the same law, not
-    the same draws).  Blocks always run in full and the surplus replicates
-    are dropped, so replicate r is a pure function of (config, law, r).
-    ``config.max_particles`` caps the nodes materialised in one block:
-    TreeSizeExceeded beyond it.
+    block of replicates is one ``law.offspring_batch`` call.  Returns the
+    snapshot lists ``run_replicates`` returns (the same law, not the same
+    draws).  Blocks are laid out by ``_natural_blocks`` and always run in
+    full, the surplus replicates dropped, so replicate r is a pure function
+    of (config, law, r).  Raises TreeSizeExceeded as soon as more than
+    ``config.max_particles`` nodes are materialised for one replicate of a
+    block that the run touches.
     """
     beta_star = _frozen_mass_exponent(law, beta_star, config.child_floor)
-    nb = NATURAL_BLOCK
+    if not config.snapshot_times:
+        return [[] for _ in range(n_replicates)]
     out = []
-    for block in range(-(-n_replicates // nb)):
-        cols = _natural_block(config, law, block, nb, beta_star)
-        keep = min(nb, n_replicates - block * nb)
+    for block, (start, nb) in enumerate(_natural_blocks(n_replicates)):
+        cols = _natural_block(config, law, block, start, nb, beta_star)
+        keep = min(nb, n_replicates - start)
         rows = [[] for _ in range(keep)]
         for t, (sizes, counts, frozen) in zip(config.snapshot_times, cols):
             ends = np.cumsum(counts[:keep]).tolist()
             for r, a, b, f in zip(range(keep), [0] + ends, ends, frozen[:keep].tolist()):
                 rows[r].append(PopulationSnapshot(t=t, sizes=sizes[a:b], frozen_beta_mass_bound=f,
-                                                  replicate_id=block * nb + r,
+                                                  replicate_id=start + r,
                                                   master_seed=config.master_seed))
         out.extend(rows)
     return out

@@ -184,6 +184,10 @@ def test_simulate_population_cap_exits_one(specs, monkeypatch, capsys):
 
     monkeypatch.setattr(simulate, "SimulationConfig",
                         functools.partial(simulate.SimulationConfig, max_particles=8))
+    # the cap counts one replicate's particles: a short run stays under it
+    assert cli.main(["simulate", "--law", specs["binary"], "--alpha", "1", "--tmax", "0.2",
+                     "--snapshots", "0.2", "--replicates", "2"]) == 0
+    capsys.readouterr()
     code = cli.main(["simulate", "--law", specs["binary"], "--alpha", "1", "--tmax", "30",
                      "--snapshots", "30", "--replicates", "2"])
     assert code == 1

@@ -433,10 +433,42 @@ def test_engine_keeps_heap_input_rules():
         sim.natural_replicates(_config(), chain, 2)
     reps = sim.natural_replicates(_config(snapshot_times=(2.0,), child_floor=0.0), chain, 5)
     assert [r[0].sizes.size for r in reps] == [1] * 5  # always exactly one particle
-    with pytest.raises(TreeSizeExceeded, match="more than 600 particles"):
-        sim.natural_replicates(_config(snapshot_times=(5.0,), max_particles=600), STICK, 2)
     with pytest.raises(DomainError, match="floor"):
         sim.natural_replicates(_config(child_floor=0.0), STICK, 2)
+
+
+def test_engine_population_cap_counts_per_replicate():
+    # the cap reacts to growth, not to the block: 200 nodes per replicate
+    # hold at t = 2, where a binary Yule tree at alpha 0 has about 2e^2 of
+    # them, and trip by t = 8 (about 2e^8), whatever the block width
+    short = _config(alpha=0.0, t_max=2.0, snapshot_times=(2.0,), max_particles=200)
+    assert len(sim.natural_replicates(short, BINARY, 1)) == 1
+    assert len(sim.natural_replicates(short, BINARY, 600)) == 600
+    long = _config(alpha=0.0, t_max=8.0, snapshot_times=(8.0,), max_particles=200)
+    with pytest.raises(TreeSizeExceeded, match="more than 200 particles materialised in "
+                                               "replicate"):
+        sim.natural_replicates(long, BINARY, 1)
+
+
+def test_natural_block_layout():
+    # each block is as wide as all before it, from 16 to 512 replicates
+    assert list(sim._natural_blocks(1)) == [(0, 16)]
+    assert list(sim._natural_blocks(17)) == [(0, 16), (16, 16)]
+    assert [w for _, w in sim._natural_blocks(1500)] == [16, 16, 32, 64, 128, 256, 512, 512]
+    for n in (1, 16, 17, 100, 512, 513, 5000):
+        touched = sum(w for _, w in sim._natural_blocks(n))
+        assert n <= touched <= max(16, 2 * n)
+    assert list(sim._natural_blocks(0)) == []
+
+
+def test_engine_stops_at_last_snapshot():
+    # t_max beyond the last snapshot expands nothing more: a cap that holds
+    # up to the snapshot holds for the run, and the rows are the same
+    law_cfg = dict(alpha=0.0, snapshot_times=(2.0,), max_particles=200)
+    near = sim.natural_replicates(_config(t_max=2.0, **law_cfg), BINARY, 5)
+    far = sim.natural_replicates(_config(t_max=50.0, **law_cfg), BINARY, 5)
+    assert [r[0].sizes.tolist() for r in near] == [r[0].sizes.tolist() for r in far]
+    assert sim.natural_replicates(_config(snapshot_times=()), BINARY, 3) == [[], [], []]
 
 
 #: laws of the engine's input-edge property: with and without beta*, one
