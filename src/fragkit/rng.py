@@ -5,13 +5,13 @@ Every stochastic object in the package draws from a Philox generator whose
 Streams are therefore pure functions of *what* is being simulated, never of
 event ordering or heap layout.
 
-A stream can be re-keyed in place: ``node_stream(..., reuse=g)`` resets the
-Philox of ``g`` to the new key with counter 0 and an empty buffer, so it
-yields exactly the draws of a freshly built stream.  This costs about 2 us
-on top of the key hash, against about 18 us for a new ``Philox`` (numpy
-seeds every new one from OS entropy before the key replaces it).  The
-caller must be done with the previous node's draws: every reference to
-``g`` continues with the new node's stream.
+A stream can be re-keyed in place: ``stream(..., reuse=g)`` and
+``node_stream(..., reuse=g)`` reset the Philox of ``g`` to the new key with
+counter 0 and an empty buffer, so it yields exactly the draws of a freshly
+built stream.  This costs about 2 us on top of the key hash, against about
+18 us for a new ``Philox`` (numpy seeds every new one from OS entropy
+before the key replaces it).  The caller must be done with the previous
+stream's draws: every reference to ``g`` continues with the new stream.
 """
 
 import functools
@@ -42,33 +42,40 @@ def _key(master_seed, purpose, coords):
     return np.frombuffer(_digest(master_seed, purpose, coords), dtype=np.uint64)
 
 
-def stream(master_seed, purpose, *coords):
-    """Generator keyed by (master_seed, purpose, coords).
-
-    ``purpose`` separates independent uses (e.g. "tree" vs "tagged") so that
-    the same coordinates never alias across subsystems.
-    """
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, purpose, coords)))
-
-
-def node_stream(master_seed, replicate, path, reuse=None):
-    """Stream owned by one genealogical node, keyed by its child-index path.
-
-    A node's randomness (offspring sequence, children lifetimes) is a pure
-    function of (master_seed, replicate, path); the root has path ().  With
-    ``reuse`` (a Philox-backed Generator) that Generator is re-keyed in place
-    and returned instead of a new one.
-    """
-    coords = (replicate, len(path)) + tuple(path)
+def _keyed(master_seed, purpose, coords, reuse):
+    # the one implementation behind ``stream`` and ``node_stream``; they stay
+    # separate names so that each keeps its own span in a tracer that wraps
+    # module attributes
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=_key(master_seed, "node", coords)))
+        return np.random.Generator(np.random.Philox(key=_key(master_seed, purpose, coords)))
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO4,
-                  "key": struct.unpack("<2Q", _digest(master_seed, "node", coords))},
+                  "key": struct.unpack("<2Q", _digest(master_seed, purpose, coords))},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     return reuse
+
+
+def stream(master_seed, purpose, *coords, reuse=None):
+    """Generator keyed by (master_seed, purpose, coords).
+
+    ``purpose`` separates independent uses (e.g. "tree" vs "tagged") so that
+    the same coordinates never alias across subsystems.  With ``reuse`` (a
+    Philox-backed Generator) that Generator is re-keyed in place and
+    returned instead of a new one.
+    """
+    return _keyed(master_seed, purpose, coords, reuse)
+
+
+def node_stream(master_seed, replicate, path, reuse=None):
+    """Stream owned by one genealogical node, keyed by its child-index path.
+
+    A node's randomness (offspring sequence, children lifetimes) is a pure
+    function of (master_seed, replicate, path); the root has path ().
+    ``reuse`` re-keys a Generator in place, as for ``stream``.
+    """
+    return _keyed(master_seed, "node", (replicate, len(path)) + tuple(path), reuse)

@@ -18,7 +18,9 @@ threshold are cut, and the *exact conditional expectation* of their missing
 descendant weight is carried along, so the corrected per-tree statistic has
 mean exactly 1 at every generation.  Each generation's children come from
 the law's own batch sampler, ``offspring_batch``; this module knows no law
-class.
+class.  Trees are laid out in blocks as natural-time replicates are, at
+most ``TREE_BATCH`` wide, each run in full on its own streams, so tree r
+never depends on how many trees run and memory scales with one block.
 
 Tagged fragment: the single-size chain whose shrink factors follow the
 size-biased tilt sigma_hat(dx) = x^beta* sigma(dx), plus the series
@@ -200,11 +202,15 @@ NATURAL_FIRST_BLOCK = 16
 NATURAL_BLOCK = 512
 
 
-def _natural_blocks(n_replicates):
-    """(first replicate, width) of each block that a run of n replicates touches."""
+def _natural_blocks(n_replicates, widest=None):
+    """(first replicate, width) of each block that a run of n replicates touches.
+
+    Blocks are at most ``widest`` wide, by default ``NATURAL_BLOCK``.
+    """
+    widest = NATURAL_BLOCK if widest is None else widest
     start = 0
     while start < n_replicates:
-        width = min(max(start, NATURAL_FIRST_BLOCK), NATURAL_BLOCK)
+        width = min(max(start, NATURAL_FIRST_BLOCK), widest)
         yield start, width
         start += width
 
@@ -229,7 +235,8 @@ def _natural_block(config, law, block, start, nb, beta_star):
     Returns, per snapshot time, the alive sizes ordered by replicate and
     then decreasingly, the count per replicate and the frozen beta*-mass per
     replicate.  Generation g draws offspring and lifetimes from the stream
-    keyed (seed, block, g); its nodes are materialised with birth and death
+    keyed (seed, "natural", block, g), one Generator re-keyed per
+    generation; its nodes are materialised with birth and death
     times, and only those that die by the last snapshot are expanded.
     """
     floor, cap = config.child_floor, config.max_particles
@@ -253,7 +260,7 @@ def _natural_block(config, law, block, start, nb, beta_star):
         if not split.size:
             break
         gen += 1
-        stream = rngmod.stream(config.master_seed, "natural", block, gen)
+        stream = rngmod.stream(config.master_seed, "natural", block, gen, reuse=stream)
         kids, owner, tail = law.offspring_batch(stream, sizes.take(split), floor, beta_star)
         rep, death = rep.take(split), death.take(split)
         del split, sizes
@@ -353,27 +360,30 @@ class GenerationMartingaleResult:
 
 
 class _GenerationEngine:
-    """Vectorised breadth-first tree evolution across an ensemble of trees.
+    """Vectorised breadth-first tree evolution across one block of trees.
 
-    ``step`` draws a generation with one ``law.offspring_batch`` call at the
+    ``step`` draws generation n with one ``law.offspring_batch`` call at the
     floor eps_prune^(1/beta*), the size whose beta*-weight is the threshold,
-    and returns that generation's corrected column m_tilde.  Per-tree sums
-    use ``np.bincount``, which adds in element order as ``np.add.at`` does,
-    so the columns carry the same bits; live and pruned children are split
-    by position (``flatnonzero`` + ``take``) rather than by boolean masks.
+    on the stream keyed (seed, "genealogy", block, n), one Generator
+    re-keyed per generation, and returns that generation's corrected column
+    m_tilde.  Per-tree sums use ``np.bincount``, which adds in element order
+    as ``np.add.at`` does, so the columns carry the same bits; live and
+    pruned children are split by position (``flatnonzero`` + ``take``)
+    rather than by boolean masks.
     Tail corrections enter at their own generation, prune corrections one
     generation later (the pruned node itself was materialised); both are
     kept as running sums, added in generation order.
     """
 
     def __init__(self, law, beta_star, n_trees, eps_prune, master_seed, node_cap=60_000_000,
-                 batch_index=0):
+                 block=0):
         self.law = law
         self.bs = beta_star
         self.n_trees = n_trees
         self.eps = eps_prune
         self.seed = master_seed
-        self.batch = batch_index
+        self.block = block
+        self.stream = None
         self.cap = node_cap
         self.sizes = np.ones(n_trees)
         self.tree = np.arange(n_trees)
@@ -389,9 +399,9 @@ class _GenerationEngine:
     def step(self):
         n = self.gen + 1
         nt = self.n_trees
-        stream = rngmod.stream(self.seed, "genealogy", self.batch, n)
+        self.stream = rngmod.stream(self.seed, "genealogy", self.block, n, reuse=self.stream)
         kids, owner, tail_mean = self.law.offspring_batch(
-            stream, self.sizes, self.eps ** (1 / self.bs), self.bs)
+            self.stream, self.sizes, self.eps ** (1 / self.bs), self.bs)
         self.nodes_seen += kids.size
         if self.nodes_seen > self.cap:
             raise TreeSizeExceeded(f"more than {self.cap} nodes materialised")
@@ -425,17 +435,23 @@ class _GenerationEngine:
         return GenerationMartingaleResult(m_hat=m_hat, correction=corr)
 
 
-#: trees per generation-engine batch; each batch draws from its own stream
-TREE_BATCH = 1000
+#: widest block of the generation engine.  Trees are laid out in blocks
+#: as natural-time replicates are (``_natural_blocks``): 16 trees first,
+#: each block as wide as all before it, up to this width, each run in full
+#: on its own streams, so a tree's values never depend on the tree count
+#: and n trees cost at most max(16, 2n).  Peak memory scales with this
+#: width.  Narrower blocks are cheaper per child (cache-resident arrays)
+#: but pay a fixed cost per block and generation, which shallow M_inf runs
+#: feel most; 128 measured lowest in memory and no slower end to end than
+#: 256 or 512.
+TREE_BATCH = 128
 
 
-def _grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth):
-    """The engine of the batch of trees from ``start`` on, grown ``depth`` generations."""
-    eng = _GenerationEngine(law, beta_star, min(TREE_BATCH, n_trees - start), eps_prune,
-                            master_seed, batch_index=start // TREE_BATCH)
-    for _ in range(depth):
-        eng.step()
-    return eng
+def _tree_blocks(law, beta_star, n_trees, eps_prune, master_seed):
+    """(engine, trees kept) per block of trees 0 to n_trees - 1, engines not yet grown."""
+    for block, (start, width) in enumerate(_natural_blocks(n_trees, TREE_BATCH)):
+        yield (_GenerationEngine(law, beta_star, width, eps_prune, master_seed, block=block),
+               min(width, n_trees - start))
 
 
 def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, master_seed=0):
@@ -443,13 +459,18 @@ def generation_martingale(law, beta_star, depth, eps_prune=1e-4, n_trees=1, mast
 
     Returns a GenerationMartingaleResult: raw per-generation weights of the
     materialised tree plus the exact expected weight of pruned lineages (the
-    corrected sum is unbiased for E M_n = 1).  Trees run in memory-bounded
-    batches of TREE_BATCH.
+    corrected sum is unbiased for E M_n = 1).  Trees grow one block at a
+    time, blocks of at most TREE_BATCH trees laid out independently of
+    n_trees, so row r does not depend on how many trees run.
     """
-    results = [_grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth).result()
-               for start in range(0, n_trees, TREE_BATCH)]
-    return GenerationMartingaleResult(m_hat=np.vstack([r.m_hat for r in results]),
-                                      correction=np.vstack([r.correction for r in results]))
+    m_hat, correction = [], []
+    for eng, keep in _tree_blocks(law, beta_star, n_trees, eps_prune, master_seed):
+        for _ in range(depth):
+            eng.step()
+        res = eng.result()
+        m_hat.append(res.m_hat[:keep])
+        correction.append(res.correction[:keep])
+    return GenerationMartingaleResult(m_hat=np.vstack(m_hat), correction=np.vstack(correction))
 
 
 @dataclass
@@ -462,39 +483,67 @@ class MInftyEstimate:
     converged: bool
 
 
+#: trees the M_inf pilot judges convergence on (all of them when fewer run)
+PILOT_TREES = 1000
+
+
+def _tail_negligible(col, n, q, n_trees):
+    """Whether the L2 tail left after generation n is below 0.3 target SE.
+
+    ``col`` holds the pilot's corrected M_n; the tail is q^n Var(M_inf), and
+    the target is the SE of the second moment over ``n_trees`` trees.
+    """
+    v_n = col.var(ddof=1)
+    var_inf = v_n / max(1.0 - q**n, 1e-12)
+    tail = q**n * var_inf
+    se_m2_target = np.std(col**2, ddof=1) / math.sqrt(n_trees)
+    return bool(tail < 0.3 * max(se_m2_target, 1e-12))
+
+
+def _m_infinity_sample(law, beta_star, n_trees, max_depth, eps_prune, master_seed):
+    """(corrected M_depth of trees 0 to n_trees - 1, depth, converged).
+
+    The blocks covering the pilot's min(PILOT_TREES, n_trees) trees step in
+    lockstep, one generation at a time, until the tail is negligible or
+    max_depth is reached; their surplus trees join the sample when n_trees
+    covers them.  The remaining blocks then grow one at a time to that depth.
+    """
+    pilot_n = min(PILOT_TREES, n_trees)
+    q = float(law.phi(2.0 * beta_star))
+    blocks = _tree_blocks(law, beta_star, n_trees, eps_prune, master_seed)
+    pilot = [next(blocks) for _ in _natural_blocks(pilot_n, TREE_BATCH)]
+    converged = False
+    depth = 0
+    while depth < max_depth and not converged:
+        depth += 1
+        col = np.concatenate([eng.step() for eng, _ in pilot])[:pilot_n]
+        converged = depth >= 4 and depth % 2 == 0 and _tail_negligible(col, depth, q, n_trees)
+    m = [eng.m_tilde_cols[depth][:keep] for eng, keep in pilot]
+    del pilot
+    for eng, keep in blocks:
+        for _ in range(depth):
+            eng.step()
+        m.append(eng.m_tilde_cols[depth][:keep])
+    return np.concatenate(m), depth, converged
+
+
 def estimate_m_infinity_moments(
     law, beta_star, n_trees=10000, max_depth=24, eps_prune=1e-3, master_seed=0,
 ):
     """Monte Carlo moments of the terminal martingale value.
 
-    A pilot batch advances generations until the variance of the corrected
-    statistic has plateaued, judged by the exact L2 rate: conditioning on
-    generation n leaves E M_inf^2 - E M_n^2 = q^n Var(M_inf) with
-    q = phi(2 beta*) (independent subtrees), so the run stops once that
-    analytic tail drops below a fraction of the target standard error (a
-    paired-noise test would stall on heavy-tailed variance estimates).  The
-    remaining trees run to the selected depth in memory-bounded batches.
-    Reports mean (should be 1) and second moment with SEs over all trees.
+    A pilot of min(PILOT_TREES, n_trees) trees advances generations until
+    the variance of the corrected statistic has plateaued, judged by the
+    exact L2 rate: conditioning on generation n leaves E M_inf^2 - E M_n^2 =
+    q^n Var(M_inf) with q = phi(2 beta*) (independent subtrees), so the run
+    stops once that analytic tail drops below a fraction of the target
+    standard error (a paired-noise test would stall on heavy-tailed variance
+    estimates).  The remaining trees run to the selected depth in the
+    generation engine's blocks.  Reports mean (should be 1) and second
+    moment with SEs over all trees.
     """
-    pilot_n = min(TREE_BATCH, n_trees)
-    q = float(law.phi(2.0 * beta_star))
-    eng = _GenerationEngine(law, beta_star, pilot_n, eps_prune, master_seed, batch_index=0)
-    cols = eng.m_tilde_cols
-    converged = False
-    for n in range(1, max_depth + 1):
-        eng.step()
-        if n >= 4 and n % 2 == 0:
-            v_n = cols[n].var(ddof=1)
-            var_inf = v_n / max(1.0 - q**n, 1e-12)
-            tail = q**n * var_inf
-            se_m2_target = np.std(cols[n] ** 2, ddof=1) / math.sqrt(n_trees)
-            if tail < 0.3 * max(se_m2_target, 1e-12):
-                converged = True
-                break
-    depth = len(cols) - 1
-    m = np.concatenate([cols[-1]] + [
-        _grown_batch(law, beta_star, n_trees, start, eps_prune, master_seed, depth)
-        .m_tilde_cols[depth] for start in range(pilot_n, n_trees, TREE_BATCH)])
+    m, depth, converged = _m_infinity_sample(law, beta_star, n_trees, max_depth, eps_prune,
+                                             master_seed)
     return MInftyEstimate(
         mean=float(m.mean()),
         mean_se=float(m.std(ddof=1) / math.sqrt(m.size)),

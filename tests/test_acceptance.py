@@ -360,3 +360,22 @@ def test_criterion_13_rows_independent_of_replicate_count(tmp_path, monkeypatch,
         assert len(rows[n]) == n
     assert rows[10] == rows[block + 1][:10] == rows[10_000][:10]
     assert rows[block + 1] == rows[10_000][:block + 1]
+
+
+@pytest.mark.parametrize("widest", [sim.TREE_BATCH, 64])
+def test_generation_trees_independent_of_tree_count(monkeypatch, widest):
+    # the generation engine's tree r must not depend on how many trees run,
+    # at two widest block widths: its m_hat and correction rows, and its
+    # corrected M_inf value (max_depth 3 ends the pilot before its first
+    # convergence decision, so every count grows to the same depth)
+    monkeypatch.setattr(sim, "TREE_BATCH", widest)
+    bs = an.beta_star_of(STICK)
+    counts = (10, widest + 1, 3000)
+    gen = {n: sim.generation_martingale(STICK, bs, depth=5, eps_prune=1e-3, n_trees=n,
+                                        master_seed=3) for n in counts}
+    minf = {n: sim._m_infinity_sample(STICK, bs, n, 3, 1e-3, 4)[0] for n in counts}
+    for rows in ({n: g.m_hat for n, g in gen.items()},
+                 {n: g.correction for n, g in gen.items()}, minf):
+        assert len(rows[3000]) == 3000
+        assert rows[10].tobytes() == rows[widest + 1][:10].tobytes() == rows[3000][:10].tobytes()
+        assert rows[widest + 1].tobytes() == rows[3000][:widest + 1].tobytes()

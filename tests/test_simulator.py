@@ -142,17 +142,30 @@ def _next_draws(g):
             g.integers(0, 1000, size=3, dtype=np.uint32).tolist())
 
 
+def _used_streams():
+    """Generators left mid-buffer and with a half word held."""
+    mid_buffer = rng.node_stream(9, 4, (1, 2))
+    mid_buffer.random()
+    half_word = stream(9, "natural", 3, 1)
+    half_word.integers(0, 10, dtype=np.uint32)
+    return mid_buffer, half_word
+
+
 @pytest.mark.parametrize("depth", [0, 20])
 def test_node_stream_reuse_matches_fresh(depth):
     path = tuple(range(depth))
-    mid_buffer = rng.node_stream(9, 4, (1, 2))
-    mid_buffer.random()
-    half_word = rng.node_stream(9, 4, (3,))
-    half_word.integers(0, 10, dtype=np.uint32)
-    for g in (mid_buffer, half_word):
+    for g in _used_streams():
         reused = rng.node_stream(2, 5, path, reuse=g)
         assert reused is g
         assert _next_draws(reused) == _next_draws(rng.node_stream(2, 5, path))
+
+
+@pytest.mark.parametrize("coords", [(), (7, 12)])
+def test_stream_reuse_matches_fresh(coords):
+    for g in _used_streams():
+        reused = stream(2, "genealogy", *coords, reuse=g)
+        assert reused is g
+        assert _next_draws(reused) == _next_draws(stream(2, "genealogy", *coords))
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +337,16 @@ def _sha(a):
 GENERATION_KNOWN_ANSWERS = {
     "StickBreakingLossy": (
         STICK,
-        "86f2be7cb7ddab861d58b44b85abb3503e0c22f05bedcb35fd35661f6d60bd8a",
-        "86a87fe7412150dd79c12854823f59db348920ed41667a0e2898de30b90f87cb"),
+        "3f12daf531d3f6145f123f43a521a3e3d24b30274320c50137221890df671d4e",
+        "794a4ea18851e76a7c172a76440d611bc744cf2dbb35b7cd34c5fb1c5050affa"),
     "StickBreakingConservative": (
         STICK_C,
-        "73a32aa6f76277f427b269c5a5f90035a7be9ea1e1796cb8ba90659ac0745ae8",
-        "07f17c673b642337c56c1bb25d27b59f372cb644edc8f58809e438af0a9b3aca"),
+        "934f6e32f1e0db0b026f1b413961bee232eed58afb662a337953ca7ec18af1a1",
+        "4717a8dce1a949a96217c34c2b94f74ae52df9d49888e3d7fdce87f1935e0d25"),
     "UserAtomic": (
         COUNTED_LAWS["UserAtomic"],
-        "6271554a617bab399cb15e446fe09f8ff223f682defe5d5529e9b2279b7cd44a",
-        "999dc956db643292159bfa8f88d9f6333ea5f264cbd12e76c807f5f453b325ad"),
+        "b17d3b480f36c19d76d6edf18f2e4283b911ea0397ec653b365133d5be94c68e",
+        "bf92e73067b37c9f23401325990bafe864167dd7972af6858e69c564c81d0773"),
 }
 
 
@@ -348,13 +361,45 @@ def test_generation_martingale_known_answers(law, m_hat_sha, correction_sha):
 
 
 def test_m_infinity_known_answer():
-    # pilot batch plus a full and a partial batch, pinned bit for bit
+    # lockstep pilot blocks, then the remaining blocks, the last one cut,
+    # pinned bit for bit
     est = sim.estimate_m_infinity_moments(STICK, laws._beta_star_newton(STICK), n_trees=2500,
                                           max_depth=10, eps_prune=1e-3, master_seed=5)
     assert repr(est) == (
-        "MInftyEstimate(mean=1.0228332180175854, mean_se=0.011156318253245492, "
-        "second_moment=1.357221920862488, second_moment_se=0.027002926387908785, "
+        "MInftyEstimate(mean=1.014779410717899, mean_se=0.011107386608517062, "
+        "second_moment=1.3380889715573554, second_moment_se=0.027234262504684602, "
         "n_generations=4, converged=True)")
+
+
+def test_generation_engines_hold_one_block(monkeypatch):
+    # memory scales with the widest block: no engine holds more than
+    # TREE_BATCH trees, while the M_inf pilot still judges convergence on
+    # min(PILOT_TREES, n_trees) of them
+    widths, judged = [], []
+
+    class Recording(sim._GenerationEngine):
+        def __init__(self, law, beta_star, n_trees, *args, **kwargs):
+            widths.append(n_trees)
+            super().__init__(law, beta_star, n_trees, *args, **kwargs)
+
+    judge = sim._tail_negligible
+
+    def recording_judge(col, *args):
+        judged.append(col.size)
+        return judge(col, *args)
+
+    monkeypatch.setattr(sim, "_GenerationEngine", Recording)
+    monkeypatch.setattr(sim, "_tail_negligible", recording_judge)
+    bs = an.beta_star_of(STICK)
+    res = sim.generation_martingale(STICK, bs, depth=3, eps_prune=1e-3, n_trees=1500)
+    assert res.m_hat.shape == (1500, 4)
+    assert max(widths) == sim.TREE_BATCH < 1500 <= sum(widths) <= 2 * 1500
+    for n_trees in (3000, 300):
+        widths.clear()
+        judged.clear()
+        sim.estimate_m_infinity_moments(STICK, bs, n_trees=n_trees, max_depth=6, master_seed=3)
+        assert max(widths) == sim.TREE_BATCH
+        assert judged and set(judged) == {min(sim.PILOT_TREES, n_trees)}
 
 
 def test_m_infinity_nonconvergence_flag():
