@@ -22,20 +22,20 @@ roster = [
     laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0))),
 ]
 for law in roster:
-    bs = laws.malthusian_exponent(law, tol=1e-12)
+    bs = laws.malthusian_exponent(law)
     print(f"{law.kind:<28} beta_a={law.beta_a:>6.2f}  beta*={bs:.10f}  "
           f"phi(beta*+1)={law.phi(bs + 1):.6f}  conservative={law.conservative}")
 
 print("\nStick-breaking with the first uniform portion lost has "
       "phi(beta) = 1/(beta(beta+1)),")
 print("so beta* solves beta^2 + beta = 1: the inverse golden ratio",
-      f"{laws.malthusian_exponent(laws.StickBreakingLossy(), tol=1e-14):.12f}")
+      f"{laws.malthusian_exponent(laws.StickBreakingLossy()):.12f}")
 
 print("\n== a structural measure with no Malthusian exponent ==")
 # density ~ x^(-3/2) |log x|^(-2) on ]0,1/2[: phi is finite only for
 # beta >= 1/2 and tops out below 1, so the root equation has no solution
 try:
-    laws.malthusian_exponent(laws.no_malthusian_example(), tol=1e-10)
+    laws.malthusian_exponent(laws.no_malthusian_example())
 except NoMalthusianExponent as exc:
     print("detected:", exc)
 

@@ -206,7 +206,7 @@ def probe(out_path):
         gen = simulate.generation_martingale(law, lam - theta, depth=8, eps_prune=1e-4,
                                              n_trees=300, master_seed=3)
         rec[f"m_tilde {tag}"] = gen.m_tilde
-        bs = laws.malthusian_exponent(law, tol=1e-12)
+        bs = laws.malthusian_exponent(law)
         tilt = law.tagged(bs)
         rec[f"eta {tag}"] = tilt.sample_eta(stream(4, "compare-eta"), 100000)
         rec[f"eta_first {tag}"] = tilt.sample_eta_first(stream(5, "compare-eta0"), 100000)

@@ -54,10 +54,8 @@ from .errors import (
 from .laws import FilippovPower, malthusian_exponent
 
 
-@functools.lru_cache(maxsize=256)
-def beta_star_of(law, tol=1e-14):
-    """Cached Malthusian exponent at analytics-grade tolerance."""
-    return malthusian_exponent(law, tol=tol)
+#: the Malthusian exponent under its older analytics name
+beta_star_of = malthusian_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +605,11 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     laws (complex roots of phi = 1 on the critical line would contribute
     oscillatory terms) and beta = beta* (pole of the gamma factor).
     """
+    if not alpha > 0:
+        raise DomainError(f"the large-t asymptotics need alpha > 0, got {alpha}")
     if law.arithmetic:
         raise ArithmeticLaw(f"{law.kind}: coefficient formula needs a nonarithmetic law")
-    bs = beta_star_of(law)
+    bs = malthusian_exponent(law)
     z0 = (complex(beta) - bs) / alpha
     if z0.imag == 0 and abs(z0.real - round(z0.real)) < 1e-9 and round(z0.real) <= 0:
         n = -int(round(z0.real))
@@ -638,14 +638,16 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     return _tidy_complex(val)
 
 
-def rho_moment(law, k, alpha, beta_star=None):
+def rho_moment(law, k, alpha):
     """k-th power moment of the limit measure: int x^(alpha k) rho(dx).
 
     Equals (k-1)!/(alpha psi'(beta*)) * prod_{j=1}^{k-1} 1/psi(beta* + alpha j).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    bs = beta_star_of(law) if beta_star is None else beta_star
+    if not alpha > 0:
+        raise DomainError(f"the limit measure rho needs alpha > 0, got {alpha}")
+    bs = malthusian_exponent(law)
     dpsi = law.psi_prime(bs)
     if not (math.isfinite(dpsi) and dpsi > 0):
         raise DomainError(f"psi'(beta*) = {dpsi}: moments need a finite positive slope")
@@ -673,8 +675,8 @@ class RhoMoments:
 
 
 def rho_moments(law, k_max, alpha):
-    bs = beta_star_of(law)
-    return RhoMoments(alpha, bs, [rho_moment(law, k, alpha, bs) for k in range(1, k_max + 1)])
+    bs = malthusian_exponent(law)
+    return RhoMoments(alpha, bs, [rho_moment(law, k, alpha) for k in range(1, k_max + 1)])
 
 
 # ---------------------------------------------------------------------------

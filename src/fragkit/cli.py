@@ -5,8 +5,10 @@ reports (every JSON report embeds the build version).  All randomness is
 controlled by --seed (replicate r's draws depend on the seed and r only,
 results emitted in replicate order).  ``--threads`` is accepted and ignored:
 replicates run serially, in the vectorised blocks of the natural-time
-engine.  Exit codes: 0 success, 1 usage/configuration error, 2
-validation-suite failure (some 3-standard-error check failed).
+engine.  Every command uses the one correctly rounded beta*.  Counts must
+be >= 1, and commands that print standard errors need 2 replicates.  Exit
+codes: 0 success, 1 usage/configuration error, 2 validation-suite failure
+(some 3-standard-error check failed).
 """
 
 import argparse
@@ -34,6 +36,18 @@ def _seed(text):
     if not (text.isdecimal() and int(text) < 2**63):
         raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^63), got {text!r}")
     return int(text)
+
+
+def _count(text):
+    """argparse type: a number of replicates, paths, samples, moments or bins."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _need_two_replicates(args):
+    if args.replicates < 2:  # checked when the command runs, not by the parser
+        raise ValueError(f"--replicates must be >= 2 for a standard error, got {args.replicates}")
 
 
 def _parse_complex(s):
@@ -79,7 +93,7 @@ def _cmd_law(args):
         "has_sampler": bool(law.has_sampler),
     }
     try:
-        bs = laws.malthusian_exponent(law, tol=args.tol)
+        bs = laws.malthusian_exponent(law)
         doc["beta_star"] = bs
         doc["phi_probes"] = {
             _fmt(bs + d): _num_or_parts(law.phi(bs + d)) for d in _PROBE_OFFSETS
@@ -93,7 +107,7 @@ def _cmd_law(args):
 
 def _cmd_malthus(args):
     law = _load_law(args.law)
-    print(_fmt(laws.malthusian_exponent(law, tol=args.tol)))
+    print(_fmt(laws.malthusian_exponent(law)))
     return 0
 
 
@@ -129,7 +143,7 @@ def _cmd_gamma(args):
 def _cmd_asym_coeff(args):
     law = _load_law(args.law)
     c = analytics.asymptotic_coefficient(law, _parse_complex(args.beta), args.alpha)
-    bs = analytics.beta_star_of(law)
+    bs = laws.malthusian_exponent(law)
     _emit_json(
         {
             "value": _num_or_parts(c),
@@ -142,9 +156,10 @@ def _cmd_asym_coeff(args):
 
 def _cmd_rho_moments(args):
     law = _load_law(args.law)
+    moments = analytics.rho_moments(law, args.kmax, args.alpha).moments
     print("k,moment")
-    for k in range(1, args.kmax + 1):
-        print(f"{k},{_fmt(analytics.rho_moment(law, k, args.alpha))}")
+    for k, m in enumerate(moments, 1):
+        print(f"{k},{_fmt(m)}")
     return 0
 
 
@@ -161,7 +176,7 @@ def _cmd_simulate(args):
         child_floor=args.floor,
         master_seed=args.seed,
     )
-    bs = laws.malthusian_exponent(law, tol=1e-12)
+    bs = laws.malthusian_exponent(law)
     reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
     dump_lines = ["replicate,t,size"] if args.dump else None
     print("replicate,t,n_particles,M_beta_star,frozen_bound")
@@ -201,8 +216,9 @@ def _cmd_sample_y(args):
 
 
 def _cmd_rho_empirical(args):
+    _need_two_replicates(args)
     law = _load_law(args.law)
-    bs = laws.malthusian_exponent(law, tol=1e-12)
+    bs = laws.malthusian_exponent(law)
     cfg = simulate.SimulationConfig(
         alpha=args.alpha, t_max=args.t, snapshot_times=(args.t,),
         master_seed=args.seed, child_floor=args.floor,
@@ -223,7 +239,7 @@ def _cmd_rho_empirical(args):
 
 def _validate_suite(law, args):
     alpha = args.alpha
-    bs = analytics.beta_star_of(law)
+    bs = laws.malthusian_exponent(law)
     report = estimators.ValidationReport()
     run_all = args.suite == "all"
 
@@ -292,6 +308,7 @@ def _validate_suite(law, args):
 
 
 def _cmd_validate(args):
+    _need_two_replicates(args)
     law = _load_law(args.law)
     report = _validate_suite(law, args)
     print(report.table())
@@ -344,15 +361,13 @@ def _build_parser():
     p.add_argument("--version", action="version", version=f"fragkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("law", help="inspect a JSON law spec")
+    q = sub.add_parser("law", help="inspect a JSON law spec (flags, beta*, phi probes)")
     q.add_argument("action", choices=["inspect"])
     q.add_argument("spec")
-    q.add_argument("--tol", type=float, default=1e-12)
     q.set_defaults(func=_cmd_law)
 
-    q = sub.add_parser("malthus", help="print the Malthusian exponent")
+    q = sub.add_parser("malthus", help="print the correctly rounded Malthusian exponent beta*")
     q.add_argument("--law", required=True)
-    q.add_argument("--tol", type=float, default=1e-12)
     q.set_defaults(func=_cmd_malthus)
 
     q = sub.add_parser("mseries", help="mean power sum m(t, beta) via the series")
@@ -380,7 +395,7 @@ def _build_parser():
     q = sub.add_parser("rho-moments", help="CSV of limit-measure power moments")
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--kmax", type=int, required=True)
+    q.add_argument("--kmax", type=_count, required=True)
     q.set_defaults(func=_cmd_rho_moments)
 
     q = sub.add_parser("simulate", help="natural-time simulation to CSV")
@@ -388,7 +403,7 @@ def _build_parser():
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--snapshots", required=True, help="comma-separated times")
-    q.add_argument("--replicates", type=int, default=100)
+    q.add_argument("--replicates", type=_count, default=100)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -399,14 +414,14 @@ def _build_parser():
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--tmax", type=float, required=True)
-    q.add_argument("--paths", type=int, default=1000)
+    q.add_argument("--paths", type=_count, default=1000)
     q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=_cmd_tagged)
 
     q = sub.add_parser("sample-y", help="samples of the limit variable Y")
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--n", type=int, default=1000)
+    q.add_argument("--n", type=_count, default=1000)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--eps-tail", type=float, default=1e-12)
     q.set_defaults(func=_cmd_sample_y)
@@ -415,11 +430,11 @@ def _build_parser():
     q.add_argument("--law", required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--t", type=float, required=True)
-    q.add_argument("--replicates", type=int, default=1000)
+    q.add_argument("--replicates", type=_count, default=1000)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    q.add_argument("--bins", type=int, default=40)
+    q.add_argument("--bins", type=_count, default=40)
     q.add_argument("--hist", required=True, help="output CSV (bin_left,bin_right,mass)")
     q.set_defaults(func=_cmd_rho_empirical)
 
@@ -428,7 +443,7 @@ def _build_parser():
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--suite", choices=["moments", "martingale", "l2", "cdf", "all"],
                    default="all")
-    q.add_argument("--replicates", type=int, default=2000)
+    q.add_argument("--replicates", type=_count, default=2000)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--t", type=float, default=20.0)

@@ -8,7 +8,8 @@ intensity of the child-size point process, and the characteristic function
 
 is its Mellin transform, finite on the half-plane Re beta > beta_a.  The
 Malthusian exponent beta_star is the unique real root of phi = 1; it exists
-iff phi(beta_a+) >= 1 and drives every asymptotic in the package.
+iff phi(beta_a+) >= 1 and drives every asymptotic in the package;
+``malthusian_exponent`` solves it once per law, correctly rounded.
 
 Every law with a sampler declares sigma once, as power terms and atoms,
 
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .errors import (
     DomainError,
@@ -237,6 +238,63 @@ class ReproductionLaw:
 
     # -- Mellin data --------------------------------------------------------
 
+    @cached_property
+    def _beta_star(self):
+        """beta* for ``malthusian_exponent``, memoised; samplers read it per split.
+
+        phi decreases strictly on the real axis towards sigma{1} < 1: doubling
+        steps bracket the root, bisection narrows it to adjacent doubles, and two
+        113-bit Newton steps (float psi' as slope) finish it where phi_mp exists.
+        """
+        f = lambda b: self.phi(b) - 1.0
+
+        if math.isfinite(self.beta_a):
+            left = None
+            eps = max(1e-4 * max(1.0, abs(self.beta_a)), 1e-4)
+            probe = None
+            for _ in range(8):
+                probe = self.beta_a + eps
+                val = f(probe)
+                if val > 0:
+                    left = probe
+                    break
+                eps /= 16.0
+            if left is None:
+                raise NoMalthusianExponent(
+                    f"phi({probe:.6g}) = {1.0 + val:.6g} < 1: no root right of the "
+                    f"abscissa {self.beta_a:g}",
+                    phi_at_abscissa=1.0 + val,
+                )
+            if self.beta_a < 0 and f(0.0) > 0:
+                left = 0.0
+        else:
+            left = 0.0
+            if f(left) <= 0:  # phi(0) <= 1 violates E #children > 1
+                raise NoMalthusianExponent(
+                    f"phi(0) = {self.phi(0.0):.6g} <= 1", phi_at_abscissa=self.phi(0.0)
+                )
+
+        width = 1.0
+        for _ in range(200):
+            if f(left + width) < 0:
+                break
+            left, width = left + width, 2.0 * width
+        else:
+            raise NoMalthusianExponent("phi stayed above 1 during bracket expansion")
+        right = left + width
+
+        while (mid := 0.5 * (left + right)) not in (left, right):  # f(left) >= 0 > f(right)
+            left, right = (mid, right) if f(mid) >= 0 else (left, mid)
+        with mp.workprec(113):
+            try:
+                resid = self.phi_mp(left) - 1
+            except NoClosedForm:  # density-only laws have no phi_mp
+                return left
+            slope = self.psi_prime(left)
+            root = mp.mpf(left) + resid / slope
+            root += (self.phi_mp(root) - 1) / slope
+            return float(root)
+
     def _check_domain(self, beta):
         if np.real(beta) <= self.beta_a:
             raise DomainError(
@@ -302,7 +360,7 @@ class ReproductionLaw:
         falls below the floor.
         """
         try:
-            bs = _beta_star_newton(self)
+            bs = self._beta_star
         except NoMalthusianExponent:
             bs = None  # enough while no child falls below the floor
         kids, _, tail = self.offspring_batch(rng, np.ones(1), floor, bs)
@@ -310,7 +368,7 @@ class ReproductionLaw:
         bound = float(tail[0])
         if kids.size and kids[-1] < floor:
             keep = kids >= floor
-            bound += float(np.sum(kids[~keep] ** _beta_star_newton(self)))
+            bound += float(np.sum(kids[~keep] ** self._beta_star))
             kids = kids[keep]
         return OffspringSample(kids, truncated_beta_mass_bound=bound)
 
@@ -330,13 +388,10 @@ class ReproductionLaw:
         terms = self.power_terms
         if not terms or self.atoms or any(l < 0 for l, _ in terms):
             raise UnsupportedTilt(f"{self.kind}: no exact tilt sampler")
-        # one Newton step: sigma_hat is a probability only at the root itself,
-        # and a root finder's beta* carries its tolerance
-        root = beta_star - (self._phi(beta_star) - 1.0) / self._phi_prime(beta_star)
         lam = np.array([l for l, _ in terms])
-        expo = root + np.array([t for _, t in terms])
+        expo = beta_star + np.array([t for _, t in terms])
         w = lam / expo
-        w = w / w.sum()  # sums to phi(beta*) = 1 up to root tolerance
+        w = w / w.sum()  # sums to phi(beta*) = 1 up to rounding
         w0 = lam / expo**2
         w0 = w0 / w0.sum()
 
@@ -455,7 +510,7 @@ class _StickBreakingBase(ReproductionLaw):
             u = rng.random()
             kids.append((1.0 - u) * residual)
             residual *= u
-        bs = self._beta_star_exact()
+        bs = self._beta_star
         # unmaterialised tail: conservative re-breaking of the residual stick,
         # E[sum tail xi^bs | residual] = residual^bs * (1/bs); materialised
         # children below the floor are dropped at their exact bs-mass
@@ -496,9 +551,6 @@ class _StickBreakingBase(ReproductionLaw):
         owner = np.concatenate(owner_parts) if owner_parts else np.empty(0, dtype=int)
         return kids, owner, tail
 
-    def _beta_star_exact(self):
-        raise NotImplementedError
-
 
 class StickBreakingLossy(_StickBreakingBase):
     """Rank the sizes (1-U_j) prod_{k<j} U_k, j >= 1: the first uniform
@@ -518,9 +570,6 @@ class StickBreakingLossy(_StickBreakingBase):
 
     def _phi_prime(self, beta):
         return -(2.0 * beta + 1.0) / (beta * (beta + 1.0)) ** 2
-
-    def _beta_star_exact(self):
-        return (math.sqrt(5.0) - 1.0) / 2.0
 
     def offspring_square_mean(self, beta_star):
         # T = U0^b * S with S = (1-U)^b + U^b S' (independent copy):
@@ -584,9 +633,6 @@ class StickBreakingConservative(_StickBreakingBase):
 
     def _phi_prime(self, beta):
         return -1.0 / beta**2
-
-    def _beta_star_exact(self):
-        return 1.0
 
     def offspring_square_mean(self, beta_star):
         return 1.0
@@ -962,74 +1008,14 @@ def no_malthusian_example(c=None):
 # operations
 # ---------------------------------------------------------------------------
 
-def _beta_star_newton(law):
-    """Cheap cached beta_star for truncation bookkeeping inside samplers."""
-    cached = getattr(law, "_bs_cache", None)
-    if cached is not None:
-        return cached
-    bs = malthusian_exponent(law, tol=1e-12)
-    object.__setattr__(law, "_bs_cache", bs)
-    return bs
+def malthusian_exponent(law, tol=None):
+    """The Malthusian exponent beta_star: the unique real root > beta_a of phi = 1.
 
-
-def malthusian_exponent(law, tol=1e-12):
-    """Unique real root beta_star > beta_a of phi(beta) = 1.
-
-    phi is strictly decreasing on the real axis with phi -> sigma{1} < 1, so
-    bracketing is safe: expand the right endpoint geometrically from
-    max(beta_a + eps, 0), then solve with Brent's method and polish until
-    |phi - 1| <= 10 * tol.  Raises NoMalthusianExponent when phi(beta_a+) < 1.
+    Correctly rounded and memoised on the law instance: every caller sees the
+    same double, and an equal but distinct instance solves again.  ``tol`` is
+    accepted and ignored.  Raises NoMalthusianExponent when phi(beta_a+) < 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    f = lambda b: law.phi(b) - 1.0
-
-    if math.isfinite(law.beta_a):
-        left = None
-        eps = max(1e-4 * max(1.0, abs(law.beta_a)), 1e-4)
-        probe = None
-        for _ in range(8):
-            probe = law.beta_a + eps
-            val = f(probe)
-            if val > 0:
-                left = probe
-                break
-            eps /= 16.0
-        if left is None:
-            raise NoMalthusianExponent(
-                f"phi({probe:.6g}) = {1.0 + val:.6g} < 1: no root right of the "
-                f"abscissa {law.beta_a:g}",
-                phi_at_abscissa=1.0 + val,
-            )
-        if law.beta_a < 0 and f(0.0) > 0:
-            left = 0.0
-    else:
-        left = 0.0
-        if f(left) <= 0:  # phi(0) <= 1 violates E #children > 1
-            raise NoMalthusianExponent(
-                f"phi(0) = {law.phi(0.0):.6g} <= 1", phi_at_abscissa=law.phi(0.0)
-            )
-
-    width = 1.0
-    for _ in range(200):
-        if f(left + width) < 0:
-            break
-        left, width = left + width, 2.0 * width
-    else:
-        raise NoMalthusianExponent("phi stayed above 1 during bracket expansion")
-    right = left + width
-
-    root = optimize.brentq(f, left, right, xtol=0.5 * tol, rtol=8.9e-16)
-    # Newton polish: tighten |phi - 1| below 10*tol regardless of slope scale
-    for _ in range(4):
-        resid = f(root)
-        if abs(resid) <= 5.0 * tol:
-            break
-        slope = -law.psi_prime(root)
-        if slope == 0:
-            break
-        root -= resid / slope
-    return root
+    return law._beta_star
 
 
 def arithmetic_check(law):

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
+from . import laws, rng as rngmod
 from .errors import NoMalthusianExponent, TreeSizeExceeded
-from .laws import _beta_star_newton
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def _frozen_mass_exponent(law, beta_star, child_floor):
     """beta_star, else the law's Malthusian exponent; None only when nothing freezes."""
     if beta_star is None:
         try:
-            beta_star = _beta_star_newton(law)
+            beta_star = laws.malthusian_exponent(law)
         except NoMalthusianExponent:
             beta_star = None
     if beta_star is None and child_floor > 0:
@@ -563,15 +562,14 @@ def _check_horizon(t_max):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
 
 
-def tagged_fragment_path(law, alpha, t_max, master_seed=0, beta_star=None):
+def tagged_fragment_path(law, alpha, t_max, master_seed=0):
     """One path of the tagged-fragment chain: (jump_times, sizes_after_jump).
 
     The chain starts at size 1, waits Exp(rate x^alpha), then multiplies by
     eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).
     """
     _check_horizon(t_max)
-    bs = _beta_star_newton(law) if beta_star is None else beta_star
-    tagged = law.tagged(bs)
+    tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "tagged-path")
     t, x = 0.0, 1.0
     times, sizes = [0.0], [1.0]
@@ -586,11 +584,10 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0, beta_star=None):
     return np.array(times), np.array(sizes)
 
 
-def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0, beta_star=None):
+def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
     """Vectorised L_{t_max} over independent tagged-fragment paths."""
     _check_horizon(t_max)
-    bs = _beta_star_newton(law) if beta_star is None else beta_star
-    tagged = law.tagged(bs)
+    tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "tagged")
     x = np.ones(n_paths)
     t = np.zeros(n_paths)
@@ -621,13 +618,12 @@ class YSampleResult:
     tail_mean_bound: float
 
 
-def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12, beta_star=None):
+def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
     if alpha <= 0:
         raise ValueError("the limit variable Y needs alpha > 0")
     if not eps_tail > 0:
         raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
-    bs = _beta_star_newton(law) if beta_star is None else beta_star
-    tagged = law.tagged(bs)
+    tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "limit-Y")
     P = tagged.sample_eta_first(stream, n) ** alpha
     Y = stream.exponential(size=n) * P

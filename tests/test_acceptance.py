@@ -51,13 +51,13 @@ def _se(x):
 
 def test_criterion_01_malthusian_exponents():
     t0 = time.monotonic()
-    devs = [abs(laws.malthusian_exponent(STICK, tol=1e-12) - GOLDEN)]
+    devs = [abs(laws.malthusian_exponent(STICK) - GOLDEN)]
     for lam, theta in ((2.0, 1.0), (1.5, 1.0), (1.0, 0.5)):
         law = laws.FilippovPower(lam, theta)
-        devs.append(abs(laws.malthusian_exponent(law, tol=1e-12) - (lam - theta)))
+        devs.append(abs(laws.malthusian_exponent(law) - (lam - theta)))
     no_root_ok = False
     try:
-        laws.malthusian_exponent(laws.no_malthusian_example(), tol=1e-10)
+        laws.malthusian_exponent(laws.no_malthusian_example())
     except NoMalthusianExponent as exc:
         no_root_ok = exc.phi_at_abscissa is not None and exc.phi_at_abscissa < 1.0
     elapsed = time.monotonic() - t0

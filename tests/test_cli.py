@@ -252,3 +252,84 @@ def test_seed_outside_key_range_is_a_usage_error(specs, command, capsys):
         assert err.startswith(f"usage: fragkit {command}")
         assert "seed must be an integer in [0, 2^63)" in err
     assert cli._build_parser().parse_args(argv + [str(2**63 - 1)]).seed == 2**63 - 1
+
+
+#: counts below one, which the parser refuses
+_BELOW_ONE = {
+    "simulate-replicates": ("simulate", "--alpha", "1", "--tmax", "1", "--snapshots", "1",
+                            "--replicates", "-1"),
+    "tagged-paths": ("tagged", "--alpha", "1", "--tmax", "1", "--paths", "0"),
+    "sample-y-n": ("sample-y", "--alpha", "1", "--n", "0"),
+    "rho-moments-kmax": ("rho-moments", "--alpha", "1", "--kmax", "0"),
+    "rho-empirical-bins": ("rho-empirical", "--alpha", "1", "--t", "1", "--bins", "0",
+                           "--hist", "h.csv"),
+    "validate-replicates": ("validate", "--alpha", "1", "--replicates", "0"),
+}
+
+
+@pytest.mark.parametrize("argv", _BELOW_ONE.values(), ids=_BELOW_ONE.keys())
+def test_counts_below_one_are_usage_errors(specs, argv, capsys):
+    from fragkit import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--law", specs["binary"], *argv[1:]])
+    assert exc.value.code == 1
+    assert "must be an integer >= 1" in capsys.readouterr().err
+
+
+#: inputs that parse but have no answer: one replicate has no standard
+#: error, and the asymptotics and rho need alpha > 0
+_NO_ANSWER = {
+    "rho-empirical-one-replicate": ("rho-empirical", "--alpha", "1", "--t", "1",
+                                    "--replicates", "1", "--hist", "{hist}"),
+    "validate-one-replicate": ("validate", "--alpha", "1", "--replicates", "1", "--t", "1"),
+    "rho-moments-alpha-0": ("rho-moments", "--alpha", "0", "--kmax", "2"),
+    "asym-coeff-alpha-0": ("asym-coeff", "--alpha", "0", "--beta", "2"),
+    "asym-coeff-alpha-negative": ("asym-coeff", "--alpha", "-1", "--beta", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", _NO_ANSWER.values(), ids=_NO_ANSWER.keys())
+def test_inputs_without_an_answer_exit_one(specs, argv, tmp_path, capsys):
+    from fragkit import cli
+
+    hist = tmp_path / "h.csv"
+    argv = [a.format(hist=hist) for a in argv]
+    assert cli.main([argv[0], "--law", specs["filippov"], *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not hist.exists()
+    assert captured.err.startswith("fragkit: ") and "Traceback" not in captured.err
+
+
+def test_one_beta_star_everywhere(tmp_path, capsys):
+    # the CLI, analytics, the simulator and the stick sampler's truncation
+    # bound all use one double for beta*
+    from fragkit import analytics, cli, laws, simulate
+    from fragkit.rng import stream
+
+    stick = {"kind": "StickBreakingLossy", "params": {}}
+    dirichlet = {"kind": "DirichletPolynomial", "params": {"terms": [[1.2, 0.7], [0.9, 2.0]]}}
+    for doc in (stick, dirichlet):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["malthus", "--law", str(path)]) == 0
+        printed = float(capsys.readouterr().out)
+        assert cli.main(["law", "inspect", str(path)]) == 0
+        inspected = json.loads(capsys.readouterr().out)["beta_star"]
+        bs = analytics.beta_star_of(laws.from_spec(doc))
+        frozen = simulate._frozen_mass_exponent(laws.from_spec(doc), None, 1e-9)
+        assert printed == inspected == bs == frozen, doc["kind"]
+        if doc is stick:
+            stick_bs = bs
+    # the lossy stick's bound: residual^b*/b* plus the b*-mass of dropped children
+    floor = 0.05
+    sampled, replay = stream(3, "one-beta"), stream(3, "one-beta")
+    for _ in range(200):
+        s = laws.StickBreakingLossy().sample_offspring(sampled, floor=floor)
+        kids, residual = [], replay.random()
+        while residual >= floor:
+            u = replay.random()
+            kids.append((1.0 - u) * residual)
+            residual *= u
+        bound = residual**stick_bs / stick_bs + sum(k**stick_bs for k in kids if k < floor)
+        assert s.truncated_beta_mass_bound == bound

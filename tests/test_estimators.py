@@ -64,7 +64,7 @@ def test_empty_measure_raises():
     # supercritical law with extinction: a replicate can die out; when every
     # replicate is extinct the snapshot carries no atoms
     extinct = laws.UserAtomic(groups=((0.5, ()), (0.5, (0.9, 0.9, 0.9))))
-    bs = laws.malthusian_exponent(extinct, tol=1e-10)
+    bs = laws.malthusian_exponent(extinct)
     cfg = sim.SimulationConfig(alpha=1.0, t_max=40.0, snapshot_times=(40.0,), master_seed=11)
     snaps = [sim.run(cfg, extinct, replicate=r, beta_star=bs)[0] for r in range(40)]
     dead = [s for s in snaps if s.sizes.size == 0]

@@ -1,10 +1,12 @@
 """Reproduction-law contracts: Mellin data, root finding, samplers, tilts."""
 
+import importlib.util
 import math
 import pathlib
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +48,7 @@ def test_phi_spot_values():
 
 def test_phi_at_malthusian_is_one():
     for law in SAMPLER_LAWS:
-        bs = laws.malthusian_exponent(law, tol=1e-12)
+        bs = laws.malthusian_exponent(law)
         assert abs(law.phi(bs) - 1.0) < 1e-10
 
 
@@ -85,31 +87,62 @@ def test_phi_modulus_bound(law, offset, imag):
 # ---------------------------------------------------------------------------
 
 def test_malthusian_stick_breaking():
-    assert laws.malthusian_exponent(STICK, tol=1e-12) == pytest.approx(GOLDEN, abs=1e-10)
+    assert laws.malthusian_exponent(STICK) == pytest.approx(GOLDEN, abs=1e-10)
 
 
 @pytest.mark.parametrize("lam,theta", [(2.0, 1.0), (1.5, 1.0), (1.0, 0.5)])
 def test_malthusian_power_family(lam, theta):
     law = laws.FilippovPower(lam, theta)
-    assert laws.malthusian_exponent(law, tol=1e-12) == pytest.approx(lam - theta, abs=1e-10)
+    assert laws.malthusian_exponent(law) == pytest.approx(lam - theta, abs=1e-10)
 
 
 def test_malthusian_no_root():
     with pytest.raises(NoMalthusianExponent) as exc:
-        laws.malthusian_exponent(laws.no_malthusian_example(), tol=1e-10)
+        laws.malthusian_exponent(laws.no_malthusian_example())
     assert exc.value.phi_at_abscissa == pytest.approx(0.5, abs=1e-3)
 
 
-def test_malthusian_residual_invariant():
-    for law in SAMPLER_LAWS:
-        for tol in (1e-6, 1e-10):
-            bs = laws.malthusian_exponent(law, tol=tol)
-            assert abs(law.phi(bs) - 1.0) < 10 * tol
+def _compare_specs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_checkouts.py"
+    spec = importlib.util.spec_from_file_location("compare_checkouts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+COMPARE_SPECS = _compare_specs()
+
+
+@pytest.mark.parametrize("doc", COMPARE_SPECS.values(), ids=COMPARE_SPECS.keys())
+def test_malthusian_exponent_is_correctly_rounded(doc):
+    # the double nearest a 200-bit root of phi = 1, bit for bit (1.0 for binary)
+    law = laws.from_spec(doc)
+    bs = laws.malthusian_exponent(law)
+    with mp.workprec(200):
+        root = mp.findroot(lambda b: law.phi_mp(b) - 1, mp.mpf(bs))
+    assert bs == float(root)
+
+
+def test_malthusian_exponent_solves_once_per_instance(monkeypatch):
+    calls = []
+    phi = laws.ReproductionLaw.phi
+    monkeypatch.setattr(laws.ReproductionLaw, "phi",
+                        lambda law, beta: calls.append(beta) or phi(law, beta))
+    law = laws.DirichletPolynomial(terms=DIRI.terms)
+    bs = laws.malthusian_exponent(law)
+    solve = len(calls)
+    assert solve > 0
+    assert laws.malthusian_exponent(law) == analytics.beta_star_of(law) == bs
+    assert len(calls) == solve
+    # equal is not identical: a fresh instance solves for itself
+    twin = laws.DirichletPolynomial(terms=DIRI.terms)
+    assert twin == law and laws.malthusian_exponent(twin) == bs
+    assert len(calls) == 2 * solve
 
 
 def test_malthusian_theta_nonpositive_analytics():
     law = laws.FilippovPower(1.0, -0.3)  # abscissa 0.3, root 1.3
-    assert laws.malthusian_exponent(law, tol=1e-12) == pytest.approx(1.3, abs=1e-10)
+    assert laws.malthusian_exponent(law) == pytest.approx(1.3, abs=1e-10)
     with pytest.raises(UnsupportedSampler):
         law.sample_offspring(stream(0, "t"))
 
@@ -137,17 +170,15 @@ def test_offspring_sorted_and_in_unit_interval():
 
 
 def _offspring_power_sums(law, n, betas, seed, add_tail_at=None):
-    rng = stream(seed, "mc-phi")
-    out = np.zeros((len(betas), n))
-    counts = np.zeros(n)
-    for i in range(n):
-        s = law.sample_offspring(rng)
-        counts[i] = s.sizes.size
-        for j, b in enumerate(betas):
-            out[j, i] = np.sum(s.sizes**b)
-            if add_tail_at is not None and b == add_tail_at:
-                out[j, i] += s.truncated_beta_mass_bound
-    return out, counts
+    # n unit parents in one batch; the tail joins the power sum at beta*
+    bs = laws.malthusian_exponent(law)
+    kids, owner, tail = law.offspring_batch(stream(seed, "mc-phi"), np.ones(n),
+                                            laws.DEFAULT_CHILD_FLOOR, bs)
+    out = np.array([np.bincount(owner, weights=kids**b, minlength=n) for b in betas])
+    for j, b in enumerate(betas):
+        if b == add_tail_at:
+            out[j] += tail
+    return out, np.bincount(owner, minlength=n)
 
 
 @pytest.mark.parametrize("law", SAMPLER_LAWS, ids=lambda l: l.kind)
@@ -158,7 +189,7 @@ def test_mc_power_sums_match_phi(law):
     # the floor-truncated children, and conservative laws have *zero*
     # variance there, so any uncorrected deficit would be infinitely many SE.
     n = 100_000
-    bs = laws.malthusian_exponent(law, tol=1e-12)
+    bs = laws.malthusian_exponent(law)
     betas = [bs / 2, bs, bs + 1.0, bs + 2.0]
     sums, counts = _offspring_power_sums(law, n, betas, seed=37, add_tail_at=bs)
     for b, vals in zip(betas, sums):
@@ -183,9 +214,8 @@ BATCH_LAWS["UserPoisson-atoms"] = laws.UserPoisson(
 def test_scalar_sampler_matches_batch_on_a_unit_parent(law, floor):
     # on identical streams the scalar sampler (derived, or a law's own loop)
     # and the batch on one unit parent, sorted and floored, give the same
-    # children; the truncated mass differs at most by summation order and
-    # by the root finder's beta* against a law's exact one
-    bs = laws._beta_star_newton(law)
+    # children; the truncated mass differs at most by summation order
+    bs = laws.malthusian_exponent(law)
     scalar, batch = stream(21, "two-paths"), stream(21, "two-paths")
     for _ in range(300):
         s = law.sample_offspring(scalar, floor=floor)
@@ -238,7 +268,7 @@ _STICK_BATCHES = {
 def test_stick_batch_matches_boolean_mask_loop(law, sizes, floor):
     # the position-compacted sampler draws and returns exactly what the
     # boolean-mask loop does, including when no parent survives round one
-    bs = laws._beta_star_newton(law)
+    bs = laws.malthusian_exponent(law)
     got = law.offspring_batch(stream(23, "stick"), sizes.copy(), floor, bs)
     ref = _stick_batch_by_masks(law, stream(23, "stick"), sizes.copy(), floor, bs)
     for a, b in zip(got, ref):
@@ -341,7 +371,7 @@ def _dkw_bound(n, delta=0.05):
                          ids=lambda l: l.kind)
 def test_tilted_law_cdf(law):
     n = 100_000
-    bs = laws.malthusian_exponent(law, tol=1e-12)
+    bs = laws.malthusian_exponent(law)
     tagged = law.tagged(bs)
     rng = stream(6, "tilt")
     eta = tagged.sample_eta(rng, n)
@@ -359,7 +389,7 @@ def test_tilted_law_cdf(law):
 
 
 def test_tilt_total_mass_and_moments():
-    bs = laws.malthusian_exponent(FIL21, tol=1e-12)
+    bs = laws.malthusian_exponent(FIL21)
     tagged = FIL21.tagged(bs)
     # sigma_hat is automatically a probability: CDF(1) = phi(beta*) = 1
     assert tagged.eta_cdf(1.0) == pytest.approx(1.0, abs=1e-12)
@@ -375,7 +405,7 @@ def test_tilt_total_mass_and_moments():
 def test_tilt_unsupported():
     signed = laws.DirichletPolynomial(terms=((2.0, 1.0), (-0.1, 3.0)))
     with pytest.raises(UnsupportedTilt):
-        signed.tagged(laws.malthusian_exponent(signed, tol=1e-10))
+        signed.tagged(laws.malthusian_exponent(signed))
 
 
 # ---------------------------------------------------------------------------
