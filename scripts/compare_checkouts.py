@@ -22,8 +22,8 @@ the floors 0.2 and 1e-12, the generation martingale's raw values and
 corrections, and the terminal-martingale moments of
 ``estimate_m_infinity_moments``.
 The report gives, per quantity, the largest
-relative deviation between the trees and the bound it must stay within
-(0 means bit-identical).  Exit status 1 if any bound is exceeded.
+relative deviation between the trees, against a scale floored at 1e-15, and
+the bound it must stay within (0 means bit-identical).  Exit status 1 if any bound is exceeded.
 """
 
 import json
@@ -244,8 +244,15 @@ def _run_probe(src, out_path):
     subprocess.run([sys.executable, __file__, "--probe", str(out_path)], env=env, check=True)
 
 
+#: smallest scale a deviation is measured against.  A quantity that is 0 up to
+#: rounding, such as the standard error of a deterministic law's M_inf, picks
+#: up noise near 1e-17 from the O(1) values it is computed from; relative to
+#: its own size that noise would read as a full move of 1
+SCALE_FLOOR = 1e-15
+
+
 def _deviation(a, b):
-    """Largest relative deviation; inf when shapes differ."""
+    """Largest relative deviation, scales floored at SCALE_FLOOR; inf when shapes differ."""
     if a.shape != b.shape:
         return float("inf")
     if a.dtype == np.uint8:
@@ -253,9 +260,8 @@ def _deviation(a, b):
     a, b = a.astype(float), b.astype(float)
     if np.array_equal(a, b):
         return 0.0
-    scale = np.maximum(np.abs(a), np.abs(b))
-    diff = np.abs(a - b)
-    return float(np.max(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), diff)))
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), SCALE_FLOOR)
+    return float(np.max(np.abs(a - b) / scale))
 
 
 def main(argv):

@@ -30,6 +30,11 @@ evaluates:
   moments as Pochhammer ratios, and the gamma-type CDF of rho when psi has
   a single pole.  They are independent of the general paths above, which
   serve as their oracles.
+
+scipy is imported on first use, only where it is called: the Gauss-Jacobi
+rule of ``m_integro``, the gamma function of ``asymptotic_coefficient`` (in
+doubles), ``rational_gamma`` and ``rational_coefficient``, and the incomplete
+gamma function of ``rho_cdf``.  Importing the module loads numpy and mpmath.
 """
 
 import cmath
@@ -40,7 +45,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import special
 
 from .errors import (
     ArithmeticLaw,
@@ -280,6 +284,8 @@ def _gauss_unit_weight(gamma_exp, n):
     Weights are renormalised so the rule integrates f = 1 exactly (scipy's
     raw weights carry ~1e-11 relative normalisation error).
     """
+    from scipy import special
+
     x, w = special.roots_jacobi(n, 0.0, gamma_exp)
     w = w * 0.5 ** (gamma_exp + 1.0)
     return (x + 1.0) / 2.0, w * (1.0 / (gamma_exp + 1.0) / w.sum())
@@ -634,6 +640,8 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
             psi_b = 1 - law.phi_mp(mp.mpmathify(beta))
             dpsi = -mp.diff(law.phi_mp, mp.mpmathify(bs))
             return mp.gamma(mp.mpmathify(_tidy_complex(z0))) * psi_b / (alpha * dpsi) / g.value
+    from scipy import special
+
     val = special.gamma(z0) * law.psi(beta) / (alpha * law.psi_prime(bs)) / g.value
     return _tidy_complex(val)
 
@@ -712,8 +720,9 @@ def rational_m(law, t, beta, alpha):
 
 def rational_gamma(law, z, beta, alpha):
     """g(z, beta) = prod_i Gamma(a_i+z)/Gamma(a_i) * prod_j Gamma(b_j)/Gamma(b_j+z)."""
+    from scipy.special import gamma as g
+
     a, b = _rational_args(law, beta, alpha)
-    g = special.gamma
     val = np.prod(g(a + z)) * np.prod(g(b)) / (np.prod(g(a)) * np.prod(g(b + z)))
     return _closed_value(val, z, beta, alpha)
 
@@ -724,9 +733,10 @@ def rational_coefficient(law, beta, alpha):
     Starred parameters are taken at beta*; this is the coefficient of the
     leading term t^(-a_1), a_1 = (beta - beta*)/alpha, of pFp(a; b; -t).
     """
+    from scipy.special import gamma as g
+
     a, b = _rational_args(law, beta, alpha)
     a0, b0 = _rational_args(law, None, alpha)
-    g = special.gamma
     val = np.prod(g(a0[1:])) * np.prod(g(b)) / (np.prod(g(a[1:])) * np.prod(g(b0)))
     return _closed_value(val, beta, alpha)
 
@@ -757,6 +767,8 @@ def rho_cdf(law, alpha, x):
     if thetas.size != 1:
         raise NoClosedForm(f"{law.kind}: rho has a closed-form CDF only for one power term")
     lam = roots[0].real + thetas[0]
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = special.gammainc(lam / alpha, np.clip(x, 0.0, None) ** alpha)
     return out if out.shape else float(out)

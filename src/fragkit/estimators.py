@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analytics, rng as rngmod, simulate
 from .errors import (
+    DomainError,
     EmptySnapshot,
     PrecisionExhausted,
     SecondMomentInfinite,
@@ -132,7 +133,13 @@ class WeightedEmpiricalMeasure:
 
 
 def empirical_weighted_measure(snapshots, alpha, beta_star):
-    """Build the measure from one snapshot per replicate (common t)."""
+    """Build the measure from one snapshot per replicate (common t).
+
+    The sizes are scaled by t^(1/alpha), so the measure needs alpha > 0: at
+    alpha = 0 every weighted moment would read the same number.
+    """
+    if not alpha > 0:
+        raise DomainError(f"the weighted empirical measure needs alpha > 0, got {alpha}")
     snaps = list(snapshots)
     if not snaps:
         raise EmptySnapshot("no snapshots")
@@ -140,7 +147,7 @@ def empirical_weighted_measure(snapshots, alpha, beta_star):
     if any(abs(s.t - t) > 1e-12 for s in snaps):
         raise ValueError("snapshots must share a common time")
     locs, ws, idx, totals = [], [], [], []
-    scale = t ** (1.0 / alpha) if alpha > 0 else 1.0
+    scale = t ** (1.0 / alpha)
     for r, s in enumerate(snaps):
         w = s.sizes**beta_star
         locs.append(scale * s.sizes)

@@ -20,7 +20,9 @@ arbitrary-precision form, the abscissa), the quadrature representations and
 the size-biased tilt of a nonnegative power mixture.  A law writes only its
 measure, its exact offspring sampler and what is truly its own (factored
 closed forms, special tilts, square means).  Density-only laws declare no
-measure and compute phi by quadrature; they have no sampler.
+measure and compute phi by quadrature; they have no sampler.  That
+quadrature is the module's only use of scipy, imported on first use, so the
+beta* solve and every sampler need numpy and mpmath only.
 
 A sampler is one batch method, ``offspring_batch(rng, sizes, floor,
 beta_star) -> (kids, owner, tail)``: the children of a whole generation of
@@ -53,7 +55,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DomainError,
@@ -966,6 +967,8 @@ class DensityLaw(ReproductionLaw):
         return self._quad(float(beta), 0.0, "re")
 
     def _quad(self, br, bi, part):
+        from scipy import integrate
+
         top = math.log(self.support_right)
         if self.integrand_u is not None:
             base = lambda u: self.integrand_u(u, br)

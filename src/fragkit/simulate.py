@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, rng as rngmod
-from .errors import NoMalthusianExponent, TreeSizeExceeded
+from .errors import DomainError, NoMalthusianExponent, TreeSizeExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +557,13 @@ def estimate_m_infinity_moments(
 # tagged fragment and the limit variable Y
 # ---------------------------------------------------------------------------
 
-def _check_horizon(t_max):
+def _check_tagged(alpha, t_max):
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    # alpha < 0: a path shrinks to zero size in finite time, where its rate
+    # x^alpha is infinite and its waits are 0, so t would never reach t_max
+    if not alpha >= 0:
+        raise DomainError(f"the tagged fragment needs alpha >= 0, got {alpha}")
 
 
 def tagged_fragment_path(law, alpha, t_max, master_seed=0):
@@ -568,7 +572,7 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0):
     The chain starts at size 1, waits Exp(rate x^alpha), then multiplies by
     eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).
     """
-    _check_horizon(t_max)
+    _check_tagged(alpha, t_max)
     tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "tagged-path")
     t, x = 0.0, 1.0
@@ -586,7 +590,7 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0):
 
 def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
     """Vectorised L_{t_max} over independent tagged-fragment paths."""
-    _check_horizon(t_max)
+    _check_tagged(alpha, t_max)
     tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "tagged")
     x = np.ones(n_paths)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -213,6 +215,8 @@ _UNENDING_OR_NAN = (
     ("sample-y", "--alpha", "1", "--n", "2", "--eps-tail", "-1"),
     ("tagged", "--alpha", "1", "--tmax", "inf", "--paths", "2"),
     ("tagged", "--alpha", "1", "--tmax", "nan", "--paths", "2"),
+    # a path reaches size 0 in finite time, where its rate x^alpha is infinite
+    ("tagged", "--alpha", "-1", "--tmax", "100", "--paths", "3"),
     ("simulate", "--alpha", "1", "--tmax", "1", "--snapshots", "nan", "--replicates", "1"),
 )
 
@@ -286,6 +290,8 @@ _NO_ANSWER = {
     "rho-moments-alpha-0": ("rho-moments", "--alpha", "0", "--kmax", "2"),
     "asym-coeff-alpha-0": ("asym-coeff", "--alpha", "0", "--beta", "2"),
     "asym-coeff-alpha-negative": ("asym-coeff", "--alpha", "-1", "--beta", "2"),
+    "rho-empirical-alpha-0": ("rho-empirical", "--alpha", "0", "--t", "1",
+                              "--replicates", "10", "--hist", "{hist}"),
 }
 
 
@@ -333,3 +339,41 @@ def test_one_beta_star_everywhere(tmp_path, capsys):
             residual *= u
         bound = residual**stick_bs / stick_bs + sum(k**stick_bs for k in kids if k < floor)
         assert s.truncated_beta_mass_bound == bound
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from fragkit import analytics, cli, laws
+
+assert laws.malthusian_exponent(laws.BinaryUniformConservative()) == 1.0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["simulate", "--law", sys.argv[1], "--alpha", "1", "--tmax", "30",
+                     "--snapshots", "30", "--replicates", "50", "--seed", "0"])
+loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+
+# the call sites that need scipy import it on first use
+fil = laws.FilippovPower(2.0, 1.0)
+cdf = analytics.rho_cdf(fil, 1.0, 1.0)
+integro = float(analytics.m_integro(fil, 1.0, 1.5, 1.0)(1.0))
+series = analytics.m_series(fil, 1.0, 1.5, 1.0).value
+phi = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0).phi(1.0)
+print(json.dumps({"code": code, "rows": len(out.getvalue().splitlines()), "loaded": loaded,
+                  "cdf": cdf, "integro": integro, "series": series, "phi": phi}))
+"""
+
+
+def test_cli_path_never_loads_scipy(specs):
+    # numpy and mpmath carry beta*, the simulation and its CSV; scipy is
+    # imported only inside the quadrature, Gauss-Jacobi and gamma call sites
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, specs["binary"]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0 and doc["rows"] == 51
+    assert doc["loaded"] == []
+    # rho is the Gamma(2, 1) law here: P(G <= 1) = 1 - 2/e
+    assert doc["cdf"] == pytest.approx(1.0 - 2.0 / math.e, rel=1e-12)
+    assert doc["integro"] == pytest.approx(doc["series"], rel=1e-6)
+    assert doc["phi"] == pytest.approx(1.0, rel=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fragkit import analytics as an, estimators as est, laws, simulate as sim
-from fragkit.errors import EmptySnapshot, PrecisionExhausted, SecondMomentInfinite
+from fragkit.errors import DomainError, EmptySnapshot, PrecisionExhausted, SecondMomentInfinite
 from fragkit.rng import stream
 
 BINARY = laws.BinaryUniformConservative()
@@ -73,6 +73,15 @@ def test_empty_measure_raises():
         est.empirical_weighted_measure(dead, 1.0, bs)
     with pytest.raises(EmptySnapshot):
         est.empirical_weighted_measure([], 1.0, bs)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_measure_needs_positive_alpha(alpha):
+    # sizes scale by t^(1/alpha): at alpha = 0 every moment read the same number
+    cfg = sim.SimulationConfig(alpha=0.0, t_max=1.0, snapshot_times=(1.0,), master_seed=5)
+    reps = sim.natural_replicates(cfg, FIL21, 4, beta_star=1.0)
+    with pytest.raises(DomainError, match="alpha > 0"):
+        est.empirical_weighted_measure([r[0] for r in reps], alpha, 1.0)
 
 
 # ---------------------------------------------------------------------------
