@@ -21,8 +21,8 @@ binary = laws.BinaryUniformConservative()  # same structural measure in mean
 print("== weighted empirical measure vs the gamma-type limit density ==")
 t, n_reps = 25.0, 3000
 cfg = sim.SimulationConfig(alpha=1.0, t_max=t, snapshot_times=(t,), master_seed=5)
-reps = sim.run_replicates(cfg, binary, n_reps, beta_star=1.0)
-measure = est.empirical_weighted_measure([r[0] for r in reps], 1.0, 1.0)
+pop, = sim.natural_replicates(cfg, binary, n_reps, beta_star=1.0)
+measure = est.empirical_weighted_measure(pop, 1.0, 1.0)
 for k in (1, 2):
     mo, se = measure.moment(k)
     exact = t**k * an.m_series(binary, t, 1.0 + k, 1.0).value

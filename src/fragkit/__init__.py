@@ -76,6 +76,7 @@ from .analytics import (
 from .simulate import (
     GenerationMartingaleResult,
     MInftyEstimate,
+    Population,
     PopulationSnapshot,
     SimulationConfig,
     YSampleResult,

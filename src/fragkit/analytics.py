@@ -650,6 +650,7 @@ def rho_moment(law, k, alpha):
     """k-th power moment of the limit measure: int x^(alpha k) rho(dx).
 
     Equals (k-1)!/(alpha psi'(beta*)) * prod_{j=1}^{k-1} 1/psi(beta* + alpha j).
+    Raises DomainError when the moment is not finite in doubles.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -659,9 +660,14 @@ def rho_moment(law, k, alpha):
     dpsi = law.psi_prime(bs)
     if not (math.isfinite(dpsi) and dpsi > 0):
         raise DomainError(f"psi'(beta*) = {dpsi}: moments need a finite positive slope")
-    out = math.factorial(k - 1) / (alpha * dpsi)
+    try:
+        out = math.factorial(k - 1) / (alpha * dpsi)
+    except OverflowError:  # (k-1)! beyond the doubles: divide in mpmath, round once
+        out = float(mp.mpf(math.factorial(k - 1)) / (alpha * dpsi))
     for j in range(1, k):
         out /= law.psi(bs + alpha * j)
+    if not math.isfinite(out):
+        raise DomainError(f"the rho moment k={k} is not finite in doubles")
     return out
 
 

@@ -177,19 +177,23 @@ def _cmd_simulate(args):
         master_seed=args.seed,
     )
     bs = laws.malthusian_exponent(law)
-    reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
-    dump_lines = ["replicate,t,size"] if args.dump else None
-    print("replicate,t,n_particles,M_beta_star,frozen_bound")
-    for r, snaps in enumerate(reps):
-        for s in snaps:
-            m = simulate.snapshot_power_sum(s, bs)
-            print(f"{r},{_fmt(s.t)},{s.sizes.size},{_fmt(m)},{_fmt(s.frozen_beta_mass_bound)}")
-            if dump_lines is not None:
-                for x in s.sizes:
-                    dump_lines.append(f"{r},{_fmt(s.t)},{_fmt(x)}")
-    if dump_lines is not None:
+    pops = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
+    # per snapshot: its time and, per replicate, count, M(t, beta*) and frozen mass
+    cols = [(_fmt(p.t), p.counts.tolist(), p.power_sums(bs).tolist(), p.frozen.tolist())
+            for p in pops]
+    rows = ["replicate,t,n_particles,M_beta_star,frozen_bound"]
+    for r in range(args.replicates):
+        rows.extend(f"{r},{t},{n[r]},{_fmt(m[r])},{_fmt(f[r])}" for t, n, m, f in cols)
+    print("\n".join(rows))
+    if args.dump:
+        # per snapshot: its time and each replicate's sizes
+        segments = [(_fmt(p.t), np.split(p.sizes, np.cumsum(p.counts)[:-1])) for p in pops]
+        lines = ["replicate,t,size"]
+        for r in range(args.replicates):
+            for t, xs in segments:
+                lines.extend(f"{r},{t},{_fmt(x)}" for x in xs[r])
         with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(dump_lines) + "\n")
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -219,12 +223,8 @@ def _cmd_rho_empirical(args):
     _need_two_replicates(args)
     law = _load_law(args.law)
     bs = laws.malthusian_exponent(law)
-    cfg = simulate.SimulationConfig(
-        alpha=args.alpha, t_max=args.t, snapshot_times=(args.t,),
-        master_seed=args.seed, child_floor=args.floor,
-    )
-    reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
-    measure = estimators.empirical_weighted_measure([r[0] for r in reps], args.alpha, bs)
+    measure = _measure(law, bs, args.alpha, args.t, args.replicates, master_seed=args.seed,
+                       child_floor=args.floor)
     edges, mass = measure.histogram(n_bins=args.bins)
     with open(args.hist, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_left,bin_right,mass\n")
@@ -237,6 +237,13 @@ def _cmd_rho_empirical(args):
     return 0
 
 
+def _measure(law, bs, alpha, t, replicates, **config):
+    """Weighted empirical measure of the engine's replicates at time t."""
+    cfg = simulate.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,), **config)
+    pop, = simulate.natural_replicates(cfg, law, replicates, beta_star=bs)
+    return estimators.empirical_weighted_measure(pop, alpha, bs)
+
+
 def _validate_suite(law, args):
     alpha = args.alpha
     bs = laws.malthusian_exponent(law)
@@ -245,10 +252,7 @@ def _validate_suite(law, args):
 
     if run_all or args.suite == "moments":
         t = args.t
-        cfg = simulate.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,),
-                                        master_seed=args.seed)
-        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
-        measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
+        measure = _measure(law, bs, alpha, t, args.replicates, master_seed=args.seed)
         for k in (1, 2):
             est, se = measure.moment(k)
             target = t**k * analytics.m_series(law, t, bs + alpha * k, alpha).value
@@ -261,14 +265,10 @@ def _validate_suite(law, args):
         times = tuple(tt for tt in (1.0, 5.0, 20.0) if tt <= args.t) or (args.t,)
         cfg = simulate.SimulationConfig(alpha=alpha, t_max=max(times),
                                         snapshot_times=times, master_seed=args.seed + 1)
-        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
-        for i, tt in enumerate(times):
-            vals = np.array([
-                simulate.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound
-                for r in reps
-            ])
+        for pop in simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs):
+            vals = pop.power_sums(bs) + pop.frozen
             report.add(estimators.z_check(
-                f"E M(t,b*) = 1 at t={tt:g}", vals.mean(), 1.0,
+                f"E M(t,b*) = 1 at t={pop.t:g}", vals.mean(), 1.0,
                 vals.std(ddof=1) / math.sqrt(vals.size)))
         gen = simulate.generation_martingale(law, bs, depth=8, n_trees=args.replicates,
                                              master_seed=args.seed + 2)
@@ -286,10 +286,7 @@ def _validate_suite(law, args):
         report.checks.extend(sub.checks)
 
     if run_all or args.suite == "cdf":
-        cfg = simulate.SimulationConfig(alpha=alpha, t_max=args.t, snapshot_times=(args.t,),
-                                        master_seed=args.seed + 4)
-        reps = simulate.natural_replicates(cfg, law, args.replicates, beta_star=bs)
-        measure = estimators.empirical_weighted_measure([r[0] for r in reps], alpha, bs)
+        measure = _measure(law, bs, alpha, args.t, args.replicates, master_seed=args.seed + 4)
         try:
             analytics.rho_cdf(law, alpha, 1.0)  # NoClosedForm unless psi has one pole
             target = lambda x: analytics.rho_cdf(law, alpha, x)

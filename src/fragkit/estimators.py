@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics, rng as rngmod, simulate
+from . import analytics, laws, rng as rngmod, simulate
 from .errors import (
     DomainError,
     EmptySnapshot,
@@ -98,15 +98,16 @@ class WeightedEmpiricalMeasure:
 
     def moment(self, k):
         """(estimate, se) of int x^(alpha k) d sigma*_t = E sum w loc^(alpha k)."""
-        per = np.zeros(self.n_replicates)
-        np.add.at(per, self.replicate_index, self.weights * self.locations ** (self.alpha * k))
+        per = self._per_replicate(self.weights * self.locations ** (self.alpha * k))
         return float(per.mean()), float(per.std(ddof=1) / math.sqrt(per.size))
 
     def functional(self, f):
         """(estimate, se, per-replicate values) of E sum w f(loc)."""
-        per = np.zeros(self.n_replicates)
-        np.add.at(per, self.replicate_index, self.weights * f(self.locations))
+        per = self._per_replicate(self.weights * f(self.locations))
         return float(per.mean()), float(per.std(ddof=1) / math.sqrt(per.size)), per
+
+    def _per_replicate(self, values):
+        return np.bincount(self.replicate_index, weights=values, minlength=self.n_replicates)
 
     def histogram(self, edges=None, n_bins=40):
         """Weighted histogram; default geometric bins over the [0.1%, 99.9%]
@@ -132,40 +133,22 @@ class WeightedEmpiricalMeasure:
         return locs, cw / cw[-1]
 
 
-def empirical_weighted_measure(snapshots, alpha, beta_star):
-    """Build the measure from one snapshot per replicate (common t).
+def empirical_weighted_measure(population, alpha, beta_star):
+    """Build the measure from a ``simulate.Population`` (one time, every replicate).
 
     The sizes are scaled by t^(1/alpha), so the measure needs alpha > 0: at
     alpha = 0 every weighted moment would read the same number.
     """
     if not alpha > 0:
         raise DomainError(f"the weighted empirical measure needs alpha > 0, got {alpha}")
-    snaps = list(snapshots)
-    if not snaps:
-        raise EmptySnapshot("no snapshots")
-    t = snaps[0].t
-    if any(abs(s.t - t) > 1e-12 for s in snaps):
-        raise ValueError("snapshots must share a common time")
-    locs, ws, idx, totals = [], [], [], []
-    scale = t ** (1.0 / alpha)
-    for r, s in enumerate(snaps):
-        w = s.sizes**beta_star
-        locs.append(scale * s.sizes)
-        ws.append(w)
-        idx.append(np.full(s.sizes.size, r))
-        totals.append(w.sum())
-    locations = np.concatenate(locs) if locs else np.empty(0)
-    if locations.size == 0:
+    if population.sizes.size == 0:
         raise EmptySnapshot("all replicates extinct")
+    n, sizes = population.counts.size, population.sizes
     return WeightedEmpiricalMeasure(
-        t=t,
-        alpha=alpha,
-        beta_star=beta_star,
-        locations=locations,
-        weights=np.concatenate(ws),
-        replicate_index=np.concatenate(idx).astype(int),
-        replicate_totals=np.array(totals),
-    )
+        t=population.t, alpha=alpha, beta_star=beta_star,
+        locations=population.t ** (1.0 / alpha) * sizes, weights=sizes**beta_star,
+        replicate_index=np.repeat(np.arange(n), population.counts),
+        replicate_totals=population.power_sums(beta_star))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +196,9 @@ def m_infinity_second_moment_oracle(law, beta_star, n_mc=1_000_000, master_seed=
     Squaring M_inf =d sum_j xi_j^b M_inf^(j) (independent copies, E = 1) and
     solving gives E M_inf^2 = (E (sum_j xi_j^b)^2 - phi(2b)) / (1 - phi(2b)).
     The offspring square mean comes from the law's closed form when it has
-    one (conservative laws: exactly 1), else from n_mc sampled splits with
-    the propagated standard error.
+    one (conservative laws: exactly 1), else from one ``offspring_batch`` of
+    n_mc unit parents (children below the default floor enter at their
+    expected beta*-mass) with the propagated standard error.
     """
     b = beta_star
     phi2 = float(law.phi(2.0 * b))
@@ -224,10 +208,8 @@ def m_infinity_second_moment_oracle(law, beta_star, n_mc=1_000_000, master_seed=
     if not law.has_sampler:
         raise UnsupportedSampler(f"{law.kind}: no closed form and no sampler to probe")
     stream = rngmod.stream(master_seed, "offspring-square")
-    vals = np.empty(n_mc)
-    for i in range(n_mc):
-        vals[i] = float(np.sum(law.sample_offspring(stream).sizes ** b))
-    sq_vals = vals**2
+    kids, owner, tail = law.offspring_batch(stream, np.ones(n_mc), laws.DEFAULT_CHILD_FLOOR, b)
+    sq_vals = (np.bincount(owner, weights=kids**b, minlength=n_mc) + tail) ** 2
     total = sq_vals.sum()
     if total > 0 and sq_vals.max() > 0.5 * total:
         raise SecondMomentInfinite(
@@ -292,15 +274,14 @@ def l2_functional_test(
         master_seed=master_seed,
         child_floor=child_floor,
     )
-    reps = simulate.natural_replicates(cfg, law, n_replicates, beta_star=bs)
-    A = {t: np.empty(n_replicates) for t in times}
-    M = {t: np.empty(n_replicates) for t in times}
-    for r, snaps in enumerate(reps):
-        for s in snaps:
-            w = s.sizes**bs
-            loc = (s.t ** (1.0 / alpha) if alpha > 0 else 1.0) * s.sizes
-            A[s.t][r] = np.sum(w * f(loc))
-            M[s.t][r] = w.sum() + s.frozen_beta_mass_bound
+    A, M = {}, {}
+    for pop in simulate.natural_replicates(cfg, law, n_replicates, beta_star=bs):
+        rep = np.repeat(np.arange(n_replicates), pop.counts)
+        w = pop.sizes**bs
+        loc = (pop.t ** (1.0 / alpha) if alpha > 0 else 1.0) * pop.sizes
+        # with f = 1, A_t and M(t, b*) - frozen are the same sum, bit for bit
+        A[pop.t] = np.bincount(rep, weights=w * f(loc), minlength=n_replicates)
+        M[pop.t] = pop.power_sums(bs) + pop.frozen
 
     report = ValidationReport()
     label = getattr(f, "label", "f")

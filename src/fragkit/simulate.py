@@ -6,10 +6,11 @@ and is replaced by children x*xi_j drawn from the reproduction law.  The
 population at time t is exactly the set of tree nodes with birth <= t <
 death, so ``natural_replicates`` builds the tree breadth first, one
 generation of a block of replicates per ``offspring_batch`` call, without
-discretisation error; every simulation behind the CLI and the estimators
-runs on it.  The event-driven min-heap ``run``/``run_replicates``, whose
-every particle draws from a stream keyed by its genealogical path, stays
-as the reference the engine is tested against.
+discretisation error, and returns one columnar ``Population`` per snapshot
+time; every simulation behind the CLI and the estimators runs on it.  The
+event-driven min-heap ``run``/``run_replicates``, whose every particle
+draws from a stream keyed by its genealogical path, stays as the reference
+the engine is tested against.
 
 Generation time: the same tree indexed by generation instead of time,
 used for the intrinsic martingale M_n = sum_{|u|=n} xi_u^beta* and its
@@ -38,7 +39,7 @@ from .errors import DomainError, NoMalthusianExponent, TreeSizeExceeded
 
 
 # ---------------------------------------------------------------------------
-# configuration and snapshots
+# configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -75,34 +76,6 @@ class SimulationConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass
-class PopulationSnapshot:
-    """Sizes alive at a fixed time, with truncation metadata.
-
-    ``frozen_beta_mass_bound`` is the expected beta*-mass of all lineages
-    frozen by the child floor up to this time (non-decreasing within a run);
-    for conservative laws (beta* = 1) it is exactly the frozen mass, so
-    sum(sizes) + frozen = initial_size up to rounding.
-    """
-
-    t: float
-    sizes: np.ndarray
-    frozen_beta_mass_bound: float
-    replicate_id: int
-    master_seed: int
-
-
-def snapshot_power_sum(snapshot, beta):
-    """M(t, beta) = sum of size^beta over particles alive in the snapshot."""
-    if snapshot.sizes.size == 0:
-        return 0.0 if not isinstance(beta, complex) else 0j
-    return np.sum(snapshot.sizes**beta)
-
-
-# ---------------------------------------------------------------------------
-# natural-time event loop
-# ---------------------------------------------------------------------------
-
 def _frozen_mass_exponent(law, beta_star, child_floor):
     """beta_star, else the law's Malthusian exponent; None only when nothing freezes."""
     if beta_star is None:
@@ -115,6 +88,32 @@ def _frozen_mass_exponent(law, beta_star, child_floor):
             "child_floor truncation needs a Malthusian exponent; rerun with child_floor=0"
         )
     return beta_star
+
+
+# ---------------------------------------------------------------------------
+# natural-time event loop: the reference heap
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PopulationSnapshot:
+    """Sizes alive in one heap replicate at a fixed time, decreasing.
+
+    ``frozen_beta_mass_bound`` is the expected beta*-mass of all lineages
+    frozen by the child floor up to this time (non-decreasing within a run);
+    for conservative laws (beta* = 1) it is exactly the frozen mass, so
+    sum(sizes) + frozen = initial_size up to rounding.
+    """
+
+    t: float
+    sizes: np.ndarray
+    frozen_beta_mass_bound: float
+
+
+def snapshot_power_sum(snapshot, beta):
+    """M(t, beta) = sum of size^beta over particles alive in the snapshot."""
+    if snapshot.sizes.size == 0:
+        return 0.0 if not isinstance(beta, complex) else 0j
+    return np.sum(snapshot.sizes**beta)
 
 
 def run(config, law, replicate=0, beta_star=None):
@@ -170,15 +169,7 @@ def run(config, law, replicate=0, beta_star=None):
                 )
         else:
             sizes = np.array(sorted((e[2] for e in heap), reverse=True))
-            out.append(
-                PopulationSnapshot(
-                    t=t_snap,
-                    sizes=sizes,
-                    frozen_beta_mass_bound=frozen,
-                    replicate_id=replicate,
-                    master_seed=seed,
-                )
-            )
+            out.append(PopulationSnapshot(t=t_snap, sizes=sizes, frozen_beta_mass_bound=frozen))
             si += 1
     return out
 
@@ -299,35 +290,51 @@ def _natural_block(config, law, block, start, nb, beta_star):
     return out
 
 
+@dataclass
+class Population:
+    """Replicates 0 to n - 1 at time t, as columns.
+
+    ``sizes``: replicate 0's alive sizes in decreasing order, then replicate
+    1's, and so on; ``counts[r]``: replicate r's particle count;
+    ``frozen[r]``: the expected beta*-mass of its lineages frozen by the
+    child floor up to t (exactly the frozen mass when beta* = 1).
+    """
+
+    t: float
+    sizes: np.ndarray
+    counts: np.ndarray
+    frozen: np.ndarray
+
+    def power_sums(self, beta):
+        """M(t, beta) = sum of size^beta per replicate, added in order; 0.0 if extinct."""
+        n = self.counts.size
+        return np.bincount(np.repeat(np.arange(n), self.counts), weights=self.sizes**beta,
+                           minlength=n)
+
+
 def natural_replicates(config, law, n_replicates, beta_star=None):
-    """Independent replicates, ordered by replicate id, from the breadth-first engine.
+    """Replicates 0 to n - 1 from the breadth-first engine: one Population per snapshot time.
 
     The population at time t is the set of tree nodes with birth <= t <
     death, plus the beta*-mass frozen at or before t; each generation of a
-    block of replicates is one ``law.offspring_batch`` call.  Returns the
-    snapshot lists ``run_replicates`` returns (the same law, not the same
-    draws).  Blocks are laid out by ``_natural_blocks`` and always run in
-    full, the surplus replicates dropped, so replicate r is a pure function
-    of (config, law, r).  Raises TreeSizeExceeded as soon as more than
-    ``config.max_particles`` nodes are materialised for one replicate of a
-    block that the run touches.
+    block of replicates is one ``law.offspring_batch`` call.  It follows the
+    law of ``run_replicates``, not its draws.  Blocks are laid out by
+    ``_natural_blocks`` and always run in full, the surplus replicates
+    dropped, so replicate r is a pure function of (config, law, r).  Raises
+    TreeSizeExceeded as soon as more than ``config.max_particles`` nodes are
+    materialised for one replicate of a block that the run touches.
     """
     beta_star = _frozen_mass_exponent(law, beta_star, config.child_floor)
     if not config.snapshot_times:
-        return [[] for _ in range(n_replicates)]
-    out = []
+        return []
+    empty = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
+    parts = [[empty] for _ in config.snapshot_times]
     for block, (start, nb) in enumerate(_natural_blocks(n_replicates)):
-        cols = _natural_block(config, law, block, start, nb, beta_star)
         keep = min(nb, n_replicates - start)
-        rows = [[] for _ in range(keep)]
-        for t, (sizes, counts, frozen) in zip(config.snapshot_times, cols):
-            ends = np.cumsum(counts[:keep]).tolist()
-            for r, a, b, f in zip(range(keep), [0] + ends, ends, frozen[:keep].tolist()):
-                rows[r].append(PopulationSnapshot(t=t, sizes=sizes[a:b], frozen_beta_mass_bound=f,
-                                                  replicate_id=start + r,
-                                                  master_seed=config.master_seed))
-        out.extend(rows)
-    return out
+        for part, (s, c, f) in zip(parts, _natural_block(config, law, block, start, nb, beta_star)):
+            part.append((s[:c[:keep].sum()], c[:keep], f[:keep]))
+    return [Population(t, *map(np.concatenate, zip(*part)))
+            for t, part in zip(config.snapshot_times, parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +577,8 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0):
     """One path of the tagged-fragment chain: (jump_times, sizes_after_jump).
 
     The chain starts at size 1, waits Exp(rate x^alpha), then multiplies by
-    eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).
+    eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).  A path
+    whose size underflows to 0.0 ends there: 0.0 is its final size.
     """
     _check_tagged(alpha, t_max)
     tagged = law.tagged(laws.malthusian_exponent(law))
@@ -585,11 +593,14 @@ def tagged_fragment_path(law, alpha, t_max, master_seed=0):
         x *= float(tagged.sample_eta(stream, 1)[0])
         times.append(t)
         sizes.append(x)
+        if x == 0.0:
+            break
     return np.array(times), np.array(sizes)
 
 
 def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
-    """Vectorised L_{t_max} over independent tagged-fragment paths."""
+    """Vectorised L_{t_max} over independent tagged-fragment paths; a path
+    retires once its size underflows to 0.0, its exact final value."""
     _check_tagged(alpha, t_max)
     tagged = law.tagged(laws.malthusian_exponent(law))
     stream = rngmod.stream(master_seed, "tagged")
@@ -603,7 +614,7 @@ def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
         fire = t_new <= t_max
         t[ia[fire]] = t_new[fire]
         x[ia[fire]] *= tagged.sample_eta(stream, int(fire.sum()))
-        active[ia[~fire]] = False
+        active[ia] = fire & (x[ia] > 0.0)
     return x
 
 

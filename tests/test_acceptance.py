@@ -185,8 +185,8 @@ def test_criterion_07_mean_measure_moments():
     t0 = time.monotonic()
     t, reps_n = 30.0, 10_000
     cfg = sim.SimulationConfig(alpha=1.0, t_max=t, snapshot_times=(t,), master_seed=2030)
-    reps = sim.natural_replicates(cfg, BINARY, reps_n, beta_star=1.0)
-    measure = est.empirical_weighted_measure([r[0] for r in reps], 1.0, 1.0)
+    pop, = sim.natural_replicates(cfg, BINARY, reps_n, beta_star=1.0)
+    measure = est.empirical_weighted_measure(pop, 1.0, 1.0)
     limits = {1: 2.0, 2: 6.0}
     ok = True
     parts = []
@@ -213,22 +213,17 @@ def test_criterion_08_martingale_tests():
     bs = an.beta_star_of(STICK)
     times = (1.0, 5.0, 20.0)
     cfg = sim.SimulationConfig(alpha=1.0, t_max=20.0, snapshot_times=times, master_seed=808)
-    reps = sim.natural_replicates(cfg, STICK, 3000, beta_star=bs)
-    for i, t in enumerate(times):
-        vals = np.array([
-            sim.snapshot_power_sum(r[i], bs) + r[i].frozen_beta_mass_bound for r in reps
-        ])
+    for pop in sim.natural_replicates(cfg, STICK, 3000, beta_star=bs):
+        vals = pop.power_sums(bs) + pop.frozen
         z = (vals.mean() - 1.0) / _se(vals)
         ok &= abs(z) <= 3.0
-        parts.append(f"stick t={t:g}: z={z:+.2f}")
+        parts.append(f"stick t={pop.t:g}: z={z:+.2f}")
     # conservative laws: per-path identity to 1e-12
     for law, tag in ((BINARY, "binary"), (STICK_C, "stick-c")):
         cfg = sim.SimulationConfig(alpha=1.0, t_max=20.0, snapshot_times=times,
                                    master_seed=809)
-        worst = 0.0
-        for snaps in sim.natural_replicates(cfg, law, 200, beta_star=1.0):
-            for s in snaps:
-                worst = max(worst, abs(s.sizes.sum() + s.frozen_beta_mass_bound - 1.0))
+        worst = max(np.max(np.abs(pop.power_sums(1.0) + pop.frozen - 1.0))
+                    for pop in sim.natural_replicates(cfg, law, 200, beta_star=1.0))
         ok &= worst <= 1e-12
         parts.append(f"{tag} per-path dev {worst:.1e}")
     # generation martingale, n <= 12

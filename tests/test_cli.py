@@ -111,6 +111,51 @@ def test_simulate_dump_sizes(specs, tmp_path):
     assert all(0 < s <= 1 for s in sizes)
 
 
+def test_tagged_path_ends_at_size_zero(specs):
+    # at alpha = 0 the rate stays 1 after a size underflows to 0.0; the path
+    # must end there instead of jumping on until t = 1e7
+    out = run_cli("tagged", "--law", specs["binary"], "--alpha", "0", "--tmax", "1e7",
+                  "--paths", "3", timeout=30).stdout.splitlines()
+    assert out == ["path,final_size,scaled_size", "0,0.0,0.0", "1,0.0,0.0", "2,0.0,0.0"]
+
+
+#: ``fragkit simulate`` rows of a law whose replicates die out: half the
+#: splits leave no child, and the floor 0.5 freezes every lineage by its
+#: seventh generation (0.9^7 < 0.5)
+EXTINCT_LAW = {"kind": "UserAtomic", "params": {"groups": [
+    {"prob": 0.5, "sizes": []}, {"prob": 0.5, "sizes": [0.9, 0.9, 0.9]}]}}
+EXTINCT_ROWS = [
+    "replicate,t,n_particles,M_beta_star,frozen_bound",
+    "0,2.0,0,0.0,0.0", "0,40.0,0,0.0,0.0", "1,2.0,0,0.0,0.0", "1,40.0,0,0.0,0.0",
+    "2,2.0,0,0.0,0.0", "2,40.0,0,0.0,0.0", "3,2.0,0,0.0,0.0", "3,40.0,0,0.0,0.0",
+    "4,2.0,10,2.4444444444444446,0.0", "4,40.0,0,0.0,4.038408779149528",
+    "5,2.0,0,0.0,0.0", "5,40.0,0,0.0,0.0",
+    "6,2.0,18,5.06172839506173,0.0", "6,40.0,0,0.0,6.49657064471881",
+    "7,2.0,3,1.1851851851851853,0.0", "7,40.0,0,0.0,0.0",
+]
+
+
+def test_simulate_extinct_rows(tmp_path, capsys):
+    # an extinct replicate has M = 0.0 and keeps the frozen mass of its lineages
+    from fragkit import cli, laws, simulate
+
+    law = laws.from_spec(EXTINCT_LAW)
+    bs = laws.malthusian_exponent(law)
+    cfg = simulate.SimulationConfig(alpha=1.0, t_max=40.0, snapshot_times=(2.0, 40.0),
+                                    child_floor=0.5, master_seed=5)
+    early, late = simulate.natural_replicates(cfg, law, 8, beta_star=bs)
+    assert late.counts.tolist() == [0] * 8 and late.power_sums(bs).tolist() == [0.0] * 8
+    dead_early = (early.counts == 0).tolist()
+    assert [m for m, dead in zip(early.power_sums(bs).tolist(), dead_early) if dead] == [0.0] * 5
+    assert late.frozen[4] > 0 and late.frozen[6] > 0
+    path = tmp_path / "extinct.json"
+    path.write_text(json.dumps(EXTINCT_LAW))
+    assert cli.main(["simulate", "--law", str(path), "--alpha", "1", "--tmax", "40",
+                     "--snapshots", "2,40", "--replicates", "8", "--seed", "5",
+                     "--floor", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines() == EXTINCT_ROWS
+
+
 def test_tagged_and_sample_y_csv(specs):
     out = run_cli("tagged", "--law", specs["filippov"], "--alpha", "1", "--tmax", "5",
                   "--paths", "4", "--seed", "1").stdout.strip().splitlines()
@@ -292,6 +337,8 @@ _NO_ANSWER = {
     "asym-coeff-alpha-negative": ("asym-coeff", "--alpha", "-1", "--beta", "2"),
     "rho-empirical-alpha-0": ("rho-empirical", "--alpha", "0", "--t", "1",
                               "--replicates", "10", "--hist", "{hist}"),
+    # 171! is beyond the doubles: the moments from k = 172 on are not finite
+    "rho-moments-kmax-200": ("rho-moments", "--alpha", "1", "--kmax", "200"),
 }
 
 

@@ -17,8 +17,8 @@ FIL21 = laws.FilippovPower(2.0, 1.0)
 def _measure(law, t, n, seed, alpha=1.0):
     bs = an.beta_star_of(law)
     cfg = sim.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,), master_seed=seed)
-    reps = sim.run_replicates(cfg, law, n, beta_star=bs)
-    return est.empirical_weighted_measure([r[0] for r in reps], alpha, bs), reps
+    pop, = sim.natural_replicates(cfg, law, n, beta_star=bs)
+    return est.empirical_weighted_measure(pop, alpha, bs), pop
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +26,11 @@ def _measure(law, t, n, seed, alpha=1.0):
 # ---------------------------------------------------------------------------
 
 def test_weight_total_identity_exact():
-    measure, reps = _measure(BINARY, 6.0, 200, seed=3)
+    measure, pop = _measure(BINARY, 6.0, 200, seed=3)
+    ends = np.cumsum(pop.counts)
     for r in range(200):
         assert measure.replicate_totals[r] == pytest.approx(
-            sim.snapshot_power_sum(reps[r][0], 1.0), abs=1e-14
+            pop.sizes[ends[r] - pop.counts[r]:ends[r]].sum(), abs=1e-14
         )
     assert np.all(measure.locations > 0)
 
@@ -37,8 +38,8 @@ def test_weight_total_identity_exact():
 def test_single_atom_before_first_split():
     bs = 1.0
     cfg = sim.SimulationConfig(alpha=1.0, t_max=1e-9, snapshot_times=(1e-9,), master_seed=5)
-    reps = sim.run_replicates(cfg, BINARY, 8, beta_star=bs)
-    m = est.empirical_weighted_measure([r[0] for r in reps], 1.0, bs)
+    pop, = sim.natural_replicates(cfg, BINARY, 8, beta_star=bs)
+    m = est.empirical_weighted_measure(pop, 1.0, bs)
     assert m.locations.size == 8
     assert np.allclose(m.weights, 1.0)
     assert np.allclose(m.locations, 1e-9)  # t^(1/alpha) * size with size = 1
@@ -62,26 +63,27 @@ def test_histogram_mass_equals_weight():
 
 def test_empty_measure_raises():
     # supercritical law with extinction: a replicate can die out; when every
-    # replicate is extinct the snapshot carries no atoms
+    # replicate is extinct the population carries no atoms
     extinct = laws.UserAtomic(groups=((0.5, ()), (0.5, (0.9, 0.9, 0.9))))
     bs = laws.malthusian_exponent(extinct)
     cfg = sim.SimulationConfig(alpha=1.0, t_max=40.0, snapshot_times=(40.0,), master_seed=11)
-    snaps = [sim.run(cfg, extinct, replicate=r, beta_star=bs)[0] for r in range(40)]
-    dead = [s for s in snaps if s.sizes.size == 0]
-    assert dead, "law with 50% immediate-death groups should show extinctions"
+    pop, = sim.natural_replicates(cfg, extinct, 40, beta_star=bs)
+    dead = pop.counts == 0
+    assert dead.any(), "law with 50% immediate-death groups should show extinctions"
+    only_dead = sim.Population(pop.t, np.empty(0), pop.counts[dead], pop.frozen[dead])
     with pytest.raises(EmptySnapshot):
-        est.empirical_weighted_measure(dead, 1.0, bs)
+        est.empirical_weighted_measure(only_dead, 1.0, bs)
     with pytest.raises(EmptySnapshot):
-        est.empirical_weighted_measure([], 1.0, bs)
+        est.empirical_weighted_measure(sim.natural_replicates(cfg, extinct, 0)[0], 1.0, bs)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
 def test_measure_needs_positive_alpha(alpha):
     # sizes scale by t^(1/alpha): at alpha = 0 every moment read the same number
     cfg = sim.SimulationConfig(alpha=0.0, t_max=1.0, snapshot_times=(1.0,), master_seed=5)
-    reps = sim.natural_replicates(cfg, FIL21, 4, beta_star=1.0)
+    pop, = sim.natural_replicates(cfg, FIL21, 4, beta_star=1.0)
     with pytest.raises(DomainError, match="alpha > 0"):
-        est.empirical_weighted_measure([r[0] for r in reps], alpha, 1.0)
+        est.empirical_weighted_measure(pop, alpha, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +96,8 @@ def test_power_sum_check_exact_at_zero():
 
 
 def test_power_sum_check_series_target():
-    _, reps = _measure(FIL21, 2.0, 1200, seed=13)
-    ps = np.array([sim.snapshot_power_sum(r[0], 1.6) for r in reps])
+    _, pop = _measure(FIL21, 2.0, 1200, seed=13)
+    ps = pop.power_sums(1.6)
     chk = est.mean_power_sum_test(ps, 2.0, 1.6, FIL21, 1.0)
     assert chk.passed
     assert chk.target == pytest.approx(an.m_series(FIL21, 2.0, 1.6, 1.0).value, rel=1e-12)
@@ -146,16 +148,16 @@ def test_oracle_divergence_detection():
         kind = "HeavySplit"
         beta_a = -math.inf
         has_sampler = True
-        _count = 0
 
         def _phi(self, beta):
             return 1.2 * 0.5**beta  # unused beyond phi(2b)
 
-        def sample_offspring(self, rng, floor=laws.DEFAULT_CHILD_FLOOR):
-            type(self)._count += 1
-            if type(self)._count == 1:
-                return laws.OffspringSample(np.full(10_000, 0.99))
-            return laws.OffspringSample(np.array([1e-6]))
+        def offspring_batch(self, rng, sizes, floor, beta_star):
+            # parent 0 has 10000 children of size 0.99, every other parent one of 1e-6
+            n = sizes.size
+            kids = np.concatenate([np.full(10_000, 0.99), np.full(n - 1, 1e-6)])
+            owner = np.concatenate([np.zeros(10_000, dtype=int), np.arange(1, n)])
+            return kids, owner, np.zeros(n)
 
     with pytest.raises(SecondMomentInfinite):
         est.m_infinity_second_moment_oracle(Degenerate(), 0.5, n_mc=500, master_seed=17)

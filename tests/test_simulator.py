@@ -432,14 +432,19 @@ def test_engine_matches_heap_in_law(law):
     cfg = _config(t_max=5.0, snapshot_times=(1.0, 5.0), child_floor=1e-3, master_seed=61)
     heap = sim.run_replicates(cfg, law, 2000, beta_star=bs)
     engine = sim.natural_replicates(cfg, law, 2000, beta_star=bs)
-    stats = {"n": lambda s: s.sizes.size,
-             "M + frozen": lambda s: sim.snapshot_power_sum(s, bs) + s.frozen_beta_mass_bound}
-    for i, t in enumerate(cfg.snapshot_times):
+    stats = {"n": lambda pop: pop.counts,
+             "M + frozen": lambda pop: pop.power_sums(bs) + pop.frozen}
+    for i, pop in enumerate(engine):
+        # the heap's snapshots as columns, so both halves sum M(t, b*) in the
+        # same order: for a conservative law M + frozen is 1 up to rounding,
+        # and KS would otherwise tell summation orders apart, not laws
+        snaps = [r[i] for r in heap]
+        ref = sim.Population(pop.t, np.concatenate([s.sizes for s in snaps]),
+                             np.array([s.sizes.size for s in snaps]),
+                             np.array([s.frozen_beta_mass_bound for s in snaps]))
         for name, stat in stats.items():
-            a = [stat(r[i]) for r in heap]
-            b = [stat(r[i]) for r in engine]
-            p = ks_2samp(a, b, method="asymp").pvalue
-            assert p >= 1e-3, f"{name} at t={t:g}: KS p = {p:.2e}"
+            p = ks_2samp(stat(ref), stat(pop), method="asymp").pvalue
+            assert p >= 1e-3, f"{name} at t={pop.t:g}: KS p = {p:.2e}"
 
 
 @pytest.mark.parametrize("alpha,x0", [(0.0, 0.75), (1.0, 0.75), (400.0, 1.0)])
@@ -450,24 +455,23 @@ def test_engine_conserves_mass_per_row(law, alpha, x0):
     # with an infinite lifetime, not turn into a NaN row
     cfg = _config(alpha=alpha, t_max=3.0, snapshot_times=(0.0, 0.5, 3.0), child_floor=1e-3,
                   master_seed=67, initial_size=x0)
-    reps = sim.natural_replicates(cfg, law, 300, beta_star=1.0)
-    assert len(reps) == 300
-    for snaps in reps:
-        assert snaps[0].sizes.tolist() == [x0]
-        for s in snaps:
-            assert abs(s.sizes.sum() + s.frozen_beta_mass_bound - x0) <= 1e-12
+    pops = sim.natural_replicates(cfg, law, 300, beta_star=1.0)
+    assert pops[0].counts.tolist() == [1] * 300 and pops[0].sizes.tolist() == [x0] * 300
+    for pop in pops:
+        assert pop.counts.size == 300
+        assert np.max(np.abs(pop.power_sums(1.0) + pop.frozen - x0)) <= 1e-12
     if alpha == 400.0:
-        assert min(snaps[-1].sizes.min() for snaps in reps) ** alpha == 0.0
+        assert pops[-1].sizes.min() ** alpha == 0.0
 
 
 def test_engine_rows_sorted_and_frozen_nondecreasing():
     cfg = _config(snapshot_times=(0.5, 1.0, 2.0, 5.0), master_seed=19, child_floor=1e-4)
-    for r, snaps in enumerate(sim.natural_replicates(cfg, STICK, 40)):
-        bounds = [s.frozen_beta_mass_bound for s in snaps]
-        assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
-        for s in snaps:
-            assert s.replicate_id == r and s.master_seed == 19
-            assert np.all(np.diff(s.sizes) <= 0)
+    pops = sim.natural_replicates(cfg, STICK, 40)
+    for a, b in zip(pops, pops[1:]):
+        assert np.all(b.frozen >= a.frozen)
+    for pop in pops:
+        rep = np.repeat(np.arange(40), pop.counts)
+        assert np.all(np.diff(pop.sizes)[rep[1:] == rep[:-1]] <= 0)
 
 
 def test_engine_keeps_heap_input_rules():
@@ -476,8 +480,8 @@ def test_engine_keeps_heap_input_rules():
     )
     with pytest.raises(NoMalthusianExponent):
         sim.natural_replicates(_config(), chain, 2)
-    reps = sim.natural_replicates(_config(snapshot_times=(2.0,), child_floor=0.0), chain, 5)
-    assert [r[0].sizes.size for r in reps] == [1] * 5  # always exactly one particle
+    pop, = sim.natural_replicates(_config(snapshot_times=(2.0,), child_floor=0.0), chain, 5)
+    assert pop.counts.tolist() == [1] * 5  # always exactly one particle
     with pytest.raises(DomainError, match="floor"):
         sim.natural_replicates(_config(child_floor=0.0), STICK, 2)
 
@@ -487,8 +491,8 @@ def test_engine_population_cap_counts_per_replicate():
     # hold at t = 2, where a binary Yule tree at alpha 0 has about 2e^2 of
     # them, and trip by t = 8 (about 2e^8), whatever the block width
     short = _config(alpha=0.0, t_max=2.0, snapshot_times=(2.0,), max_particles=200)
-    assert len(sim.natural_replicates(short, BINARY, 1)) == 1
-    assert len(sim.natural_replicates(short, BINARY, 600)) == 600
+    assert sim.natural_replicates(short, BINARY, 1)[0].counts.size == 1
+    assert sim.natural_replicates(short, BINARY, 600)[0].counts.size == 600
     long = _config(alpha=0.0, t_max=8.0, snapshot_times=(8.0,), max_particles=200)
     with pytest.raises(TreeSizeExceeded, match="more than 200 particles materialised in "
                                                "replicate"):
@@ -510,10 +514,11 @@ def test_engine_stops_at_last_snapshot():
     # t_max beyond the last snapshot expands nothing more: a cap that holds
     # up to the snapshot holds for the run, and the rows are the same
     law_cfg = dict(alpha=0.0, snapshot_times=(2.0,), max_particles=200)
-    near = sim.natural_replicates(_config(t_max=2.0, **law_cfg), BINARY, 5)
-    far = sim.natural_replicates(_config(t_max=50.0, **law_cfg), BINARY, 5)
-    assert [r[0].sizes.tolist() for r in near] == [r[0].sizes.tolist() for r in far]
-    assert sim.natural_replicates(_config(snapshot_times=()), BINARY, 3) == [[], [], []]
+    near, = sim.natural_replicates(_config(t_max=2.0, **law_cfg), BINARY, 5)
+    far, = sim.natural_replicates(_config(t_max=50.0, **law_cfg), BINARY, 5)
+    assert near.sizes.tolist() == far.sizes.tolist()
+    assert near.counts.tolist() == far.counts.tolist()
+    assert sim.natural_replicates(_config(snapshot_times=()), BINARY, 3) == []
 
 
 #: laws of the engine's input-edge property: with and without beta*, one
@@ -553,18 +558,17 @@ def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_pa
             cfg = sim.SimulationConfig(alpha=alpha, t_max=t_max, snapshot_times=(0.0, t_max),
                                        child_floor=child_floor, max_particles=max_particles,
                                        master_seed=71, initial_size=initial_size)
-            reps = sim.natural_replicates(cfg, law, n)
+            pops = sim.natural_replicates(cfg, law, n)
         except (FragkitError, ValueError):
-            reps = None
+            pops = None
     assert time.monotonic() - t0 < 30.0
-    if reps is not None:
-        assert len(reps) == n
-        for snaps in reps:
-            assert [s.t for s in snaps] == [0.0, t_max]
-            assert snaps[0].sizes.tolist() == [initial_size]
-            for s in snaps:
-                assert np.all(np.isfinite(s.sizes)) and np.all(s.sizes >= 0.0)
-                assert math.isfinite(s.frozen_beta_mass_bound) and s.frozen_beta_mass_bound >= 0
+    if pops is not None:
+        assert [p.t for p in pops] == [0.0, t_max]
+        assert pops[0].sizes.tolist() == [initial_size] * n
+        for pop in pops:
+            assert pop.counts.size == pop.frozen.size == n and pop.counts.sum() == pop.sizes.size
+            assert np.all(np.isfinite(pop.sizes)) and np.all(pop.sizes >= 0.0)
+            assert np.all(np.isfinite(pop.frozen)) and np.all(pop.frozen >= 0)
 
 
 # ---------------------------------------------------------------------------
