@@ -660,12 +660,12 @@ def rho_moment(law, k, alpha):
     dpsi = law.psi_prime(bs)
     if not (math.isfinite(dpsi) and dpsi > 0):
         raise DomainError(f"psi'(beta*) = {dpsi}: moments need a finite positive slope")
-    try:
-        out = math.factorial(k - 1) / (alpha * dpsi)
-    except OverflowError:  # (k-1)! beyond the doubles: divide in mpmath, round once
-        out = float(mp.mpf(math.factorial(k - 1)) / (alpha * dpsi))
-    for j in range(1, k):
-        out /= law.psi(bs + alpha * j)
+    # from k = 172 on, (k-1)! overflows the doubles: then the product runs in mpmath
+    with mp.workprec(113):
+        out = (math.factorial(k - 1) if k <= 171 else mp.factorial(k - 1)) / (alpha * dpsi)
+        for j in range(1, k):
+            out /= law.psi(bs + alpha * j)
+    out = float(out)
     if not math.isfinite(out):
         raise DomainError(f"the rho moment k={k} is not finite in doubles")
     return out

@@ -141,13 +141,12 @@ def empirical_weighted_measure(population, alpha, beta_star):
     """
     if not alpha > 0:
         raise DomainError(f"the weighted empirical measure needs alpha > 0, got {alpha}")
-    if population.sizes.size == 0:
+    if (sizes := population.sizes).size == 0:
         raise EmptySnapshot("all replicates extinct")
-    n, sizes = population.counts.size, population.sizes
     return WeightedEmpiricalMeasure(
         t=population.t, alpha=alpha, beta_star=beta_star,
         locations=population.t ** (1.0 / alpha) * sizes, weights=sizes**beta_star,
-        replicate_index=np.repeat(np.arange(n), population.counts),
+        replicate_index=population.replicate_ids,
         replicate_totals=population.power_sums(beta_star))
 
 
@@ -276,11 +275,9 @@ def l2_functional_test(
     )
     A, M = {}, {}
     for pop in simulate.natural_replicates(cfg, law, n_replicates, beta_star=bs):
-        rep = np.repeat(np.arange(n_replicates), pop.counts)
-        w = pop.sizes**bs
         loc = (pop.t ** (1.0 / alpha) if alpha > 0 else 1.0) * pop.sizes
         # with f = 1, A_t and M(t, b*) - frozen are the same sum, bit for bit
-        A[pop.t] = np.bincount(rep, weights=w * f(loc), minlength=n_replicates)
+        A[pop.t] = pop.sums(pop.sizes**bs * f(loc))
         M[pop.t] = pop.power_sums(bs) + pop.frozen
 
     report = ValidationReport()

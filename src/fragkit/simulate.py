@@ -295,9 +295,9 @@ class Population:
     """Replicates 0 to n - 1 at time t, as columns.
 
     ``sizes``: replicate 0's alive sizes in decreasing order, then replicate
-    1's, and so on; ``counts[r]``: replicate r's particle count;
-    ``frozen[r]``: the expected beta*-mass of its lineages frozen by the
-    child floor up to t (exactly the frozen mass when beta* = 1).
+    1's, and so on (``replicate_ids`` names each entry's replicate); ``counts[r]``:
+    replicate r's particle count; ``frozen[r]``: the expected beta*-mass of its
+    lineages frozen by the child floor up to t (exactly the frozen mass when beta* = 1).
     """
 
     t: float
@@ -305,11 +305,17 @@ class Population:
     counts: np.ndarray
     frozen: np.ndarray
 
+    @property
+    def replicate_ids(self):
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    def sums(self, values):
+        """Per-replicate sums of a column aligned with ``sizes``, added in order; 0.0 if extinct."""
+        return np.bincount(self.replicate_ids, weights=values, minlength=self.counts.size)
+
     def power_sums(self, beta):
-        """M(t, beta) = sum of size^beta per replicate, added in order; 0.0 if extinct."""
-        n = self.counts.size
-        return np.bincount(np.repeat(np.arange(n), self.counts), weights=self.sizes**beta,
-                           minlength=n)
+        """M(t, beta) = sum of size^beta per replicate."""
+        return self.sums(self.sizes**beta)
 
 
 def natural_replicates(config, law, n_replicates, beta_star=None):

@@ -341,6 +341,18 @@ def test_rho_moments_power_law_pochhammer():
             assert an.rho_moment(law, k, alpha) == pytest.approx(ref, rel=1e-12)
 
 
+def test_rho_moment_past_factorial_overflow():
+    # from k = 172, (k-1)! alone overflows the doubles, but a large alpha keeps
+    # the Pochhammer moment (lam/alpha)_k finite
+    law = laws.FilippovPower(2.0, 1.0)
+    for k, alpha in ((172, 1e4), (180, 1e20)):
+        with mp.workprec(200):
+            ref = float(mp.rf(mp.mpf(2.0) / alpha, k))
+        assert an.rho_moment(law, k, alpha) == pytest.approx(ref, rel=1e-14)
+    with pytest.raises(DomainError, match="k=172"):
+        an.rho_moment(law, 172, 1.0)
+
+
 def test_rho_moment_k1_is_slope_reciprocal():
     for law in (STICK, DIRI):
         bs = an.beta_star_of(law)

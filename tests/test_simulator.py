@@ -470,7 +470,7 @@ def test_engine_rows_sorted_and_frozen_nondecreasing():
     for a, b in zip(pops, pops[1:]):
         assert np.all(b.frozen >= a.frozen)
     for pop in pops:
-        rep = np.repeat(np.arange(40), pop.counts)
+        rep = pop.replicate_ids
         assert np.all(np.diff(pop.sizes)[rep[1:] == rep[:-1]] <= 0)
 
 
@@ -565,6 +565,7 @@ def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_pa
     if pops is not None:
         assert [p.t for p in pops] == [0.0, t_max]
         assert pops[0].sizes.tolist() == [initial_size] * n
+        assert pops[0].counts.tolist() == [1] * n
         for pop in pops:
             assert pop.counts.size == pop.frozen.size == n and pop.counts.sum() == pop.sizes.size
             assert np.all(np.isfinite(pop.sizes)) and np.all(pop.sizes >= 0.0)
