@@ -14,9 +14,11 @@ evaluates:
 * g(n, beta) exactly and its extrapolation g(z, beta) to complex z as the
   infinite product prod_k psi(beta+alpha k)/psi(beta+alpha(k+z)), accelerated
   with an Euler-Maclaurin tail;
-* the series in big-float arithmetic, at a precision read off its largest
-  term before summing (the terms alternate and lose about t/ln 10 digits to
-  cancellation), verified by a second pass 64 bits higher and capped at
+* the series at a precision read off its largest term before summing (the
+  terms alternate and lose about t/ln 10 digits to cancellation), each pass
+  summing in fixed point (Python integers over a common power of two, as
+  mpmath's own hypergeometric summation does) with psi from the law's
+  ``phi_mp``, verified by a second pass 64 bits higher and capped at
   MAX_SERIES_BITS;
 * the integro-differential equation by a causal method of steps, one array
   pass over the quadrature nodes per step (independent cross-check of the
@@ -85,10 +87,12 @@ class SeriesEvaluation:
     """Value of m(t, beta) with precision and cancellation diagnostics.
 
     ``cancellation_digits_lost`` = log10(max term / |value|): the alternating
-    series loses about t/ln 10 digits, which is why the summation runs in
-    big-float arithmetic.  ``working_precision_bits`` is the precision of the
-    accepted pass; in the diagnostics of PrecisionExhausted it is the pass
-    that would have come next.  ``mp_value`` keeps the full-precision result
+    series loses about t/ln 10 digits, which is why the summation carries
+    that many bits more than the answer needs.  ``working_precision_bits`` is
+    the precision of the accepted pass; in the diagnostics of
+    PrecisionExhausted it is the pass that would have come next.  The passes
+    sum in fixed point; ``mp_value`` is the accepted pass's total rounded to
+    ``working_precision_bits`` bits (an mpmath mpf, or mpc for complex beta),
     for downstream big-float work.
     """
 
@@ -109,33 +113,97 @@ _GUARD_BITS = 32
 
 
 def _series_sum_mp(law, t, beta, alpha):
-    """One summation pass at the ambient mpmath precision."""
-    neg_t = -mp.mpmathify(t)
+    """One summation pass at the ambient mpmath precision prec, in fixed point.
+
+    The term and the running total are Python integers scaled by a common
+    2^F.  F starts at prec + 16, and whenever a new largest term outgrows
+    prec + 32 bits, both are shifted down so that it carries prec + 16: a
+    growing term keeps prec + 16 to prec + 32 bits, and once the terms
+    decay, each step rounds by one unit of 2^-F, 2^-(prec+16) of the
+    largest term or less.  (A single F read off the largest term would leave
+    the leading terms too few bits where they share a sign and do not
+    cancel, as for a negative psi at small alpha.)
+
+    psi_n = 1 - phi_mp(beta + alpha n) is evaluated by the law at prec bits
+    and converted exactly to prec + 16 fractional bits (while |psi_n| >=
+    2^-16); t enters as its mantissa and exponent, and the division by n + 1
+    is one floor division.  A complex beta carries the term as a pair of
+    integers and compares |term|^2.  The pass stops at an exactly zero psi_n
+    (singular beta: the series terminated), after ten consecutive terms
+    below 2^(1-prec) times the largest one, or at 200000 terms.  Returns
+    (total, terms read, largest |term|), the total and |term| as mpmath
+    numbers rounded to prec bits.
+    """
+    prec = mp.mp.prec
+    psi_bits = frac = prec + 16
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
-    eps = mp.mpf(2) ** (1 - mp.mp.prec)
-    term = mp.mpf(1)
-    total = mp.mpf(0) if mp.im(bm) == 0 else mp.mpc(0)
-    max_term = small = mp.mpf(0)
+    cplx = isinstance(bm, mp.mpc)
+    _, neg_tm, te, _ = mp.mpf(t)._mpf_
+    neg_tm = -neg_tm
+    # term * psi (scaled 2^(F + psi_bits)) * t mantissa, back to 2^F
+    shift = psi_bits - te
+    if shift < 0:
+        neg_tm <<= -shift
+        shift = 0
+    # |term| below 2^(1-prec) max |term|; a complex one compares |term|^2
+    small_shift = 2 * prec - 2 if cplx else prec - 1
+    top = 2 * (prec + 32) if cplx else prec + 32
+    tr = 1 << frac
+    ti = total_r = total_i = 0
+    max_a = small = 0
     consec = 0
     n = 0
     while n < 200000:
-        total += term
-        a = abs(term)
-        if a > max_term:
-            max_term = a
-            small = eps * max_term
-        if term == 0:  # singular beta: the series terminated exactly
-            break
-        if a < small:
+        total_r += tr
+        total_i += ti
+        a = tr * tr + ti * ti if cplx else abs(tr)
+        if a > max_a:
+            if a >> top:
+                k = (a.bit_length() - top) // (2 if cplx else 1) + 16
+                tr >>= k
+                ti >>= k
+                total_r >>= k
+                total_i >>= k
+                frac -= k
+                a = tr * tr + ti * ti if cplx else abs(tr)
+            max_a = a
+            small = (max_a - 1) >> small_shift
+        if a <= small:  # a tail term that rounded to 0 counts here too
             consec += 1
             if consec >= 10:
                 break
         else:
             consec = 0
-        term = term * neg_t / (n + 1) * (1 - law.phi_mp(bm + am * n))
+        psi = 1 - law.phi_mp(bm + am * n)
         n += 1
-    return total, n + 1, max_term
+        if not psi:  # singular beta: the series terminated exactly
+            break
+        if cplx:
+            re, im = psi._mpc_
+        else:
+            re = psi._mpf_
+        sign, man, exp, _ = re
+        off = exp + psi_bits
+        pr = man << off if off >= 0 else man >> -off
+        if sign:
+            pr = -pr
+        if cplx:
+            sign, man, exp, _ = im
+            off = exp + psi_bits
+            pi = man << off if off >= 0 else man >> -off
+            if sign:
+                pi = -pi
+            tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
+            ti = ((ti * neg_tm) >> shift) // n
+        else:
+            tr *= pr
+        tr = ((tr * neg_tm) >> shift) // n
+    total = mp.mpf((total_r, -frac))
+    if cplx:
+        return (mp.mpc(total, mp.mpf((total_i, -frac))), n + 1,
+                mp.sqrt(mp.mpf((max_a, -2 * frac))))
+    return total, n + 1, mp.mpf((max_a, -frac))
 
 
 def _series_log2_max_term(law, t, beta, alpha):
@@ -180,7 +248,10 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     The alternating sum loses about log2(max term) bits, and a double-precision
     pass over log |term| reads that off before any big-float summation.  The
     series is then summed at p = max(start_bits, log2(max term) +
-    log2(1/rel_tol) + 32) bits and verified by one pass at p + 64 bits.  The
+    log2(1/rel_tol) + 32) bits and verified by one pass at p + 64 bits, each
+    in fixed point (``_series_sum_mp``) with psi evaluated at the pass's
+    precision and none shared between the passes; ``mp_value`` is the
+    verifying pass's total rounded to p + 64 bits.  The
     two evaluations must agree to ``rel_tol``, and the accepted (p + 64)-bit
     one must keep log2(1/rel_tol) + 32 bits after the measured loss
     log2(max term / |value|); otherwise p rises and both passes repeat.

@@ -201,10 +201,10 @@ def _cmd_tagged(args):
     law = _load_law(args.law)
     sizes = simulate.tagged_final_sizes(law, args.alpha, args.tmax, args.paths,
                                         master_seed=args.seed)
-    scale = args.tmax ** (1.0 / args.alpha) if args.alpha > 0 else 1.0
+    scaled = estimators.scaled_sizes(args.tmax, args.alpha, sizes) if args.alpha > 0 else sizes
     print("path,final_size,scaled_size")
-    for i, x in enumerate(sizes):
-        print(f"{i},{_fmt(x)},{_fmt(scale * x)}")
+    for i, (x, y) in enumerate(zip(sizes, scaled)):
+        print(f"{i},{_fmt(x)},{_fmt(y)}")
     return 0
 
 

@@ -133,6 +133,35 @@ class WeightedEmpiricalMeasure:
         return locs, cw / cw[-1]
 
 
+def scaled_sizes(t, alpha, sizes):
+    """t^(1/alpha) * sizes, the self-similar rescaling, for alpha > 0.
+
+    At small alpha the power alone overflows the doubles (log t / alpha >
+    709) while a product with a small size may not; it is then formed as
+    ldexp(size, k) * 2^f with k + f = log2(t)/alpha.  Raises DomainError
+    naming alpha when a scaled size is not a finite double, which includes
+    a size that underflowed to 0.0 against a scale past the doubles: its
+    scaled value is lost.
+    """
+    t, sizes = float(t), np.asarray(sizes, dtype=float)
+    try:
+        out = t ** (1.0 / alpha) * sizes
+    except OverflowError:
+        e = math.log2(t) / alpha
+        # past 2^2100 even the smallest subnormal size scales to inf
+        out = np.full(sizes.shape, math.inf)
+        if e < 2100.0:
+            k = math.floor(e)
+            with np.errstate(over="ignore"):
+                out = np.ldexp(sizes, k) * 2.0 ** (e - k)
+            out[sizes == 0.0] = math.inf
+    if not np.all(np.isfinite(out)):
+        raise DomainError(
+            f"t^(1/alpha) * size is not a finite double at alpha = {alpha} (t = {t}): "
+            "alpha is too small for this time")
+    return out
+
+
 def empirical_weighted_measure(population, alpha, beta_star):
     """Build the measure from a ``simulate.Population`` (one time, every replicate).
 
@@ -145,7 +174,7 @@ def empirical_weighted_measure(population, alpha, beta_star):
         raise EmptySnapshot("all replicates extinct")
     return WeightedEmpiricalMeasure(
         t=population.t, alpha=alpha, beta_star=beta_star,
-        locations=population.t ** (1.0 / alpha) * sizes, weights=sizes**beta_star,
+        locations=scaled_sizes(population.t, alpha, sizes), weights=sizes**beta_star,
         replicate_index=population.replicate_ids,
         replicate_totals=population.power_sums(beta_star))
 
@@ -275,7 +304,7 @@ def l2_functional_test(
     )
     A, M = {}, {}
     for pop in simulate.natural_replicates(cfg, law, n_replicates, beta_star=bs):
-        loc = (pop.t ** (1.0 / alpha) if alpha > 0 else 1.0) * pop.sizes
+        loc = scaled_sizes(pop.t, alpha, pop.sizes) if alpha > 0 else pop.sizes
         # with f = 1, A_t and M(t, b*) - frozen are the same sum, bit for bit
         A[pop.t] = pop.sums(pop.sizes**bs * f(loc))
         M[pop.t] = pop.power_sums(bs) + pop.frozen

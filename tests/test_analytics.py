@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from fragkit import analytics as an, laws
@@ -101,6 +102,84 @@ def test_series_stability_under_doubling():
     with mp.workprec(2 * ev.working_precision_bits):
         again, _, _ = an._series_sum_mp(STICK, 12.0, 1.1, 1.0)
         assert abs(ev.mp_value - again) <= 1e-12 * abs(again)
+
+
+def _series_sum_reference(law, t, beta, alpha):
+    """The series summed term by term in mpmath floats at the ambient precision.
+
+    The reference for ``_series_sum_mp``'s fixed-point pass: the same psi
+    evaluations, recurrence and stopping rule in the plainest arithmetic.
+    """
+    neg_t = -mp.mpmathify(t)
+    bm = mp.mpmathify(beta)
+    am = mp.mpmathify(alpha)
+    eps = mp.mpf(2) ** (1 - mp.mp.prec)
+    term = mp.mpf(1)
+    total = mp.mpf(0) if mp.im(bm) == 0 else mp.mpc(0)
+    max_term = small = mp.mpf(0)
+    consec = 0
+    n = 0
+    while n < 200000:
+        total += term
+        a = abs(term)
+        if a > max_term:
+            max_term = a
+            small = eps * max_term
+        if term == 0:  # singular beta: the series terminated exactly
+            break
+        if a < small:
+            consec += 1
+            if consec >= 10:
+                break
+        else:
+            consec = 0
+        term = term * neg_t / (n + 1) * (1 - law.phi_mp(bm + am * n))
+        n += 1
+    return total, n + 1, max_term
+
+
+@given(
+    law=st.sampled_from([STICK, FIL21, laws.FilippovPower(2.0, 0.8)]),
+    offset=st.floats(0.05, 3.0),
+    imag=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    alpha=st.floats(0.0, 2.0, exclude_min=True),
+    t=st.floats(0.1, 300.0),
+    prec=st.sampled_from([128, 256, 512]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fixed_point_pass_matches_reference(law, offset, imag, alpha, t, prec):
+    beta = law.beta_a + offset
+    if imag:
+        beta = complex(beta, imag)
+    with mp.workprec(prec):
+        total, n_terms, max_term = an._series_sum_mp(law, t, beta, alpha)
+        _, ref_terms, _ = _series_sum_reference(law, t, beta, alpha)
+        bound = n_terms * mp.mpf(2) ** (1 - prec) * max_term
+    assert n_terms == ref_terms
+    with mp.workprec(2 * prec):
+        exact, _, _ = _series_sum_reference(law, t, beta, alpha)
+        assert abs(total - exact) <= bound
+
+
+@pytest.mark.parametrize("t, bits, terms", [
+    (10.0, (192, 192), (107, 105)),
+    (200.0, (419, 408), (637, 629)),
+    (1000.0, (1572, 1558), (2816, 2805)),
+])
+def test_series_diagnostics_pinned_on_bench_cases(t, bits, terms):
+    # the lossy stick at alpha = 1 and FilippovPower(2, 0.8) at alpha = 1.3,
+    # both at beta* + 1: precision sizing and stopping as summed in mpf
+    cases = ((STICK, 1.0), (laws.FilippovPower(2.0, 0.8), 1.3))
+    for (law, alpha), b, n in zip(cases, bits, terms):
+        beta = an.beta_star_of(law) + 1.0
+        ev = an.m_series(law, t, beta, alpha)
+        assert (ev.working_precision_bits, ev.terms_used) == (b, n)
+        with mp.workprec(b):
+            total, ref_terms, max_term = _series_sum_reference(law, t, beta, alpha)
+            lost = float(mp.log10(max_term / abs(total)))
+        assert ref_terms == n
+        assert ev.max_term_magnitude == pytest.approx(float(max_term), rel=1e-15)
+        assert ev.cancellation_digits_lost == pytest.approx(lost, rel=1e-15)
 
 
 def test_series_rejects_unusable_t_and_tolerance():

@@ -339,6 +339,10 @@ _NO_ANSWER = {
                               "--replicates", "10", "--hist", "{hist}"),
     # 171! is beyond the doubles: the moments from k = 172 on are not finite
     "rho-moments-kmax-200": ("rho-moments", "--alpha", "1", "--kmax", "200"),
+    # t^(1/alpha) is past the doubles at small alpha, and so are the scaled sizes
+    "tagged-alpha-1e-3": ("tagged", "--alpha", "1e-3", "--tmax", "1e7", "--paths", "3"),
+    "rho-empirical-alpha-1e-3": ("rho-empirical", "--alpha", "1e-3", "--t", "10",
+                                 "--replicates", "5", "--hist", "{hist}"),
 }
 
 

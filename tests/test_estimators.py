@@ -86,6 +86,31 @@ def test_measure_needs_positive_alpha(alpha):
         est.empirical_weighted_measure(pop, alpha, 1.0)
 
 
+def test_scaled_sizes_past_the_power_overflow():
+    import mpmath as mp
+
+    sizes = np.array([0.5, 1e-3, 0.0])
+    # a finite scale multiplies as before, bit for bit
+    assert est.scaled_sizes(10.0, 0.5, sizes).tolist() == (10.0 ** 2.0 * sizes).tolist()
+    # log t / alpha = 805: t^(1/alpha) overflows, but a small size's product does not
+    t, alpha = 1e7, 0.02
+    with pytest.raises(OverflowError):
+        t ** (1.0 / alpha)
+    small = np.array([1e-300, 3.7e-320, 2.5e-290])
+    got = est.scaled_sizes(t, alpha, small)
+    with mp.workdps(40):
+        ref = [float(mp.mpf(t) ** (1 / mp.mpf(alpha)) * mp.mpf(x)) for x in small]
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    assert est.scaled_sizes(np.float64(t), alpha, small).tolist() == got.tolist()
+    # a product past the doubles, or a size that underflowed to 0.0 against
+    # that scale, has no finite scaled value
+    for bad in ([1e-300, 1e-10], [1e-300, 0.0]):
+        with pytest.raises(DomainError, match="alpha = 0.02"):
+            est.scaled_sizes(t, alpha, np.array(bad))
+    with pytest.raises(DomainError, match="alpha = 1e-300"):
+        est.scaled_sizes(10.0, 1e-300, small)
+
+
 # ---------------------------------------------------------------------------
 # mean power-sum test
 # ---------------------------------------------------------------------------
