@@ -13,6 +13,8 @@ and ``filippov_asymptotic_coefficient``; for one spec of every kind it records
 the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
 ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
+the Mellin data phi, psi' and ``phi_mp`` and what reads them beyond doubles
+(``_mellin_probe``),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
 and 2 (a spec with no sampler records its error class name instead).
 ``m_integro`` runs to t = 5 at beta* + 0.5 (grid values and derivatives) for
@@ -82,6 +84,7 @@ BOUNDS = (
     ("rho_moment", 0.0),
     ("m_series", 0.0),
     ("m_integro", 1e-13),
+    ("mellin", 0.0),
     ("filippov_gamma", 1e-14),
     ("filippov_coefficient", 1e-14),
 )
@@ -109,6 +112,55 @@ def _analytics_probe(rec, name, law):
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
         record(f"m_series {tag}",
                lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
+
+
+def _mp_bytes(values):
+    """Exact bytes of mpmath numbers (their mantissa-exponent tuples) and plain values."""
+    parts = [getattr(v, "_mpc_", getattr(v, "_mpf_", v)) for v in values]
+    return np.frombuffer(repr(parts).encode(), dtype=np.uint8)
+
+
+def _mellin_probe(rec, name, law):
+    """phi, psi' and phi_mp right of the abscissa, and what reads them past doubles.
+
+    phi and psi' at five real and complex beta; phi_mp at 53, 113 and 320
+    bits; the square mean E (sum xi^beta*)^2 of a law with a sampler; C(beta)
+    at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200.
+    A FragkitError is recorded by its class name.
+    """
+    import mpmath as mp
+
+    from fragkit import analytics
+    from fragkit.errors import FragkitError
+
+    def record(key, f):
+        try:
+            rec[f"mellin {key} {name}"] = f()
+        except FragkitError as exc:
+            rec[f"mellin {key} {name}"] = np.frombuffer(type(exc).__name__.encode(),
+                                                        dtype=np.uint8)
+
+    bs = analytics.beta_star_of(law)
+    betas = [bs + 0.05, bs + 0.7, bs + 2.5, bs + 0.7 + 1.5j, bs + 0.3 - 0.8j]
+
+    def phi_mp(bits):
+        with mp.workprec(bits):
+            return _mp_bytes([law.phi_mp(b) for b in betas])
+
+    def series():
+        evs = [analytics.m_series(law, t, bs + 0.7, 1.0) for t in (0.5, 10.0, 200.0)]
+        return _mp_bytes([x for ev in evs
+                          for x in (ev.working_precision_bits, ev.terms_used, ev.mp_value)])
+
+    record("phi", lambda: np.array([complex(law.phi(b)) for b in betas]).view(float))
+    record("psi_prime", lambda: np.array([complex(law.psi_prime(b)) for b in betas]).view(float))
+    for bits in (53, 113, 320):
+        record(f"phi_mp bits={bits}", lambda: phi_mp(bits))
+    if law.has_sampler:
+        record("square_mean", lambda: np.array([law.offspring_square_mean(bs)], dtype=float))
+    record("coefficient_mp", lambda: _mp_bytes(
+        [analytics.asymptotic_coefficient(law, bs + 0.7, 1.0, precision_bits=240)]))
+    record("m_series_mp", series)
 
 
 def _integro_probe(rec):
@@ -233,6 +285,7 @@ def probe(out_path):
             _simulate_probe(rec, name, path, d)
             law = laws.from_spec(doc)
             _analytics_probe(rec, name, law)
+            _mellin_probe(rec, name, law)
             if law.has_sampler:
                 _sampler_probe(rec, name, law)
     _integro_probe(rec)

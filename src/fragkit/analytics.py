@@ -65,6 +65,24 @@ beta_star_of = malthusian_exponent
 
 
 # ---------------------------------------------------------------------------
+# input domains
+# ---------------------------------------------------------------------------
+
+def _check_alpha(alpha, positive):
+    """DomainError unless alpha is finite and >= 0 (> 0 when ``positive``); NaN fails."""
+    if not ((alpha > 0 if positive else alpha >= 0) and alpha < math.inf):
+        raise DomainError(f"alpha must be finite and {'>' if positive else '>='} 0, got {alpha}")
+
+
+def _check_beta(law, beta):
+    """DomainError unless beta is finite with Re beta > beta_a; NaN fails."""
+    if not cmath.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
+    if not np.real(beta) > law.beta_a:
+        raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
+
+
+# ---------------------------------------------------------------------------
 # finite products
 # ---------------------------------------------------------------------------
 
@@ -258,10 +276,11 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     ``start_bits`` is a floor on p.  Raises PrecisionExhausted (with
     diagnostics attached) as soon as a pass would need more than
     MAX_SERIES_BITS = 4096 bits: the loss is about t log2(e) bits, so at the
-    default ``rel_tol`` usable t ends near 2750.
+    default ``rel_tol`` usable t ends near 2750.  Raises DomainError unless
+    0 <= alpha < inf and beta is finite with Re beta > beta_a.
     """
-    if np.real(beta) <= law.beta_a:
-        raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
+    _check_alpha(alpha, positive=False)
+    _check_beta(law, beta)
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if not rel_tol > 0:
@@ -385,18 +404,17 @@ def m_integro(law, t_max, beta, alpha, step=None):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if beta <= law.beta_a:
         raise DomainError(f"beta = {beta} <= abscissa {law.beta_a}")
-    comps = law.sigma_power_components()
-    atoms = law.sigma_atoms()
-    if comps is None and atoms is None:
+    terms, atoms = law.power_terms, law.atoms
+    if terms is None and atoms is None:
         raise UnsupportedRepresentation(f"{law.kind}: no density/atom representation")
 
     n_nodes = 48
     while True:
-        sol = _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes)
-        if comps is None:
+        sol = _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes)
+        if terms is None:
             return sol  # atomic integral is exact
         check = _integro_march(law, min(t_max, max(t_max / 8, 10 * sol.ts[1])), beta,
-                               alpha, step, comps, atoms, 2 * n_nodes)
+                               alpha, step, terms, atoms, 2 * n_nodes)
         i = len(check.ts) - 1
         ref = check.values[i]
         gap = abs(sol(check.ts[i]) - ref)
@@ -410,7 +428,7 @@ def m_integro(law, t_max, beta, alpha, step=None):
         n_nodes *= 2
 
 
-def _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes):
+def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
     h = step if step is not None else min(0.005, max(t_max / 2000.0, 1e-4))
     n = max(1, int(math.ceil(t_max / h)))
     h = t_max / n
@@ -421,11 +439,11 @@ def _integro_march(law, t_max, beta, alpha, step, comps, atoms, n_nodes):
 
     # one rule for the whole x-integral: I(t) = sum_k w_k m(xa_k t)
     xa, w = [], []
-    if comps is not None:
-        for c, q in comps:
-            u, wq = _gauss_unit_weight(beta + q, n_nodes)
+    if terms is not None:
+        for lam, theta in terms:
+            u, wq = _gauss_unit_weight(beta + (theta - 1.0), n_nodes)
             xa.append(u**alpha)
-            w.append(c * wq)
+            w.append(lam * wq)
     if atoms is not None:
         xa.append(np.array([x for x, _ in atoms]) ** alpha)
         w.append(np.array([wt * x**beta for x, wt in atoms]))
@@ -634,9 +652,13 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     limit log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
     equation needs.  ``precision_bits`` switches to big-float arithmetic
     (needed when downstream asymptotics consume the value at extreme accuracy).
+    Raises DomainError unless z is finite, 0 <= alpha < inf and beta is
+    finite with Re beta > beta_a.
     """
-    if np.real(beta) <= law.beta_a:
-        raise DomainError(f"Re beta = {np.real(beta)} <= abscissa {law.beta_a}")
+    _check_alpha(alpha, positive=False)
+    _check_beta(law, beta)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     zc = complex(z)
     if zc == 0:
         return GammaExtrapolation(z, beta, 1.0, 0, 0.0)
@@ -680,10 +702,11 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     using the reciprocal identity to place the product's second argument at
     alpha + beta* (all factors right of the abscissa).  Refuses arithmetic
     laws (complex roots of phi = 1 on the critical line would contribute
-    oscillatory terms) and beta = beta* (pole of the gamma factor).
+    oscillatory terms) and beta = beta* (pole of the gamma factor).  Raises
+    DomainError unless 0 < alpha < inf and beta is finite with Re beta > beta_a.
     """
-    if not alpha > 0:
-        raise DomainError(f"the large-t asymptotics need alpha > 0, got {alpha}")
+    _check_alpha(alpha, positive=True)
+    _check_beta(law, beta)
     if law.arithmetic:
         raise ArithmeticLaw(f"{law.kind}: coefficient formula needs a nonarithmetic law")
     bs = malthusian_exponent(law)
@@ -721,12 +744,12 @@ def rho_moment(law, k, alpha):
     """k-th power moment of the limit measure: int x^(alpha k) rho(dx).
 
     Equals (k-1)!/(alpha psi'(beta*)) * prod_{j=1}^{k-1} 1/psi(beta* + alpha j).
-    Raises DomainError when the moment is not finite in doubles.
+    Raises DomainError unless 0 < alpha < inf, and when the moment is not
+    finite in doubles.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not alpha > 0:
-        raise DomainError(f"the limit measure rho needs alpha > 0, got {alpha}")
+    _check_alpha(alpha, positive=True)
     bs = malthusian_exponent(law)
     dpsi = law.psi_prime(bs)
     if not (math.isfinite(dpsi) and dpsi > 0):

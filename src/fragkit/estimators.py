@@ -109,13 +109,12 @@ class WeightedEmpiricalMeasure:
     def _per_replicate(self, values):
         return np.bincount(self.replicate_index, weights=values, minlength=self.n_replicates)
 
-    def histogram(self, edges=None, n_bins=40):
-        """Weighted histogram; default geometric bins over the [0.1%, 99.9%]
+    def histogram(self, n_bins=40):
+        """Weighted histogram over geometric bins between the [0.1%, 99.9%]
         weighted quantiles (the limit density has a power-law left tail)."""
-        if edges is None:
-            lo, hi = self.quantiles((0.001, 0.999))
-            lo = max(lo, 1e-300)
-            edges = np.geomspace(lo, max(hi, lo * (1 + 1e-9)), n_bins + 1)
+        lo, hi = self.quantiles((0.001, 0.999))
+        lo = max(lo, 1e-300)
+        edges = np.geomspace(lo, max(hi, lo * (1 + 1e-9)), n_bins + 1)
         mass, edges = np.histogram(self.locations, bins=edges, weights=self.weights)
         return edges, mass / self.n_replicates
 
@@ -165,11 +164,12 @@ def scaled_sizes(t, alpha, sizes):
 def empirical_weighted_measure(population, alpha, beta_star):
     """Build the measure from a ``simulate.Population`` (one time, every replicate).
 
-    The sizes are scaled by t^(1/alpha), so the measure needs alpha > 0: at
-    alpha = 0 every weighted moment would read the same number.
+    The sizes are scaled by t^(1/alpha), so the measure needs a finite
+    alpha > 0: at alpha = 0 every weighted moment would read the same number,
+    and at alpha = inf the moments x^(alpha k) would all read 0.
     """
-    if not alpha > 0:
-        raise DomainError(f"the weighted empirical measure needs alpha > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"the weighted empirical measure needs a finite alpha > 0, got {alpha}")
     if (sizes := population.sizes).size == 0:
         raise EmptySnapshot("all replicates extinct")
     return WeightedEmpiricalMeasure(

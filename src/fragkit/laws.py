@@ -16,11 +16,13 @@ Every law with a sampler declares sigma once, as power terms and atoms,
     sigma(dx) = sum_j lam_j x^(theta_j - 1) dx + sum_i w_i delta_{x_i}(dx),
 
 and the base class derives from it the Mellin data (phi, its derivative and
-arbitrary-precision form, the abscissa), the quadrature representations and
-the size-biased tilt of a nonnegative power mixture.  A law writes only its
-measure, its exact offspring sampler and what is truly its own (factored
-closed forms, special tilts, square means).  Density-only laws declare no
-measure and compute phi by quadrature; they have no sampler.  That
+arbitrary-precision form, the abscissa) and the size-biased tilt of a
+nonnegative power mixture; ``m_integro``, ``arithmetic_check`` and the
+Poisson square mean read the same two fields.  A law writes only its
+measure, its exact offspring sampler and what is truly its own (special
+tilts, square means).  The one exception is StickBreakingLossy, which keeps
+its factored phi = 1/(beta(beta+1)) (see its docstring).  Density-only laws
+declare no measure and compute phi by quadrature; they have no sampler.  That
 quadrature is the module's only use of scipy, imported on first use, so the
 beta* solve and every sampler need numpy and mpmath only.
 
@@ -183,16 +185,6 @@ class ReproductionLaw:
 
     def _detect_arithmetic(self):
         return False
-
-    def sigma_power_components(self):
-        """sigma's density as sum of c * x^q dx on ]0,1], or None."""
-        if not self.power_terms:
-            return None
-        return tuple((l, t - 1.0) for l, t in self.power_terms)
-
-    def sigma_atoms(self):
-        """sigma's atoms ((x, weight), ...), or None."""
-        return self.atoms
 
     @property
     def atom_mass_at_one(self):
@@ -455,23 +447,14 @@ def _richardson_derivative(f, x, left_limit, rel_tol=1e-8):
 class BinaryUniformConservative(ReproductionLaw):
     """Split into {U, 1-U}, U uniform: conservative, beta_star = 1.
 
-    Structural measure 2 dx on (0,1); same Mellin data as FilippovPower(2,1),
-    but the sampler conserves mass pathwise.
+    Structural measure 2 dx on (0,1): its Mellin data is FilippovPower(2,1)'s,
+    derived from the same power term, but the sampler conserves mass pathwise.
     """
 
     kind = "BinaryUniformConservative"
     power_terms = ((2.0, 1.0),)
     conservative = True
     has_sampler = True
-
-    def _phi(self, beta):
-        return 2.0 / (1.0 + beta)
-
-    def phi_mp(self, beta):
-        return 2 / (1 + mp.mpmathify(beta))
-
-    def _phi_prime(self, beta):
-        return -2.0 / (1.0 + beta) ** 2
 
     def sample_offspring(self, rng, floor=DEFAULT_CHILD_FLOOR):
         u = rng.random()
@@ -556,7 +539,12 @@ class _StickBreakingBase(ReproductionLaw):
 class StickBreakingLossy(_StickBreakingBase):
     """Rank the sizes (1-U_j) prod_{k<j} U_k, j >= 1: the first uniform
     portion of the stick is lost.  phi(beta) = 1/(beta(beta+1)), so
-    beta_star = (sqrt(5)-1)/2; sigma has density (1-x)/x."""
+    beta_star = (sqrt(5)-1)/2; sigma has density (1-x)/x.
+
+    The only law that keeps its own Mellin code: the factored 1/(beta(beta+1))
+    rounds differently from the generic 1/beta - 1/(beta+1), and phi(2 beta*)
+    sets the depth of the M_inf pilot, whose values known-answer tests pin.
+    """
 
     kind = "StickBreakingLossy"
     power_terms = ((1.0, 0.0), (-1.0, 1.0))  # (1-x)/x = x^-1 - x^0
@@ -619,21 +607,13 @@ class StickBreakingLossy(_StickBreakingBase):
 
 class StickBreakingConservative(_StickBreakingBase):
     """Rank the sizes (1-U_j) prod_{k<j} U_k, j >= 0: nothing is lost.
-    phi(beta) = 1/beta, beta_star = 1, sigma has density 1/x."""
+    phi(beta) = 1/beta, beta_star = 1, sigma has density 1/x (the power
+    term (1, 0), from which the base class derives the Mellin data)."""
 
     kind = "StickBreakingConservative"
     power_terms = ((1.0, 0.0),)
     conservative = True
     _lossy = False
-
-    def _phi(self, beta):
-        return 1.0 / beta
-
-    def phi_mp(self, beta):
-        return 1 / mp.mpmathify(beta)
-
-    def _phi_prime(self, beta):
-        return -1.0 / beta**2
 
     def offspring_square_mean(self, beta_star):
         return 1.0
@@ -666,12 +646,7 @@ class DirichletPolynomial(ReproductionLaw):
 
     @cached_property
     def has_sampler(self):
-        return all(l >= 0 and t > 0 for l, t in self.terms) and self._total_mass() > 1.0
-
-    def _total_mass(self):
-        if any(t <= 0 for _, t in self.terms):
-            return math.inf
-        return sum(l / t for l, t in self.terms)
+        return all(l >= 0 and t > 0 for l, t in self.terms) and self._phi(0.0) > 1.0
 
     @cached_property
     def _mixture(self):
@@ -690,7 +665,7 @@ class DirichletPolynomial(ReproductionLaw):
             raise UnsupportedSampler(
                 f"{self.kind} sampler needs lam_j >= 0, theta_j > 0, mass > 1"
             )
-        counts = 1 + rng.poisson(self._total_mass() - 1.0, size=sizes.size)
+        counts = 1 + rng.poisson(self._phi(0.0) - 1.0, size=sizes.size)
         owner = np.repeat(np.arange(sizes.size), counts)
         kids = sizes.take(owner) * self._draw_factors(rng, owner.size)
         return kids, owner, np.zeros(sizes.size)
@@ -701,7 +676,7 @@ class DirichletPolynomial(ReproductionLaw):
         if not self.has_sampler:
             return None
         b = beta_star
-        w = self._total_mass()
+        w = self._phi(0.0)  # the total mass
         phi1 = lambda s: self._phi(s) / w        # normalised intensity
         phi2 = lambda s: self._phi(s) * (1.0 - 1.0 / w)
         return phi1(2 * b) + 2 * phi1(b) * phi2(b) + phi2(2 * b) + phi2(b) ** 2
@@ -851,9 +826,6 @@ class PowerComponent:
     def power_terms(self):
         return ((self.mass * self.theta, self.theta),)
 
-    def mellin(self, beta):
-        return self.mass * self.theta / (self.theta + beta)
-
     def sample(self, rng, n):
         return rng.random(n) ** (1.0 / self.theta)
 
@@ -874,9 +846,6 @@ class AtomComponent:
     @property
     def mass(self):
         return sum(w for _, w in self.atoms)
-
-    def mellin(self, beta):
-        return sum(w * x**beta for x, w in self.atoms)
 
     def sample(self, rng, n):
         xs = np.array([x for x, _ in self.atoms])
@@ -926,9 +895,10 @@ class UserPoisson(ReproductionLaw):
 
     def offspring_square_mean(self, beta_star):
         b = beta_star
-        p1 = self.sigma1.mellin(b)
-        p2 = self.sigma2.mellin(b)
-        return self.sigma1.mellin(2 * b) + 2 * p1 * p2 + self.sigma2.mellin(2 * b) + p2**2
+        mellin = lambda c, s: _mellin(c.power_terms, c.atoms, s)
+        p1 = mellin(self.sigma1, b)
+        p2 = mellin(self.sigma2, b)
+        return mellin(self.sigma1, 2 * b) + 2 * p1 * p2 + mellin(self.sigma2, 2 * b) + p2**2
 
     def __repr__(self):
         return f"UserPoisson(sigma1={self.sigma1}, sigma2={self.sigma2})"
@@ -1028,7 +998,7 @@ def arithmetic_check(law):
     a relative mismatch above 1e-9 (or an unreachable denominator) means the
     support is not geometric.
     """
-    atoms = law.sigma_atoms()
+    atoms = law.atoms
     if atoms is None:
         raise DomainError("arithmetic_check needs a finite atomic law")
     logs = [math.log(x) for x, _ in atoms if x < 1.0]

@@ -366,9 +366,9 @@ class GenerationMartingaleResult:
     def m_tilde(self):
         return self.m_hat + self.correction
 
-    @property
-    def depth(self):
-        return self.m_hat.shape[1] - 1
+
+#: most nodes one block of the generation engine materialises over its generations
+GENERATION_NODE_CAP = 60_000_000
 
 
 class _GenerationEngine:
@@ -387,8 +387,7 @@ class _GenerationEngine:
     kept as running sums, added in generation order.
     """
 
-    def __init__(self, law, beta_star, n_trees, eps_prune, master_seed, node_cap=60_000_000,
-                 block=0):
+    def __init__(self, law, beta_star, n_trees, eps_prune, master_seed, block=0):
         self.law = law
         self.bs = beta_star
         self.n_trees = n_trees
@@ -396,7 +395,6 @@ class _GenerationEngine:
         self.seed = master_seed
         self.block = block
         self.stream = None
-        self.cap = node_cap
         self.sizes = np.ones(n_trees)
         self.tree = np.arange(n_trees)
         self.gen = 0
@@ -415,8 +413,8 @@ class _GenerationEngine:
         kids, owner, tail_mean = self.law.offspring_batch(
             self.stream, self.sizes, self.eps ** (1 / self.bs), self.bs)
         self.nodes_seen += kids.size
-        if self.nodes_seen > self.cap:
-            raise TreeSizeExceeded(f"more than {self.cap} nodes materialised")
+        if self.nodes_seen > GENERATION_NODE_CAP:
+            raise TreeSizeExceeded(f"more than {GENERATION_NODE_CAP} nodes materialised")
 
         kid_tree = self.tree.take(owner)
         del owner
@@ -640,8 +638,8 @@ class YSampleResult:
 
 
 def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
-    if alpha <= 0:
-        raise ValueError("the limit variable Y needs alpha > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"the limit variable Y needs a finite alpha > 0, got {alpha}")
     if not eps_tail > 0:
         raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
     tagged = law.tagged(laws.malthusian_exponent(law))

@@ -288,13 +288,12 @@ def test_criterion_11_homogeneous_mode():
     for law, beta, tag in ((BINARY, 2.0, "binary"), (FIL21, 1.5, "filippov")):
         cfg = sim.SimulationConfig(alpha=0.0, t_max=3.0, snapshot_times=(1.0, 3.0),
                                    master_seed=1111)
-        reps = sim.run_replicates(cfg, law, 4000)
-        for i, t in enumerate((1.0, 3.0)):
-            vals = np.array([sim.snapshot_power_sum(r[i], beta) for r in reps])
-            target = an.homogeneous_m(law, t, beta)
+        for pop in sim.natural_replicates(cfg, law, 4000):
+            vals = pop.power_sums(beta)
+            target = an.homogeneous_m(law, pop.t, beta)
             z = (vals.mean() - target) / _se(vals)
             ok &= abs(z) <= 3.0
-            parts.append(f"{tag} t={t:g}: z={z:+.2f}")
+            parts.append(f"{tag} t={pop.t:g}: z={z:+.2f}")
     elapsed = time.monotonic() - t0
     _report(11, ok, "exp(-t psi(beta)) targets; " + "; ".join(parts), elapsed)
 

@@ -54,6 +54,27 @@ def test_gamma_n_rejects_left_of_abscissa():
         an.gamma_n(STICK, 2, -0.2, 1.0)
 
 
+#: (call, message): inputs outside the domain that the CLI cases in
+#: test_cli do not reach; NaN must fail every comparison that admits a value
+_OUT_OF_DOMAIN = {
+    "m_series-beta-inf": (lambda: an.m_series(FIL21, 3.0, math.inf, 1.0), "beta"),
+    "m_series-beta-complex-nan": (
+        lambda: an.m_series(FIL21, 3.0, complex(1.5, math.nan), 1.0), "beta"),
+    "gamma_z-z-nan": (lambda: an.gamma_z(FIL21, complex(math.nan, 1.0), 1.5, 1.0), "z"),
+    "gamma_z-z-inf": (lambda: an.gamma_z(FIL21, math.inf, 1.5, 1.0), "z"),
+    "gamma_z-beta-nan": (lambda: an.gamma_z(FIL21, 0.5, math.nan, 1.0), "beta"),
+    # the big-float path evaluates psi(beta) by phi_mp, which checks no domain
+    "asymptotic_coefficient-beta-left": (
+        lambda: an.asymptotic_coefficient(FIL21, -1.5, 1.0, precision_bits=128), "abscissa"),
+}
+
+
+@pytest.mark.parametrize("call, message", _OUT_OF_DOMAIN.values(), ids=_OUT_OF_DOMAIN.keys())
+def test_out_of_domain_inputs_raise(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # series evaluation
 # ---------------------------------------------------------------------------

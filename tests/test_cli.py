@@ -327,7 +327,8 @@ def test_counts_below_one_are_usage_errors(specs, argv, capsys):
 
 
 #: inputs that parse but have no answer: one replicate has no standard
-#: error, and the asymptotics and rho need alpha > 0
+#: error, the series needs a finite alpha >= 0 and a finite beta, and the
+#: asymptotics, rho and Y need a finite alpha > 0
 _NO_ANSWER = {
     "rho-empirical-one-replicate": ("rho-empirical", "--alpha", "1", "--t", "1",
                                     "--replicates", "1", "--hist", "{hist}"),
@@ -343,6 +344,16 @@ _NO_ANSWER = {
     "tagged-alpha-1e-3": ("tagged", "--alpha", "1e-3", "--tmax", "1e7", "--paths", "3"),
     "rho-empirical-alpha-1e-3": ("rho-empirical", "--alpha", "1e-3", "--t", "10",
                                  "--replicates", "5", "--hist", "{hist}"),
+    "mseries-alpha-nan": ("mseries", "--alpha", "nan", "--beta", "1.5", "--t", "3"),
+    "mseries-alpha-inf": ("mseries", "--alpha", "inf", "--beta", "1.5", "--t", "3"),
+    "mseries-beta-nan": ("mseries", "--alpha", "1", "--beta", "nan", "--t", "3"),
+    # psi(beta + alpha n) would be read left of the abscissa
+    "mseries-alpha-negative": ("mseries", "--alpha", "-0.7", "--beta", "1.5", "--t", "3"),
+    "rho-moments-alpha-inf": ("rho-moments", "--alpha", "inf", "--kmax", "2"),
+    "rho-empirical-alpha-inf": ("rho-empirical", "--alpha", "inf", "--t", "3",
+                                "--replicates", "5", "--hist", "{hist}"),
+    "sample-y-alpha-nan": ("sample-y", "--alpha", "nan", "--n", "2"),
+    "sample-y-alpha-inf": ("sample-y", "--alpha", "inf", "--n", "2"),
 }
 
 
@@ -356,6 +367,27 @@ def test_inputs_without_an_answer_exit_one(specs, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not hist.exists()
     assert captured.err.startswith("fragkit: ") and "Traceback" not in captured.err
+
+
+#: inputs whose error must name the bad input, not a later symptom of it
+_NAMED_INPUT = {
+    "mseries-stick-alpha-negative": ("stick", ("mseries", "--alpha", "-0.5", "--beta", "1.5",
+                                               "--t", "3"), "alpha must be finite and >= 0"),
+    "gamma-alpha-nan": ("filippov", ("gamma", "--alpha", "nan", "--z", "0.5", "--beta", "1.5"),
+                        "alpha must be finite and >= 0"),
+    "asym-coeff-beta-nan": ("filippov", ("asym-coeff", "--alpha", "1", "--beta", "nan"),
+                            "beta must be finite"),
+    "asym-coeff-alpha-inf": ("filippov", ("asym-coeff", "--alpha", "inf", "--beta", "2"),
+                             "alpha must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("spec, argv, message", _NAMED_INPUT.values(), ids=_NAMED_INPUT.keys())
+def test_errors_name_the_bad_input(specs, spec, argv, message):
+    proc = run_cli(argv[0], "--law", specs[spec], *argv[1:], check=False, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("fragkit: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_one_beta_star_everywhere(tmp_path, capsys):

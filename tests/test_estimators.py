@@ -77,7 +77,7 @@ def test_empty_measure_raises():
         est.empirical_weighted_measure(sim.natural_replicates(cfg, extinct, 0)[0], 1.0, bs)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
 def test_measure_needs_positive_alpha(alpha):
     # sizes scale by t^(1/alpha): at alpha = 0 every moment read the same number
     cfg = sim.SimulationConfig(alpha=0.0, t_max=1.0, snapshot_times=(1.0,), master_seed=5)

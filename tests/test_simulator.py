@@ -205,10 +205,9 @@ def test_homogeneous_mode_matches_exponential():
     for law, beta in ((BINARY, 2.0), (FIL21, 1.5)):
         cfg = sim.SimulationConfig(alpha=0.0, t_max=3.0, snapshot_times=(1.0, 3.0),
                                    master_seed=37)
-        reps = sim.run_replicates(cfg, law, 1500)
-        for i, t in enumerate(cfg.snapshot_times):
-            vals = np.array([sim.snapshot_power_sum(r[i], beta) for r in reps])
-            target = an.homogeneous_m(law, t, beta)
+        for pop in sim.natural_replicates(cfg, law, 1500):
+            vals = pop.power_sums(beta)
+            target = an.homogeneous_m(law, pop.t, beta)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - target) <= 3.0 * se
 
