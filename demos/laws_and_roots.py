@@ -58,7 +58,7 @@ print(f"uniform + Poisson(1) extras: mean children = {np.mean(counts):.3f} (exac
 
 print("\n== size-biased tilt (the tagged-fragment child law) ==")
 fil = laws.FilippovPower(2.0, 1.0)
-tag = fil.tagged(1.0)
+tag = fil.tagged()
 eta = tag.sample_eta(rng, 100000)
 print(f"power law (2,1): tilt density 2x, E eta = {eta.mean():.4f} (2/3), "
       f"E eta^0.5 = {np.mean(eta**0.5):.4f} (phi(1.5) = {fil.phi(1.5):.4f})")

@@ -7,9 +7,10 @@ Each tree runs the same probe in its own interpreter (``PYTHONPATH`` set to
 the tree's ``src`` directory; the candidate defaults to this checkout's).
 For the power laws FilippovPower(2,1), (1.5,1) and (2,0.8) the probe
 records offspring draws, natural-time snapshots, generation-martingale
-values, the size-biased tilt and its samplers, the limit variable Y and
-tagged-fragment sizes, and the closed forms ``filippov_gamma_closed_form``
-and ``filippov_asymptotic_coefficient``; for one spec of every kind it records
+values and the closed forms ``filippov_gamma_closed_form`` and
+``filippov_asymptotic_coefficient``; for them and for one spec of every kind
+it records the size-biased tilt's draws and CDF, the limit variable Y and
+tagged-fragment sizes (``_tilt_probe``).  For every spec it also records
 the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
 ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
@@ -59,6 +60,9 @@ SPECS = {
     "poisson-atoms": {"kind": "UserPoisson", "params": {
         "sigma1": {"kind": "atoms", "atoms": [[0.6, 1.0]]},
         "sigma2": {"kind": "atoms", "atoms": [[0.5, 0.7], [0.25, 0.4]]}}},
+    "poisson-mixed": {"kind": "UserPoisson", "params": {
+        "sigma1": {"kind": "power", "theta": 1.0},
+        "sigma2": {"kind": "atoms", "atoms": [[0.5, 0.6], [0.3, 0.3]]}}},
     "override": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0},
                  "beta_a": -0.5, "arithmetic_flag": True},
 }
@@ -90,16 +94,22 @@ BOUNDS = (
 )
 
 
+def _or_error(f):
+    """f(), or the class name of the FragkitError it raises, as bytes."""
+    from fragkit.errors import FragkitError
+
+    try:
+        return f()
+    except FragkitError as exc:
+        return np.frombuffer(type(exc).__name__.encode(), dtype=np.uint8)
+
+
 def _analytics_probe(rec, name, law):
     """General analytics paths at alpha = 1 and 0.7, beta = beta* + 0.7."""
     from fragkit import analytics
-    from fragkit.errors import FragkitError
 
     def record(key, f):
-        try:
-            rec[key] = np.array([complex(v) for v in f()]).view(float)
-        except FragkitError as exc:
-            rec[key] = np.frombuffer(type(exc).__name__.encode(), dtype=np.uint8)
+        rec[key] = _or_error(lambda: np.array([complex(v) for v in f()]).view(float))
 
     bs = analytics.beta_star_of(law)
     for alpha in (1.0, 0.7):
@@ -131,14 +141,9 @@ def _mellin_probe(rec, name, law):
     import mpmath as mp
 
     from fragkit import analytics
-    from fragkit.errors import FragkitError
 
     def record(key, f):
-        try:
-            rec[f"mellin {key} {name}"] = f()
-        except FragkitError as exc:
-            rec[f"mellin {key} {name}"] = np.frombuffer(type(exc).__name__.encode(),
-                                                        dtype=np.uint8)
+        rec[f"mellin {key} {name}"] = _or_error(f)
 
     bs = analytics.beta_star_of(law)
     betas = [bs + 0.05, bs + 0.7, bs + 2.5, bs + 0.7 + 1.5j, bs + 0.3 - 0.8j]
@@ -161,6 +166,34 @@ def _mellin_probe(rec, name, law):
     record("coefficient_mp", lambda: _mp_bytes(
         [analytics.asymptotic_coefficient(law, bs + 0.7, 1.0, precision_bits=240)]))
     record("m_series_mp", series)
+
+
+def _tilt_probe(rec, name, law):
+    """The tilt's eta and first-factor draws and CDF, Y and tagged-fragment sizes.
+
+    A tree whose ``tagged`` still takes beta* is passed the law's.  A
+    FragkitError is recorded by its class name.
+    """
+    import inspect
+
+    from fragkit import laws, simulate
+    from fragkit.rng import stream
+
+    def tilt():
+        if inspect.signature(law.tagged).parameters:
+            return law.tagged(laws.malthusian_exponent(law))
+        return law.tagged()
+
+    probes = {
+        "eta": lambda: tilt().sample_eta(stream(4, "compare-eta"), 100000),
+        "eta_first": lambda: tilt().sample_eta_first(stream(5, "compare-eta0"), 100000),
+        "eta_cdf": lambda: tilt().eta_cdf(np.linspace(0.0, 1.0, 1001)),
+        "sample_Y": lambda: simulate.sample_Y(law, 1.0, 20000, master_seed=6).values,
+        "tagged_final": lambda: simulate.tagged_final_sizes(law, 1.0, 10.0, 20000,
+                                                            master_seed=7),
+    }
+    for quantity, f in probes.items():
+        rec[f"{quantity} {name}"] = _or_error(f)
 
 
 def _integro_probe(rec):
@@ -258,14 +291,7 @@ def probe(out_path):
         gen = simulate.generation_martingale(law, lam - theta, depth=8, eps_prune=1e-4,
                                              n_trees=300, master_seed=3)
         rec[f"m_tilde {tag}"] = gen.m_tilde
-        bs = laws.malthusian_exponent(law)
-        tilt = law.tagged(bs)
-        rec[f"eta {tag}"] = tilt.sample_eta(stream(4, "compare-eta"), 100000)
-        rec[f"eta_first {tag}"] = tilt.sample_eta_first(stream(5, "compare-eta0"), 100000)
-        rec[f"eta_cdf {tag}"] = tilt.eta_cdf(np.linspace(0.0, 1.0, 1001))
-        rec[f"sample_Y {tag}"] = simulate.sample_Y(law, 1.0, 20000, master_seed=6).values
-        rec[f"tagged_final {tag}"] = simulate.tagged_final_sizes(law, 1.0, 10.0, 20000,
-                                                                 master_seed=7)
+        _tilt_probe(rec, tag, law)
         for alpha in (1.0, 0.7):
             rec[f"filippov_gamma {tag} alpha={alpha:g}"] = np.array([
                 analytics.filippov_gamma_closed_form(z, b, lam, theta, alpha)
@@ -286,6 +312,7 @@ def probe(out_path):
             law = laws.from_spec(doc)
             _analytics_probe(rec, name, law)
             _mellin_probe(rec, name, law)
+            _tilt_probe(rec, name, law)
             if law.has_sampler:
                 _sampler_probe(rec, name, law)
     _integro_probe(rec)

@@ -88,7 +88,6 @@ from .simulate import (
     sample_Y,
     snapshot_power_sum,
     tagged_final_sizes,
-    tagged_fragment_path,
 )
 from .estimators import (
     CheckResult,

@@ -652,13 +652,15 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     limit log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
     equation needs.  ``precision_bits`` switches to big-float arithmetic
     (needed when downstream asymptotics consume the value at extreme accuracy).
-    Raises DomainError unless z is finite, 0 <= alpha < inf and beta is
-    finite with Re beta > beta_a.
+    Raises DomainError unless z is finite, 0 <= alpha < inf, tol > 0 and
+    beta is finite with Re beta > beta_a.
     """
     _check_alpha(alpha, positive=False)
     _check_beta(law, beta)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     zc = complex(z)
     if zc == 0:
         return GammaExtrapolation(z, beta, 1.0, 0, 0.0)
@@ -703,10 +705,13 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     alpha + beta* (all factors right of the abscissa).  Refuses arithmetic
     laws (complex roots of phi = 1 on the critical line would contribute
     oscillatory terms) and beta = beta* (pole of the gamma factor).  Raises
-    DomainError unless 0 < alpha < inf and beta is finite with Re beta > beta_a.
+    DomainError unless 0 < alpha < inf, tol > 0 and beta is finite with
+    Re beta > beta_a.
     """
     _check_alpha(alpha, positive=True)
     _check_beta(law, beta)
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     if law.arithmetic:
         raise ArithmeticLaw(f"{law.kind}: coefficient formula needs a nonarithmetic law")
     bs = malthusian_exponent(law)

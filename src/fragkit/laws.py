@@ -16,13 +16,13 @@ Every law with a sampler declares sigma once, as power terms and atoms,
     sigma(dx) = sum_j lam_j x^(theta_j - 1) dx + sum_i w_i delta_{x_i}(dx),
 
 and the base class derives from it the Mellin data (phi, its derivative and
-arbitrary-precision form, the abscissa) and the size-biased tilt of a
-nonnegative power mixture; ``m_integro``, ``arithmetic_check`` and the
-Poisson square mean read the same two fields.  A law writes only its
-measure, its exact offspring sampler and what is truly its own (special
-tilts, square means).  The one exception is StickBreakingLossy, which keeps
-its factored phi = 1/(beta(beta+1)) (see its docstring).  Density-only laws
-declare no measure and compute phi by quadrature; they have no sampler.  That
+arbitrary-precision form, the abscissa) and the size-biased tilt
+x^beta* sigma(dx) with its samplers (TaggedLaw); ``m_integro``,
+``arithmetic_check`` and the Poisson square mean read the same two fields.
+A law writes only its measure, its exact offspring sampler and its square
+mean.  The one exception is StickBreakingLossy, which keeps its factored
+phi = 1/(beta(beta+1)) (see its docstring).  Density-only laws declare no
+measure and compute phi by quadrature; they have no sampler or tilt.  That
 quadrature is the module's only use of scipy, imported on first use, so the
 beta* solve and every sampler need numpy and mpmath only.
 
@@ -74,7 +74,7 @@ DEFAULT_CHILD_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# samples and tagged laws
+# samples and the tagged law
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -98,30 +98,91 @@ class OffspringSample:
     truncated_beta_mass_bound: float = 0.0
 
 
-@dataclass(frozen=True)
 class TaggedLaw:
     """Single-child law of the size-biased tag: sigma_hat(dx) = x^beta_star sigma(dx).
 
-    phi(beta_star) = 1 makes sigma_hat automatically a probability measure.
-    ``sample_eta`` draws the per-split shrink factor; ``sample_eta_first``
-    draws the stationary first factor used by the series representation of
-    the limit variable Y (density sigma_hat(]0,x]) / (psi_hat'(0) x)).
+    Built from the base law's declared measure and its beta* alone.
+    phi(beta_star) = 1 makes sigma_hat a probability: a power term (lam,
+    theta) tilts to lam x^(e-1) dx with e = beta* + theta, mass lam/e, and an
+    atom (x, w) to the mass w x^beta*.  ``sample_eta`` draws the per-split
+    shrink factor; ``sample_eta_first`` draws the stationary first factor
+    used by the series representation of the limit variable Y, density
+    sigma_hat(]0,x]) / (psi'(beta*) x): the powers weighted lam/e^2, and an
+    atom at x drawn as x^U, U uniform, with weight w x^beta* (-log x).
+
+    Negative power terms (the lossy stick's (-1, 1)) are drawn by rejection
+    from the positive ones, accepting x with probability 1 - sum_neg |c_j|
+    x^theta_j / sum_pos c_j x^theta_j, where c = lam for eta and lam/e for
+    the first factor.  Only a law with a sampler, whose intensity is
+    nonnegative, may have them.  A one-term law draws no component.
     """
 
-    base: "ReproductionLaw"
-    beta_star: float
-    _eta_sampler: callable = field(repr=False)
-    _eta0_sampler: callable = field(repr=False)
-    _eta_cdf: callable = field(repr=False)
+    def __init__(self, base):
+        terms, atoms = base.power_terms or (), base.atoms or ()
+        signed = any(l < 0 for l, _ in terms)
+        if not (terms or atoms) or signed and (atoms or not base.has_sampler):
+            raise UnsupportedTilt(f"{base.kind}: no exact tilt sampler")
+        self.base = base
+        self.beta_star = bs = base._beta_star
+        lam = np.array([l for l, _ in terms])
+        self._theta = np.array([t for _, t in terms])
+        self._expo = expo = bs + self._theta
+        self._xs = xs = np.array([x for x, _ in atoms])
+        mass = np.concatenate([lam / expo, [w * x**bs for x, w in atoms]])
+        self._cdf_weights = mass / mass.sum()  # the total is phi(beta*) = 1 up to rounding
+        first = np.concatenate([lam / expo**2, self._cdf_weights[lam.size:] * -np.log(xs)])
+        # proposals: the nonnegative components, power terms before atoms
+        keep = np.concatenate([lam >= 0, np.ones(xs.size, dtype=bool)])
+        self._inv = 1.0 / expo[lam >= 0]
+        self._eta = (mass[keep] / mass[keep].sum(), lam if signed else None, False)
+        self._eta_first = (first[keep] / first[keep].sum(), lam / expo if signed else None, True)
 
     def sample_eta(self, rng, n):
-        return self._eta_sampler(rng, n)
+        return self._sample(rng, n, *self._eta)
 
     def sample_eta_first(self, rng, n):
-        return self._eta0_sampler(rng, n)
+        return self._sample(rng, n, *self._eta_first)
+
+    def _sample(self, rng, n, p, coef, first):
+        """n draws; with signed coefficients ``coef``, by rejection: one
+        proposal uniform, then one acceptance uniform, per pending draw."""
+        if coef is None:
+            return self._propose(rng, n, p, first)
+        out = np.empty(n)
+        need = np.arange(n)
+        while need.size:
+            x = self._propose(rng, need.size, p, first)
+            neg = sum(-c * x**t for c, t in zip(coef, self._theta) if c < 0)
+            pos = sum(c * x**t for c, t in zip(coef, self._theta) if c >= 0)
+            acc = rng.uniform(size=need.size) < 1.0 - neg / pos
+            out[need[acc]] = x[acc]
+            need = need[~acc]
+        return out
+
+    def _propose(self, rng, n, p, first):
+        """n draws from the nonnegative components with probabilities ``p``."""
+        inv, xs = self._inv, self._xs
+        if p.size == 1 and inv.size == 1:
+            # a scalar exponent: numpy's array ** 0.5 rounds unlike an array power
+            return rng.uniform(size=n) ** inv[0]
+        comp = rng.choice(p.size, size=n, p=p)
+        power = comp < inv.size
+        # eta draws an atom as is; the first factor draws x^U
+        u = rng.uniform(size=n if first else np.count_nonzero(power))
+        out = np.empty(n)
+        out[power] = (u[power] if first else u) ** inv.take(comp[power])
+        x = xs.take(comp[~power] - inv.size)
+        out[~power] = x ** u[~power] if first else x
+        return out
 
     def eta_cdf(self, x):
-        return self._eta_cdf(np.asarray(x, dtype=float))
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        k = self._expo.size
+        cdf = sum(w * x**e for w, e in zip(self._cdf_weights[:k], self._expo))
+        if self._xs.size:  # right-continuous: the mass of the atoms at or below x
+            at = self._cdf_weights[k:]
+            cdf = cdf + np.array([at[self._xs <= v].sum() for v in x.ravel()]).reshape(x.shape)
+        return cdf
 
     def psi_hat(self, z):
         return self.base.psi(z + self.beta_star)
@@ -369,36 +430,9 @@ class ReproductionLaw:
         """Closed form of E (sum_j xi_j^beta_star)^2, or None."""
         return None
 
-    def tagged(self, beta_star):
-        """Exact sampler for sigma_hat(dx) = x^beta_star sigma(dx) of a power mixture.
-
-        With nonnegative power terms only, sigma_hat = sum_j lam_j
-        x^(beta*+theta_j-1) dx is again a power mixture, weights
-        lam_j/(beta*+theta_j); the stationary first factor, density
-        sigma_hat(]0,x])/(psi'(beta*) x), mixes the same powers with weights
-        lam_j/(beta*+theta_j)^2.  A one-term law draws no component.
-        """
-        terms = self.power_terms
-        if not terms or self.atoms or any(l < 0 for l, _ in terms):
-            raise UnsupportedTilt(f"{self.kind}: no exact tilt sampler")
-        lam = np.array([l for l, _ in terms])
-        expo = beta_star + np.array([t for _, t in terms])
-        w = lam / expo
-        w = w / w.sum()  # sums to phi(beta*) = 1 up to rounding
-        w0 = lam / expo**2
-        w0 = w0 / w0.sum()
-
-        def mixture(p):
-            def sample(rng, n):
-                e = expo[0] if expo.size == 1 else expo[rng.choice(expo.size, size=n, p=p)]
-                return rng.uniform(size=n) ** (1.0 / e)
-            return sample
-
-        def eta_cdf(x):
-            x = np.clip(x, 0.0, 1.0)
-            return sum(wi * x**e for wi, e in zip(w, expo))
-
-        return TaggedLaw(self, beta_star, mixture(w), mixture(w0), eta_cdf)
+    def tagged(self):
+        """The size-biased tilt x^beta* sigma(dx) of the declared measure (TaggedLaw)."""
+        return TaggedLaw(self)
 
     # -- misc ---------------------------------------------------------------
 
@@ -570,39 +604,6 @@ class StickBreakingLossy(_StickBreakingBase):
         beta_fun = math.gamma(b + 1.0) ** 2 / math.gamma(2.0 * b + 2.0)
         es2 = (1.0 / (2.0 * b + 1.0) + 2.0 * beta_fun * es) / (1.0 - 1.0 / (2.0 * b + 1.0))
         return es2 / (2.0 * b + 1.0)
-
-    def tagged(self, beta_star):
-        b = beta_star
-
-        def sample_eta(rng, n):
-            # density x^(b-1)(1-x): rejection from b x^(b-1), accept w.p. 1-x
-            out = np.empty(n)
-            need = np.arange(n)
-            while need.size:
-                x = rng.uniform(size=need.size) ** (1.0 / b)
-                acc = rng.uniform(size=need.size) < 1.0 - x
-                out[need[acc]] = x[acc]
-                need = need[~acc]
-            return out
-
-        def sample_eta0(rng, n):
-            # density [x^(b-1)/b - x^b/(b+1)] / psi'(b*): rejection from
-            # b x^(b-1) with acceptance 1 - b x/(b+1)
-            out = np.empty(n)
-            need = np.arange(n)
-            while need.size:
-                x = rng.uniform(size=need.size) ** (1.0 / b)
-                acc = rng.uniform(size=need.size) < 1.0 - b * x / (b + 1.0)
-                out[need[acc]] = x[acc]
-                need = need[~acc]
-            return out
-
-        def eta_cdf(x):
-            x = np.clip(x, 0.0, 1.0)
-            # integral of u^(b-1) - u^b; total mass phi(b*) = 1
-            return x**b / b - x ** (b + 1.0) / (b + 1.0)
-
-        return TaggedLaw(self, b, sample_eta, sample_eta0, eta_cdf)
 
 
 class StickBreakingConservative(_StickBreakingBase):
@@ -779,30 +780,6 @@ class UserAtomic(ReproductionLaw):
 
     def offspring_square_mean(self, beta_star):
         return sum(p * sum(x**beta_star for x in s) ** 2 for p, s in self.groups)
-
-    def tagged(self, beta_star):
-        xs = np.array([x for x, _ in self.atoms])
-        w = np.array([wt * x**beta_star for x, wt in self.atoms])
-        w = w / w.sum()
-
-        def sample_eta(rng, n):
-            return xs[rng.choice(len(xs), size=n, p=w)]
-
-        def eta_cdf(x):
-            x = np.asarray(x, dtype=float)
-            return np.array([w[xs <= xx].sum() for xx in np.atleast_1d(x)]).reshape(x.shape)
-
-        # eta0 = V^U with U uniform and V drawn from sigma_hat biased by -log V
-        logw = w * (-np.log(xs))
-        if logw.sum() <= 0:
-            raise UnsupportedTilt("tagged first factor undefined: all atoms at 1")
-        logw = logw / logw.sum()
-
-        def sample_eta0(rng, n):
-            v = xs[rng.choice(len(xs), size=n, p=logw)]
-            return v ** rng.uniform(size=n)
-
-        return TaggedLaw(self, beta_star, sample_eta, sample_eta0, eta_cdf)
 
     def __repr__(self):
         return f"UserAtomic(groups={self.groups})"

@@ -69,8 +69,10 @@ class SimulationConfig:
             raise ValueError("snapshot_times must lie in [0, t_max] with t_max finite")
         if sorted(times) != list(times):
             raise ValueError("snapshot_times must be sorted")
-        if not (self.child_floor >= 0 and self.alpha >= 0):
-            raise ValueError("child_floor and alpha must be >= 0")
+        if not self.child_floor >= 0:
+            raise ValueError(f"child_floor must be >= 0, got {self.child_floor}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (0 < self.initial_size <= 1.0):
             raise ValueError("initial_size must lie in ]0, 1]")
         object.__setattr__(self, "snapshot_times", times)
@@ -572,41 +574,21 @@ def _check_tagged(alpha, t_max):
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     # alpha < 0: a path shrinks to zero size in finite time, where its rate
-    # x^alpha is infinite and its waits are 0, so t would never reach t_max
-    if not alpha >= 0:
-        raise DomainError(f"the tagged fragment needs alpha >= 0, got {alpha}")
-
-
-def tagged_fragment_path(law, alpha, t_max, master_seed=0):
-    """One path of the tagged-fragment chain: (jump_times, sizes_after_jump).
-
-    The chain starts at size 1, waits Exp(rate x^alpha), then multiplies by
-    eta ~ sigma_hat.  Satisfies E L_t^(beta-beta*) = m(t, beta).  A path
-    whose size underflows to 0.0 ends there: 0.0 is its final size.
-    """
-    _check_tagged(alpha, t_max)
-    tagged = law.tagged(laws.malthusian_exponent(law))
-    stream = rngmod.stream(master_seed, "tagged-path")
-    t, x = 0.0, 1.0
-    times, sizes = [0.0], [1.0]
-    while True:
-        rate = x**alpha if alpha != 0 else 1.0
-        t += stream.exponential() / rate
-        if t > t_max:
-            break
-        x *= float(tagged.sample_eta(stream, 1)[0])
-        times.append(t)
-        sizes.append(x)
-        if x == 0.0:
-            break
-    return np.array(times), np.array(sizes)
+    # x^alpha is infinite and its waits are 0, so t would never reach t_max;
+    # alpha = inf is refused as the analytics refuse it
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"the tagged fragment needs a finite alpha >= 0, got {alpha}")
 
 
 def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
-    """Vectorised L_{t_max} over independent tagged-fragment paths; a path
-    retires once its size underflows to 0.0, its exact final value."""
+    """L_{t_max} of independent tagged-fragment paths, vectorised over paths.
+
+    A path starts at size 1, waits Exp(rate x^alpha), then multiplies by eta
+    ~ sigma_hat, so E L_t^(beta-beta*) = m(t, beta).  A path retires once its
+    size underflows to 0.0, its exact final value.
+    """
     _check_tagged(alpha, t_max)
-    tagged = law.tagged(laws.malthusian_exponent(law))
+    tagged = law.tagged()
     stream = rngmod.stream(master_seed, "tagged")
     x = np.ones(n_paths)
     t = np.zeros(n_paths)
@@ -642,7 +624,7 @@ def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
         raise ValueError(f"the limit variable Y needs a finite alpha > 0, got {alpha}")
     if not eps_tail > 0:
         raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
-    tagged = law.tagged(laws.malthusian_exponent(law))
+    tagged = law.tagged()
     stream = rngmod.stream(master_seed, "limit-Y")
     P = tagged.sample_eta_first(stream, n) ** alpha
     Y = stream.exponential(size=n) * P

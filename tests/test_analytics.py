@@ -66,6 +66,9 @@ _OUT_OF_DOMAIN = {
     # the big-float path evaluates psi(beta) by phi_mp, which checks no domain
     "asymptotic_coefficient-beta-left": (
         lambda: an.asymptotic_coefficient(FIL21, -1.5, 1.0, precision_bits=128), "abscissa"),
+    # tol = 0 would double K until the product gave up
+    "asymptotic_coefficient-tol-0": (
+        lambda: an.asymptotic_coefficient(FIL21, 2.0, 1.0, tol=0), "tol must be > 0"),
 }
 
 

@@ -168,6 +168,27 @@ def test_tagged_and_sample_y_csv(specs):
     assert all(float(l.split(",")[1]) > 0 for l in out2[1:-1])
 
 
+def test_tilt_of_an_atomic_poisson_law(tmp_path, capsys):
+    # sigma made of atoms alone, as a UserAtomic's is: the tilt comes from the
+    # declared measure, whatever the law's kind
+    from fragkit import cli
+
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps({"kind": "UserPoisson", "params": {
+        "sigma1": {"kind": "atoms", "atoms": [[0.6, 1.0]]},
+        "sigma2": {"kind": "atoms", "atoms": [[0.5, 0.7], [0.25, 0.4]]}}}))
+    for argv, header in ((["tagged", "--alpha", "1", "--tmax", "5", "--paths", "4"],
+                          "path,final_size,scaled_size"),
+                         (["sample-y", "--alpha", "1", "--n", "4"], "index,y")):
+        assert cli.main([argv[0], "--law", str(path), *argv[1:], "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[0] == header and len(rows) == 5 + (argv[0] == "sample-y")
+        values = [float(v) for row in rows[1:] for v in row.split(",")[1:]]
+        assert all(math.isfinite(v) and v > 0 for v in values), rows
+        assert captured.err == ""
+
+
 def test_rho_empirical_histogram(specs, tmp_path):
     hist = tmp_path / "hist.csv"
     out = run_cli(
@@ -327,8 +348,8 @@ def test_counts_below_one_are_usage_errors(specs, argv, capsys):
 
 
 #: inputs that parse but have no answer: one replicate has no standard
-#: error, the series needs a finite alpha >= 0 and a finite beta, and the
-#: asymptotics, rho and Y need a finite alpha > 0
+#: error, the series and both simulations need a finite alpha >= 0 and the
+#: series a finite beta, and the asymptotics, rho and Y need a finite alpha > 0
 _NO_ANSWER = {
     "rho-empirical-one-replicate": ("rho-empirical", "--alpha", "1", "--t", "1",
                                     "--replicates", "1", "--hist", "{hist}"),
@@ -354,6 +375,9 @@ _NO_ANSWER = {
                                 "--replicates", "5", "--hist", "{hist}"),
     "sample-y-alpha-nan": ("sample-y", "--alpha", "nan", "--n", "2"),
     "sample-y-alpha-inf": ("sample-y", "--alpha", "inf", "--n", "2"),
+    "simulate-alpha-inf": ("simulate", "--alpha", "inf", "--tmax", "1", "--snapshots", "1",
+                           "--replicates", "2"),
+    "tagged-alpha-inf": ("tagged", "--alpha", "inf", "--tmax", "1", "--paths", "2"),
 }
 
 
@@ -379,6 +403,9 @@ _NAMED_INPUT = {
                             "beta must be finite"),
     "asym-coeff-alpha-inf": ("filippov", ("asym-coeff", "--alpha", "inf", "--beta", "2"),
                              "alpha must be finite and > 0"),
+    # a NaN tolerance used to double K to 262144 before the product failed
+    "gamma-tol-nan": ("filippov", ("gamma", "--alpha", "1", "--z", "0.5", "--beta", "1.5",
+                                   "--tol", "nan"), "tol must be > 0"),
 }
 
 

@@ -31,6 +31,11 @@ DIRI = laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0)))
 ATOMIC = laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1))))
 # power terms 1.5 x^0.5 dx + 0.4 x^-0.5 dx: a two-term tilt mixture
 POISSON = laws.UserPoisson(laws.PowerComponent(1.0, 1.5), laws.PowerComponent(0.8, 0.5))
+# atoms only, as a UserAtomic's sigma is; and a uniform draw plus atoms
+POISSON_ATOMS = laws.UserPoisson(laws.AtomComponent(((0.6, 1.0),)),
+                                 laws.AtomComponent(((0.5, 0.7), (0.25, 0.4))))
+POISSON_MIXED = laws.UserPoisson(laws.PowerComponent(1.0, 1.0),
+                                 laws.AtomComponent(((0.5, 0.6), (0.3, 0.3))))
 
 SAMPLER_LAWS = [BINARY, STICK, STICK_C, FIL21, ATOMIC]
 
@@ -367,17 +372,20 @@ def _dkw_bound(n, delta=0.05):
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-@pytest.mark.parametrize("law", [BINARY, STICK, STICK_C, FIL21, ATOMIC, POISSON],
-                         ids=lambda l: l.kind)
+TILT_LAWS = [BINARY, STICK, STICK_C, FIL21, ATOMIC, POISSON,
+             pytest.param(POISSON_ATOMS, id="UserPoisson-atoms"),
+             pytest.param(POISSON_MIXED, id="UserPoisson-mixed")]
+
+
+@pytest.mark.parametrize("law", TILT_LAWS, ids=lambda l: l.kind)
 def test_tilted_law_cdf(law):
     n = 100_000
-    bs = laws.malthusian_exponent(law)
-    tagged = law.tagged(bs)
+    tagged = law.tagged()
     rng = stream(6, "tilt")
     eta = tagged.sample_eta(rng, n)
     xs = np.sort(eta)
     if law.atoms is not None:
-        # discrete tilt: compare right-continuous CDFs at the distinct atoms
+        # tilt with atoms: compare right-continuous CDFs at the distinct draws
         uniq, counts = np.unique(xs, return_counts=True)
         emp = np.cumsum(counts) / n
         ks = np.max(np.abs(emp - tagged.eta_cdf(uniq)))
@@ -388,9 +396,23 @@ def test_tilted_law_cdf(law):
     assert ks < 3.0 * _dkw_bound(n), law.kind
 
 
+@pytest.mark.parametrize("law", TILT_LAWS, ids=lambda l: l.kind)
+def test_tilt_first_factor_moments(law):
+    # the stationary first factor has density sigma_hat(]0,x]) / (psi'(beta*) x),
+    # so E eta0^z = psi(beta* + z) / (z psi'(beta*))
+    bs = laws.malthusian_exponent(law)
+    eta0 = law.tagged().sample_eta_first(stream(8, "tilt-first"), 100_000)
+    assert np.all((eta0 > 0.0) & (eta0 <= 1.0)), law.kind
+    for z in (0.5, 2.0):
+        vals = eta0**z
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        target = law.psi(bs + z) / (z * law.psi_prime(bs))
+        assert abs(vals.mean() - target) <= 3.0 * se, (law.kind, z)
+
+
 def test_tilt_total_mass_and_moments():
     bs = laws.malthusian_exponent(FIL21)
-    tagged = FIL21.tagged(bs)
+    tagged = FIL21.tagged()
     # sigma_hat is automatically a probability: CDF(1) = phi(beta*) = 1
     assert tagged.eta_cdf(1.0) == pytest.approx(1.0, abs=1e-12)
     # E eta^z = phi(z + beta*); check by Monte Carlo at z = 0.7
@@ -405,7 +427,7 @@ def test_tilt_total_mass_and_moments():
 def test_tilt_unsupported():
     signed = laws.DirichletPolynomial(terms=((2.0, 1.0), (-0.1, 3.0)))
     with pytest.raises(UnsupportedTilt):
-        signed.tagged(laws.malthusian_exponent(signed))
+        signed.tagged()
 
 
 # ---------------------------------------------------------------------------

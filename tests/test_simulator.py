@@ -575,14 +575,6 @@ def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_pa
 # tagged fragment and Y
 # ---------------------------------------------------------------------------
 
-def test_tagged_path_structure():
-    ts, sizes = sim.tagged_fragment_path(FIL21, 1.0, 20.0, master_seed=21)
-    assert sizes[0] == 1.0 and ts[0] == 0.0
-    assert np.all(np.diff(ts) > 0)
-    assert np.all(np.diff(sizes) < 0)
-    assert ts[-1] <= 20.0
-
-
 def test_tagged_moment_identity():
     # E L_t^(beta - beta*) = m(t, beta): two independent evaluators
     t, beta = 2.0, 1.7
