@@ -15,7 +15,8 @@ the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
 ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
 the Mellin data phi, psi' and ``phi_mp`` and what reads them beyond doubles
-(``_mellin_probe``),
+(``_mellin_probe``; ``m_series_mp`` also at the benchmark's alpha = 1.3
+series of FilippovPower(2,0.8)),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
 and 2 (a spec with no sampler records its error class name instead).
 ``m_integro`` runs to t = 5 at beta* + 0.5 (grid values and derivatives) for
@@ -66,6 +67,9 @@ SPECS = {
     "override": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0},
                  "beta_a": -0.5, "arithmetic_flag": True},
 }
+
+#: the benchmark's series at alpha != 1: (spec, alpha, beta - beta*, times)
+BENCH_SERIES = ("filippov-2-0.8", 1.3, 1.0, (10.0, 200.0, 1000.0))
 
 #: (quantity prefix, relative bound); 0.0 demands identical bits
 BOUNDS = (
@@ -135,7 +139,9 @@ def _mellin_probe(rec, name, law):
 
     phi and psi' at five real and complex beta; phi_mp at 53, 113 and 320
     bits; the square mean E (sum xi^beta*)^2 of a law with a sampler; C(beta)
-    at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200.
+    at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200
+    (alpha = 1, beta* + 0.7), and for the spec of ``BENCH_SERIES`` also at its
+    alpha, beta and times.
     A FragkitError is recorded by its class name.
     """
     import mpmath as mp
@@ -152,8 +158,8 @@ def _mellin_probe(rec, name, law):
         with mp.workprec(bits):
             return _mp_bytes([law.phi_mp(b) for b in betas])
 
-    def series():
-        evs = [analytics.m_series(law, t, bs + 0.7, 1.0) for t in (0.5, 10.0, 200.0)]
+    def series(alpha, offset, times):
+        evs = [analytics.m_series(law, t, bs + offset, alpha) for t in times]
         return _mp_bytes([x for ev in evs
                           for x in (ev.working_precision_bits, ev.terms_used, ev.mp_value)])
 
@@ -165,7 +171,10 @@ def _mellin_probe(rec, name, law):
         record("square_mean", lambda: np.array([law.offspring_square_mean(bs)], dtype=float))
     record("coefficient_mp", lambda: _mp_bytes(
         [analytics.asymptotic_coefficient(law, bs + 0.7, 1.0, precision_bits=240)]))
-    record("m_series_mp", series)
+    record("m_series_mp", lambda: series(1.0, 0.7, (0.5, 10.0, 200.0)))
+    spec, alpha, offset, times = BENCH_SERIES
+    if name == spec:
+        record(f"m_series_mp alpha={alpha:g}", lambda: series(alpha, offset, times))
 
 
 def _tilt_probe(rec, name, law):

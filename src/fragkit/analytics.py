@@ -17,9 +17,11 @@ evaluates:
 * the series at a precision read off its largest term before summing (the
   terms alternate and lose about t/ln 10 digits to cancellation), each pass
   summing in fixed point (Python integers over a common power of two, as
-  mpmath's own hypergeometric summation does) with psi from the law's
-  ``phi_mp``, verified by a second pass 64 bits higher and capped at
-  MAX_SERIES_BITS;
+  mpmath's own hypergeometric summation does), verified by a second pass 64
+  bits higher and capped at MAX_SERIES_BITS.  For a real beta and a law whose
+  sigma is made of power terms only, psi(beta + alpha n) is an exact ratio
+  of integers read from the declared measure; a complex beta, atoms or a
+  law with no declared measure take psi from the law's ``phi_mp``;
 * the integro-differential equation by a causal method of steps, one array
   pass over the quadrature nodes per step (independent cross-check of the
   series);
@@ -106,7 +108,10 @@ class SeriesEvaluation:
 
     ``cancellation_digits_lost`` = log10(max term / |value|): the alternating
     series loses about t/ln 10 digits, which is why the summation carries
-    that many bits more than the answer needs.  ``working_precision_bits`` is
+    that many bits more than the answer needs.  ``max_term_magnitude`` is the
+    largest |term| as a double, ``inf`` past 1.8e308 (from t near 700 on);
+    ``max_term_log2`` is its log2, finite at every t the series reaches.
+    ``working_precision_bits`` is
     the precision of the accepted pass; in the diagnostics of
     PrecisionExhausted it is the pass that would have come next.  The passes
     sum in fixed point; ``mp_value`` is the accepted pass's total rounded to
@@ -118,6 +123,7 @@ class SeriesEvaluation:
     working_precision_bits: int
     terms_used: int
     max_term_magnitude: float
+    max_term_log2: float
     cancellation_digits_lost: float
     mp_value: object = None
 
@@ -128,6 +134,75 @@ MAX_SERIES_BITS = 4096
 _VERIFY_BITS = 64
 #: bits kept beyond log2(1/rel_tol) once the cancellation is paid for
 _GUARD_BITS = 32
+
+
+def _psi_ratios(law, beta, alpha):
+    """psi(beta + alpha n) = num/den for n = 0, 1, ..., as exact integers, or None.
+
+    Defined when sigma is made of power terms only and beta is a real int or
+    float right of their abscissa -min theta_j: beta, alpha and every
+    (lam_j, theta_j) are dyadic rationals, so over their common denominator
+    2^e, with D_j = (beta + theta_j + alpha n) 2^e > 0 and L_j = lam_j 2^e,
+    psi = 1 - sum_j L_j/D_j = num/den with den = prod_j D_j > 0 and num =
+    den - sum_j L_j den/D_j, which is 0 exactly where beta + alpha n is a
+    root of psi.  num and den are polynomials of degree J = len(sigma's
+    terms) in n: their forward differences at n = 0 step them by additions
+    alone.  Any other law, and a complex beta, returns None: its psi comes
+    from ``phi_mp``.
+    """
+    terms = law.power_terms
+    if (law.atoms or not terms or not isinstance(beta, (int, float))
+            or not beta > -min(theta for _, theta in terms)):
+        return None
+    ratios = [float(x).as_integer_ratio() for x in (beta, alpha, *(x for lt in terms for x in lt))]
+    e = max(d.bit_length() for _, d in ratios)
+    b, a, *rest = (p << (e - d.bit_length()) for p, d in ratios)
+    lams, thetas = rest[0::2], rest[1::2]
+
+    def at(n):
+        ds = [b + theta + n * a for theta in thetas]
+        den = math.prod(ds)
+        return den - sum(lam * (den // d) for lam, d in zip(lams, ds)), den
+
+    nums, dens = zip(*(at(n) for n in range(len(thetas) + 1)))
+    return _stepped(_differences(nums), _differences(dens))
+
+
+def _differences(values):
+    """[p(0), delta p(0), delta^2 p(0), ...] of a polynomial from p(0), ..., p(deg)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
+    return out
+
+
+def _stepped(nums, dens):
+    """Yield (nums[0], dens[0]) and step both forward-difference lists, without end."""
+    steps = range(len(nums) - 1)
+    while True:
+        yield nums[0], dens[0]
+        for i in steps:
+            nums[i] += nums[i + 1]
+            dens[i] += dens[i + 1]
+
+
+def _psi_mp(law, beta, alpha):
+    """psi(beta + alpha n) = 1 - phi_mp(beta + alpha n), n = 0, 1, ..., at the ambient precision."""
+    bm = mp.mpmathify(beta)
+    am = mp.mpmathify(alpha)
+    n = 0
+    while True:
+        yield 1 - law.phi_mp(bm + am * n)
+        n += 1
+
+
+def _mpf_fixed(x, bits):
+    """The mpf x as an integer scaled by 2^bits, truncated towards zero."""
+    sign, man, exp, _ = x._mpf_
+    off = exp + bits
+    v = man << off if off >= 0 else man >> -off
+    return -v if sign else v
 
 
 def _series_sum_mp(law, t, beta, alpha):
@@ -142,21 +217,31 @@ def _series_sum_mp(law, t, beta, alpha):
     the leading terms too few bits where they share a sign and do not
     cancel, as for a negative psi at small alpha.)
 
-    psi_n = 1 - phi_mp(beta + alpha n) is evaluated by the law at prec bits
-    and converted exactly to prec + 16 fractional bits (while |psi_n| >=
-    2^-16); t enters as its mantissa and exponent, and the division by n + 1
-    is one floor division.  A complex beta carries the term as a pair of
-    integers and compares |term|^2.  The pass stops at an exactly zero psi_n
-    (singular beta: the series terminated), after ten consecutive terms
-    below 2^(1-prec) times the largest one, or at 200000 terms.  Returns
-    (total, terms read, largest |term|), the total and |term| as mpmath
-    numbers rounded to prec bits.
+    psi_n = psi(beta + alpha n) enters with psi_bits = prec + 16 fractional
+    bits.  For a real beta and a law of power terms only it is exact:
+    ``_psi_ratios``' num/den taken as the one floor division
+    (num << psi_bits) // den.  Otherwise (complex beta, atoms, no declared
+    measure) it is 1 - phi_mp(beta + alpha n) evaluated by the law at prec
+    bits and converted exactly (while |psi_n| >= 2^-16).  t enters as its
+    mantissa and exponent, and the division by n + 1 is one floor division.
+    A complex beta carries the term as a pair of integers and compares
+    |term|^2.  The pass stops at an exactly zero psi_n (singular beta: the
+    series terminated), after ten consecutive terms below 2^(1-prec) times
+    the largest one, or at 200000 terms.  Returns (total, terms read,
+    largest |term|), the total and |term| as mpmath numbers rounded to prec
+    bits.
     """
     prec = mp.mp.prec
     psi_bits = frac = prec + 16
-    bm = mp.mpmathify(beta)
-    am = mp.mpmathify(alpha)
-    cplx = isinstance(bm, mp.mpc)
+    cplx = isinstance(mp.mpmathify(beta), mp.mpc)
+    ratios = _psi_ratios(law, beta, alpha)
+    if ratios is not None:
+        psis = ((num << psi_bits) // den if num else None for num, den in ratios)
+    elif cplx:
+        psis = ((_mpf_fixed(psi.real, psi_bits), _mpf_fixed(psi.imag, psi_bits))
+                if psi else None for psi in _psi_mp(law, beta, alpha))
+    else:
+        psis = (_mpf_fixed(psi, psi_bits) if psi else None for psi in _psi_mp(law, beta, alpha))
     _, neg_tm, te, _ = mp.mpf(t)._mpf_
     neg_tm = -neg_tm
     # term * psi (scaled 2^(F + psi_bits)) * t mantissa, back to 2^F
@@ -193,29 +278,16 @@ def _series_sum_mp(law, t, beta, alpha):
                 break
         else:
             consec = 0
-        psi = 1 - law.phi_mp(bm + am * n)
+        psi = next(psis)
         n += 1
-        if not psi:  # singular beta: the series terminated exactly
+        if psi is None:  # singular beta: the series terminated exactly
             break
         if cplx:
-            re, im = psi._mpc_
-        else:
-            re = psi._mpf_
-        sign, man, exp, _ = re
-        off = exp + psi_bits
-        pr = man << off if off >= 0 else man >> -off
-        if sign:
-            pr = -pr
-        if cplx:
-            sign, man, exp, _ = im
-            off = exp + psi_bits
-            pi = man << off if off >= 0 else man >> -off
-            if sign:
-                pi = -pi
+            pr, pi = psi
             tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
             ti = ((ti * neg_tm) >> shift) // n
         else:
-            tr *= pr
+            tr *= psi
         tr = ((tr * neg_tm) >> shift) // n
     total = mp.mpf((total_r, -frac))
     if cplx:
@@ -228,26 +300,29 @@ def _series_log2_max_term(law, t, beta, alpha):
     """(log2 of the largest term, terms read), from a pass over log |term|.
 
     The terms are products, so their logarithms are accurate at double
-    precision even where the alternating sum keeps no correct bit; psi comes
-    from the same ``phi_mp`` as the summation.  The pass stops once ten
-    consecutive terms lie 2^16 below the largest: a later regrowth past it
-    would show in the summation's measured loss.
+    precision even where the alternating sum keeps no correct bit.  log
+    |psi_n| is log |num| - log den from the same exact ``_psi_ratios`` as
+    the summation where those exist, else it comes from ``phi_mp`` at 53
+    bits.  The pass stops once ten consecutive terms lie 2^16 below the
+    largest: a later regrowth past it would show in the summation's measured
+    loss.
     """
     with mp.workprec(53):
-        bm = mp.mpmathify(beta)
-        am = mp.mpmathify(alpha)
+        ratios = _psi_ratios(law, beta, alpha)
+        if ratios is not None:
+            logs = (math.log(abs(num)) - math.log(den) if num else None for num, den in ratios)
+        else:
+            logs = (_log_abs(psi) if psi else None for psi in _psi_mp(law, beta, alpha))
         log_t = math.log(t)
         cut = 16 * math.log(2.0)
         log_term = log_max = 0.0
         consec = 0
         n = 0
         while n < 200000:
-            psi = 1 - law.phi_mp(bm + am * n)
-            if psi == 0:  # singular beta: the series terminated exactly
+            log_psi = next(logs)
+            if log_psi is None:  # singular beta: the series terminated exactly
                 break
-            a = abs(complex(psi))
-            log_term += log_t - math.log(n + 1) + (
-                math.log(a) if 0.0 < a < math.inf else float(mp.log(abs(psi))))
+            log_term += log_t - math.log(n + 1) + log_psi
             if log_term > log_max:
                 log_max = log_term
             if log_term < log_max - cut:
@@ -260,6 +335,18 @@ def _series_log2_max_term(law, t, beta, alpha):
     return log_max / math.log(2.0), n + 1
 
 
+def _log_abs(x):
+    """log |x| of an mpmath number, in doubles where |x| is a positive finite double."""
+    a = abs(complex(x))
+    return math.log(a) if 0.0 < a < math.inf else float(mp.log(abs(x)))
+
+
+def _log2(x):
+    """log2 of a positive mpf, from its mantissa and exponent (finite at any size)."""
+    _, man, exp, _ = x._mpf_
+    return math.log2(man) + exp
+
+
 def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     """Sum the power series for m(t, beta) at the precision its cancellation needs.
 
@@ -267,9 +354,13 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     pass over log |term| reads that off before any big-float summation.  The
     series is then summed at p = max(start_bits, log2(max term) +
     log2(1/rel_tol) + 32) bits and verified by one pass at p + 64 bits, each
-    in fixed point (``_series_sum_mp``) with psi evaluated at the pass's
-    precision and none shared between the passes; ``mp_value`` is the
-    verifying pass's total rounded to p + 64 bits.  The
+    in fixed point (``_series_sum_mp``) with psi at the pass's precision and
+    none shared between the passes: exact integer ratios from the law's power
+    terms for a real beta and a law without atoms, else ``phi_mp``, in the
+    probe and in both passes alike.  ``mp_value`` is the verifying pass's
+    total rounded to p + 64 bits, and ``max_term_log2`` the log2 of its
+    largest term (of the probe's, in PrecisionExhausted's diagnostics when
+    no pass ran).  The
     two evaluations must agree to ``rel_tol``, and the accepted (p + 64)-bit
     one must keep log2(1/rel_tol) + 32 bits after the measured loss
     log2(max term / |value|); otherwise p rises and both passes repeat.
@@ -286,7 +377,7 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
     if t == 0:
-        return SeriesEvaluation(1.0, start_bits, 1, 1.0, 0.0, mp.mpf(1))
+        return SeriesEvaluation(1.0, start_bits, 1, 1.0, 0.0, 0.0, mp.mpf(1))
 
     need = math.ceil(-math.log2(rel_tol)) + _GUARD_BITS
     log2_max, probe_terms = _series_log2_max_term(law, t, beta, alpha)
@@ -312,6 +403,7 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
                 working_precision_bits=bits + _VERIFY_BITS,
                 terms_used=n_terms,
                 max_term_magnitude=float(max_term),
+                max_term_log2=_log2(max_term),
                 cancellation_digits_lost=max(lost, 0.0),
                 mp_value=total,
             )
@@ -330,6 +422,7 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
             working_precision_bits=bits + _VERIFY_BITS,
             terms_used=last[1] if last else probe_terms,
             max_term_magnitude=float(last[2] if last else mp.mpf(2) ** log2_max),
+            max_term_log2=_log2(last[2]) if last else log2_max,
             cancellation_digits_lost=float("nan"),
             mp_value=last[0] if last else None,
         ),
@@ -683,8 +776,11 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
             if scale > 0 and abs(cur - prev) <= tol * scale:
                 value = cur if precision_bits else _tidy_complex(cur)
                 return GammaExtrapolation(z, beta, value, K, float(abs(cur - prev) / scale))
+            change = float(abs(cur - prev) / scale) if scale > 0 else math.inf
             prev = cur
-        raise PrecisionExhausted(f"g(z, beta) product not stable at K={K}")
+        raise PrecisionExhausted(
+            f"g(z, beta) product not stable to tol = {tol:g} by K = {K}: the last "
+            f"doubling changed it by {change:.3g} relative")
 
 
 def _tidy_complex(v):

@@ -578,6 +578,8 @@ class StickBreakingLossy(_StickBreakingBase):
     The only law that keeps its own Mellin code: the factored 1/(beta(beta+1))
     rounds differently from the generic 1/beta - 1/(beta+1), and phi(2 beta*)
     sets the depth of the M_inf pilot, whose values known-answer tests pin.
+    Its factored ``phi_mp`` no longer enters ``m_series`` at a real beta,
+    which reads psi exactly from the power terms.
     """
 
     kind = "StickBreakingLossy"

@@ -1,6 +1,7 @@
 """Analytics contracts: series, integro-differential oracle, products, asymptotics."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -204,6 +205,84 @@ def test_series_diagnostics_pinned_on_bench_cases(t, bits, terms):
         assert ref_terms == n
         assert ev.max_term_magnitude == pytest.approx(float(max_term), rel=1e-15)
         assert ev.cancellation_digits_lost == pytest.approx(lost, rel=1e-15)
+
+
+POISSON_POWER = laws.UserPoisson(laws.PowerComponent(1.0, 1.0), laws.PowerComponent(0.5, 2.0))
+DIRI3 = laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0), (-0.1, 3.5)))
+
+
+@pytest.mark.parametrize("law, t, offset, alpha, prec", [
+    (STICK_C, 60.0, 1.3, 1.0, 256),
+    (BINARY, 40.0, 0.4, 0.5, 128),
+    (DIRI3, 50.0, 0.9, 0.8, 256),
+    (POISSON_POWER, 30.0, 0.6, 1.7, 128),
+    (FIL21, 30.0, 2.5, 0.0, 128),  # alpha = 0: psi constant, m = exp(-t psi)
+    (laws.FilippovPower(2.0, 0.8), 30.0, 1.5, 5e-324, 128),  # common denominator 2^1074
+], ids=["stick-conservative", "binary", "dirichlet-3", "poisson-power", "alpha-0",
+        "alpha-subnormal"])
+def test_exact_psi_pass_matches_reference(law, t, offset, alpha, prec):
+    beta = law.beta_a + offset
+    # the integers are psi itself, exactly
+    ratios = an._psi_ratios(law, beta, alpha)
+    for n in range(5):
+        num, den = next(ratios)
+        s = Fraction(beta) + n * Fraction(alpha)
+        assert Fraction(num, den) == 1 - sum(Fraction(l) / (Fraction(th) + s)
+                                             for l, th in law.power_terms)
+    with mp.workprec(prec):
+        total, n_terms, max_term = an._series_sum_mp(law, t, beta, alpha)
+        _, ref_terms, _ = _series_sum_reference(law, t, beta, alpha)
+        bound = n_terms * mp.mpf(2) ** (1 - prec) * max_term
+    assert n_terms == ref_terms
+    with mp.workprec(2 * prec):
+        exact, _, _ = _series_sum_reference(law, t, beta, alpha)
+        assert abs(total - exact) <= bound
+
+
+def test_series_reads_phi_mp_only_without_exact_psi(monkeypatch):
+    calls = []
+
+    def counted(phi_mp):
+        def wrapped(self, beta):
+            calls.append(self)
+            return phi_mp(self, beta)
+        return wrapped
+
+    power_laws = (BINARY, STICK, STICK_C, FIL21, DIRI3, POISSON_POWER)
+    betas = [an.beta_star_of(law) + 1.0 for law in power_laws]  # beta* reads phi_mp
+    for cls in (laws.ReproductionLaw, laws.StickBreakingLossy):
+        monkeypatch.setattr(cls, "phi_mp", counted(cls.phi_mp))
+    # real beta, sigma of power terms only: psi from the declared measure
+    for law, beta in zip(power_laws, betas):
+        an.m_series(law, 30.0, beta, 1.0)
+    an.m_series(FIL21, 30.0, 1.5, 0.0)
+    assert calls == []
+    # complex beta, atoms: psi from phi_mp
+    atomic = laws.UserAtomic(groups=((1.0, (0.5, 0.5)),))
+    mixed = laws.UserPoisson(laws.PowerComponent(1.0, 2.0), laws.AtomComponent(((0.5, 0.7),)))
+    for law, beta in ((STICK, 1.5 + 0.5j), (FIL21, complex(1.5, 0.0)), (atomic, 1.5),
+                      (mixed, 1.5)):
+        an.m_series(law, 10.0, beta, 1.0)
+        assert calls and all(c is law for c in calls)
+        calls.clear()
+
+
+def test_series_max_term_log2_past_the_doubles():
+    # the bench's t = 1000 series: the largest term is near 1e430
+    cases = ((STICK, 1.0), (laws.FilippovPower(2.0, 0.8), 1.3))
+    for law, alpha in cases:
+        beta = an.beta_star_of(law) + 1.0
+        ev = an.m_series(law, 1000.0, beta, alpha)
+        assert ev.max_term_magnitude == math.inf and math.isfinite(ev.max_term_log2)
+        with mp.workprec(ev.working_precision_bits):
+            _, _, max_term = _series_sum_reference(law, 1000.0, beta, alpha)
+            assert ev.max_term_log2 == pytest.approx(float(mp.log(max_term, 2)), rel=1e-15)
+    assert an.m_series(STICK, 0.0, 1.0, 1.0).max_term_log2 == 0.0
+    with pytest.raises(PrecisionExhausted) as exc:
+        an.m_series(STICK, 3000.0, an.beta_star_of(STICK) + 1.0, 1.0)
+    far = exc.value.diagnostics.max_term_log2
+    near = an.m_series(STICK, 1000.0, an.beta_star_of(STICK) + 1.0, 1.0).max_term_log2
+    assert math.isfinite(far) and near < far
 
 
 def test_series_rejects_unusable_t_and_tolerance():

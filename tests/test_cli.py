@@ -406,6 +406,9 @@ _NAMED_INPUT = {
     # a NaN tolerance used to double K to 262144 before the product failed
     "gamma-tol-nan": ("filippov", ("gamma", "--alpha", "1", "--z", "0.5", "--beta", "1.5",
                                    "--tol", "nan"), "tol must be > 0"),
+    # doubles cannot meet it: K doubles to its cap and the error names tol
+    "gamma-tol-1e-20": ("filippov", ("gamma", "--alpha", "1", "--z", "0.5", "--beta", "1.5",
+                                     "--tol", "1e-20"), "not stable to tol = 1e-20"),
 }
 
 
