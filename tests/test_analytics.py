@@ -132,8 +132,9 @@ def test_series_stability_under_doubling():
 def _series_sum_reference(law, t, beta, alpha):
     """The series summed term by term in mpmath floats at the ambient precision.
 
-    The reference for ``_series_sum_mp``'s fixed-point pass: the same psi
-    evaluations, recurrence and stopping rule in the plainest arithmetic.
+    The reference for ``_series_sum_mp``'s fixed-point pass: the same
+    recurrence and stopping rule in the plainest arithmetic, with psi always
+    from ``phi_mp`` (the pass reads it exactly wherever ``_psi_ratios`` can).
     """
     neg_t = -mp.mpmathify(t)
     bm = mp.mpmathify(beta)
