@@ -27,7 +27,10 @@ corrections, and the terminal-martingale moments of
 ``estimate_m_infinity_moments``.
 The report gives, per quantity, the largest
 relative deviation between the trees, against a scale floored at 1e-15, and
-the bound it must stay within (0 means bit-identical).  Exit status 1 if any bound is exceeded.
+the bound it must stay within (0 means bit-identical).  Bytes (the CLI's
+output, an error's class name) deviate by 0 or inf; an mpmath value is kept
+exactly, as mantissa and exponent, so its deviation is the exact relative
+difference whatever precision either tree worked at.  Exit status 1 if any bound is exceeded.
 """
 
 import json
@@ -36,6 +39,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,10 +132,18 @@ def _analytics_probe(rec, name, law):
                lambda: [analytics.m_series(law, t, bs + 0.7, alpha).value for t in (1.0, 30.0)])
 
 
-def _mp_bytes(values):
-    """Exact bytes of mpmath numbers (their mantissa-exponent tuples) and plain values."""
-    parts = [getattr(v, "_mpc_", getattr(v, "_mpf_", v)) for v in values]
-    return np.frombuffer(repr(parts).encode(), dtype=np.uint8)
+def _mp_exact(values):
+    """mpmath numbers and integers as exact strings "m e" (the value m * 2^e), an
+    mpc's real and imaginary parts apart; ``_deviation`` compares them exactly."""
+    out = []
+    for v in values:
+        for sign, man, exp, _ in getattr(v, "_mpc_", None) or [getattr(v, "_mpf_", None)
+                                                                 or (v < 0, abs(v), 0, 0)]:
+            if not man and exp:  # mpmath's inf and nan: compared as words
+                out.append("inf" if exp == -456 else "nan")
+            else:
+                out.append(f"{-man if sign else man} {exp}")
+    return np.array(out)
 
 
 def _mellin_probe(rec, name, law):
@@ -156,11 +168,11 @@ def _mellin_probe(rec, name, law):
 
     def phi_mp(bits):
         with mp.workprec(bits):
-            return _mp_bytes([law.phi_mp(b) for b in betas])
+            return _mp_exact([law.phi_mp(b) for b in betas])
 
     def series(alpha, offset, times):
         evs = [analytics.m_series(law, t, bs + offset, alpha) for t in times]
-        return _mp_bytes([x for ev in evs
+        return _mp_exact([x for ev in evs
                           for x in (ev.working_precision_bits, ev.terms_used, ev.mp_value)])
 
     record("phi", lambda: np.array([complex(law.phi(b)) for b in betas]).view(float))
@@ -169,7 +181,7 @@ def _mellin_probe(rec, name, law):
         record(f"phi_mp bits={bits}", lambda: phi_mp(bits))
     if law.has_sampler:
         record("square_mean", lambda: np.array([law.offspring_square_mean(bs)], dtype=float))
-    record("coefficient_mp", lambda: _mp_bytes(
+    record("coefficient_mp", lambda: _mp_exact(
         [analytics.asymptotic_coefficient(law, bs + 0.7, 1.0, precision_bits=240)]))
     record("m_series_mp", lambda: series(1.0, 0.7, (0.5, 10.0, 200.0)))
     spec, alpha, offset, times = BENCH_SERIES
@@ -340,12 +352,33 @@ def _run_probe(src, out_path):
 SCALE_FLOOR = 1e-15
 
 
+def _exact(text):
+    """The Fraction an ``_mp_exact`` string denotes (None for inf and nan)."""
+    if " " not in text:
+        return None
+    man, exp = map(int, text.split())
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def _deviation(a, b):
-    """Largest relative deviation, scales floored at SCALE_FLOOR; inf when shapes differ."""
-    if a.shape != b.shape:
+    """Largest relative deviation, scales floored at SCALE_FLOOR; inf when shapes differ.
+
+    Bytes deviate by 0 or inf; the exact values of ``_mp_exact`` deviate by
+    their exact relative difference, whatever precision each tree used.
+    """
+    if a.shape != b.shape or (a.dtype.kind == "U") != (b.dtype.kind == "U"):
         return float("inf")
     if a.dtype == np.uint8:
         return 0.0 if np.array_equal(a, b) else float("inf")
+    if a.dtype.kind == "U":
+        worst = 0.0
+        for x, y in zip(a, b):
+            if x != y:
+                x, y = _exact(x), _exact(y)
+                if x is None or y is None:
+                    return float("inf")
+                worst = max(worst, float(abs(x - y) / max(abs(x), abs(y), Fraction(SCALE_FLOOR))))
+        return worst
     a, b = a.astype(float), b.astype(float)
     if np.array_equal(a, b):
         return 0.0

@@ -9,6 +9,11 @@ engine.  Every command uses the one correctly rounded beta*.  Counts must
 be >= 1, and commands that print standard errors need 2 replicates.  Exit
 codes: 0 success, 1 usage/configuration error, 2 validation-suite failure
 (some 3-standard-error check failed).
+
+The module imports ``laws`` and ``simulate`` only; a command that needs
+``analytics`` or ``estimators`` imports it when it runs, so ``simulate``,
+``tagged``, ``sample-y``, ``malthus`` and ``law inspect`` on a law without
+atoms never load mpmath.
 """
 
 import argparse
@@ -18,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analytics, estimators, laws, simulate
+from . import __version__, laws, simulate
 from .errors import FragkitError, NoClosedForm
 
 _PROBE_OFFSETS = (0.5, 1.0, 2.0)
@@ -112,6 +117,8 @@ def _cmd_malthus(args):
 
 
 def _cmd_mseries(args):
+    from . import analytics
+
     law = _load_law(args.law)
     ev = analytics.m_series(law, args.t, _parse_complex(args.beta), args.alpha,
                             rel_tol=args.rel_tol)
@@ -127,6 +134,8 @@ def _cmd_mseries(args):
 
 
 def _cmd_gamma(args):
+    from . import analytics
+
     law = _load_law(args.law)
     g = analytics.gamma_z(law, _parse_complex(args.z), _parse_complex(args.beta),
                           args.alpha, tol=args.tol)
@@ -141,6 +150,8 @@ def _cmd_gamma(args):
 
 
 def _cmd_asym_coeff(args):
+    from . import analytics
+
     law = _load_law(args.law)
     c = analytics.asymptotic_coefficient(law, _parse_complex(args.beta), args.alpha)
     bs = laws.malthusian_exponent(law)
@@ -155,6 +166,8 @@ def _cmd_asym_coeff(args):
 
 
 def _cmd_rho_moments(args):
+    from . import analytics
+
     law = _load_law(args.law)
     moments = analytics.rho_moments(law, args.kmax, args.alpha).moments
     print("k,moment")
@@ -198,6 +211,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_tagged(args):
+    from . import estimators
+
     law = _load_law(args.law)
     sizes = simulate.tagged_final_sizes(law, args.alpha, args.tmax, args.paths,
                                         master_seed=args.seed)
@@ -239,12 +254,16 @@ def _cmd_rho_empirical(args):
 
 def _measure(law, bs, alpha, t, replicates, **config):
     """Weighted empirical measure of the engine's replicates at time t."""
+    from . import estimators
+
     cfg = simulate.SimulationConfig(alpha=alpha, t_max=t, snapshot_times=(t,), **config)
     pop, = simulate.natural_replicates(cfg, law, replicates, beta_star=bs)
     return estimators.empirical_weighted_measure(pop, alpha, bs)
 
 
 def _validate_suite(law, args):
+    from . import analytics, estimators
+
     alpha = args.alpha
     bs = laws.malthusian_exponent(law)
     report = estimators.ValidationReport()

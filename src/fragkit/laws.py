@@ -20,11 +20,11 @@ arbitrary-precision form, the abscissa) and the size-biased tilt
 x^beta* sigma(dx) with its samplers (TaggedLaw); ``m_integro``,
 ``arithmetic_check`` and the Poisson square mean read the same two fields.
 A law writes only its measure, its exact offspring sampler and its square
-mean.  The one exception is StickBreakingLossy, which keeps its factored
-phi = 1/(beta(beta+1)) (see its docstring).  Density-only laws declare no
-measure and compute phi by quadrature; they have no sampler or tilt.  That
-quadrature is the module's only use of scipy, imported on first use, so the
-beta* solve and every sampler need numpy and mpmath only.
+mean.  Density-only laws declare no measure and compute phi by quadrature;
+they have no sampler or tilt.  That quadrature is the module's only use of
+scipy, and ``phi_mp`` with the beta* finish of a law with atoms its only use
+of mpmath; both are imported on first use, so importing the module, the
+beta* solve of a power-term law and every sampler need numpy alone.
 
 A sampler is one batch method, ``offspring_batch(rng, sizes, floor,
 beta_star) -> (kids, owner, tail)``: the children of a whole generation of
@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -298,7 +297,10 @@ class ReproductionLaw:
 
         phi decreases strictly on the real axis towards sigma{1} < 1: doubling
         steps bracket the root, bisection narrows it to adjacent doubles, and two
-        113-bit Newton steps (float psi' as slope) finish it where phi_mp exists.
+        Newton steps (float psi' as slope) finish it: in exact rationals for a
+        measure of power terms only (``_rational_root``), else at 113 bits in
+        mpmath, which is imported only here and only for laws with atoms (or
+        a root at 0).  A density-only law keeps the bisection's double.
         """
         f = lambda b: self.phi(b) - 1.0
 
@@ -339,6 +341,12 @@ class ReproductionLaw:
 
         while (mid := 0.5 * (left + right)) not in (left, right):  # f(left) >= 0 > f(right)
             left, right = (mid, right) if f(mid) >= 0 else (left, mid)
+        if self.power_terms and not self.atoms:
+            root = self._rational_root(left)
+            if root is not None:
+                return root
+        import mpmath as mp
+
         with mp.workprec(113):
             try:
                 resid = self.phi_mp(left) - 1
@@ -348,6 +356,29 @@ class ReproductionLaw:
             root = mp.mpf(left) + resid / slope
             root += (self.phi_mp(root) - 1) / slope
             return float(root)
+
+    def _rational_root(self, left):
+        """The double nearest the root of phi = 1 by ``left``, for power terms only.
+
+        phi is rational at a rational beta, so two Newton steps from ``left``
+        (float psi' as slope) run in exact Fractions, and the result is
+        certified: the root must lie between the midpoints that round to it
+        (ties go to even, as float() rounds).  None when it does not, which
+        only a root far smaller than the bisection's noise, such as 0, does.
+        """
+        terms = [(Fraction(l), Fraction(t)) for l, t in self.power_terms]
+        phi = lambda b: sum(l / (t + b) for l, t in terms)
+        slope = Fraction(self.psi_prime(left))
+        root = Fraction(left)
+        root += (phi(root) - 1) / slope
+        root += (phi(root) - 1) / slope
+        near = float(root)
+        lo, hi = ((Fraction(near) + Fraction(math.nextafter(near, d))) / 2
+                  for d in (-math.inf, math.inf))
+        phi_lo, phi_hi = phi(lo), phi(hi)
+        if not phi_lo >= 1 >= phi_hi:  # phi decreases through the root
+            return None
+        return float(lo) if phi_lo == 1 else float(hi) if phi_hi == 1 else near
 
     def _check_domain(self, beta):
         if np.real(beta) <= self.beta_a:
@@ -365,6 +396,8 @@ class ReproductionLaw:
 
     def phi_mp(self, beta):
         """phi evaluated in mpmath arithmetic (closed-form laws only)."""
+        import mpmath as mp
+
         terms, atoms = self._sigma()
         b = mp.mpmathify(beta)
         parts = [mp.mpf(l) / (t + b) for l, t in terms]
@@ -573,28 +606,14 @@ class _StickBreakingBase(ReproductionLaw):
 class StickBreakingLossy(_StickBreakingBase):
     """Rank the sizes (1-U_j) prod_{k<j} U_k, j >= 1: the first uniform
     portion of the stick is lost.  phi(beta) = 1/(beta(beta+1)), so
-    beta_star = (sqrt(5)-1)/2; sigma has density (1-x)/x.
-
-    The only law that keeps its own Mellin code: the factored 1/(beta(beta+1))
-    rounds differently from the generic 1/beta - 1/(beta+1), and phi(2 beta*)
-    sets the depth of the M_inf pilot, whose values known-answer tests pin.
-    Its factored ``phi_mp`` no longer enters ``m_series`` at a real beta,
-    which reads psi exactly from the power terms.
+    beta_star = (sqrt(5)-1)/2; sigma has density (1-x)/x, the power terms
+    (1, 0) and (-1, 1), from which the base class derives the Mellin data
+    as 1/beta - 1/(beta+1).
     """
 
     kind = "StickBreakingLossy"
     power_terms = ((1.0, 0.0), (-1.0, 1.0))  # (1-x)/x = x^-1 - x^0
     _lossy = True
-
-    def _phi(self, beta):
-        return 1.0 / (beta * (beta + 1.0))
-
-    def phi_mp(self, beta):
-        b = mp.mpmathify(beta)
-        return 1 / (b * (b + 1))
-
-    def _phi_prime(self, beta):
-        return -(2.0 * beta + 1.0) / (beta * (beta + 1.0)) ** 2
 
     def offspring_square_mean(self, beta_star):
         # T = U0^b * S with S = (1-U)^b + U^b S' (independent copy):
@@ -1034,8 +1053,9 @@ def _component_from_spec(spec, what):
 def from_spec(doc):
     """Build a law from a JSON document {"kind": ..., "params": {...}}.
 
-    Optional top-level overrides: "arithmetic_flag" (bool), "beta_a" (float).
-    Unknown fields anywhere are rejected.
+    Optional top-level overrides: "arithmetic_flag" (bool), "beta_a" (float,
+    at or right of the declared measure's abscissa -min theta_j, where phi
+    has its first pole).  Unknown fields anywhere are rejected.
     """
     if not isinstance(doc, dict):
         raise LawSpecError("law spec must be a JSON object")
@@ -1089,7 +1109,14 @@ def from_spec(doc):
     if "arithmetic_flag" in doc:
         object.__setattr__(law, "arithmetic_override", bool(doc["arithmetic_flag"]))
     if "beta_a" in doc:
-        object.__setattr__(law, "beta_a_override", float(doc["beta_a"]))
+        try:
+            beta_a = float(doc["beta_a"])
+        except (TypeError, ValueError) as exc:
+            raise LawSpecError(f"{kind}: bad \"beta_a\" override ({exc})") from exc
+        if not beta_a >= law.beta_a:  # phi has poles left of the measure's own abscissa
+            raise LawSpecError(f"{kind}: \"beta_a\" override {beta_a:g} lies left of the "
+                               f"declared measure's abscissa {law.beta_a:g}")
+        object.__setattr__(law, "beta_a_override", beta_a)
     return law
 
 

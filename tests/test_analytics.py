@@ -250,9 +250,8 @@ def test_series_reads_phi_mp_only_without_exact_psi(monkeypatch):
         return wrapped
 
     power_laws = (BINARY, STICK, STICK_C, FIL21, DIRI3, POISSON_POWER)
-    betas = [an.beta_star_of(law) + 1.0 for law in power_laws]  # beta* reads phi_mp
-    for cls in (laws.ReproductionLaw, laws.StickBreakingLossy):
-        monkeypatch.setattr(cls, "phi_mp", counted(cls.phi_mp))
+    betas = [an.beta_star_of(law) + 1.0 for law in power_laws]  # solved before counting
+    monkeypatch.setattr(laws.ReproductionLaw, "phi_mp", counted(laws.ReproductionLaw.phi_mp))
     # real beta, sigma of power terms only: psi from the declared measure
     for law, beta in zip(power_laws, betas):
         an.m_series(law, 30.0, beta, 1.0)

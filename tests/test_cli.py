@@ -454,6 +454,15 @@ def test_one_beta_star_everywhere(tmp_path, capsys):
         assert s.truncated_beta_mass_bound == bound
 
 
+def _run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's src; its JSON stdout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 from fragkit import analytics, cli, laws
@@ -477,16 +486,139 @@ print(json.dumps({"code": code, "rows": len(out.getvalue().splitlines()), "loade
 
 
 def test_cli_path_never_loads_scipy(specs):
-    # numpy and mpmath carry beta*, the simulation and its CSV; scipy is
-    # imported only inside the quadrature, Gauss-Jacobi and gamma call sites
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, specs["binary"]],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
+    # numpy carries beta*, the simulation and its CSV; scipy is imported
+    # only inside the quadrature, Gauss-Jacobi and gamma call sites
+    doc = _run_fresh(_NO_SCIPY_SCRIPT, specs["binary"])
     assert doc["code"] == 0 and doc["rows"] == 51
     assert doc["loaded"] == []
     # rho is the Gamma(2, 1) law here: P(G <= 1) = 1 - 2/e
     assert doc["cdf"] == pytest.approx(1.0 - 2.0 / math.e, rel=1e-12)
     assert doc["integro"] == pytest.approx(doc["series"], rel=1e-6)
     assert doc["phi"] == pytest.approx(1.0, rel=1e-9)
+
+
+def _loaded(modules):
+    return sorted(k for k in modules if k.split(".")[0] in ("fragkit", "mpmath"))
+
+
+_IMPORT_SCRIPT = """
+import json, sys
+import fragkit
+
+loaded = {}
+for doc in json.loads(sys.argv[1]):
+    law = fragkit.from_spec(doc)
+    loaded[doc["kind"]] = [fragkit.malthusian_exponent(law),
+                           sorted(k for k in sys.modules if k.split(".")[0] in ("fragkit", "mpmath"))]
+print(json.dumps(loaded))
+"""
+
+#: one spec of every built-in kind whose measure has power terms only
+_POWER_SPECS = [
+    {"kind": "BinaryUniformConservative"},
+    {"kind": "StickBreakingLossy"},
+    {"kind": "StickBreakingConservative"},
+    {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 0.8}},
+    {"kind": "DirichletPolynomial", "params": {"terms": [[1.2, 0.7], [0.9, 2.0]]}},
+    {"kind": "UserPoisson", "params": {"sigma1": {"kind": "power", "theta": 1.0},
+                                       "sigma2": {"kind": "power", "mass": 1.0, "theta": 1.0}}},
+]
+
+
+def test_import_and_beta_star_load_only_errors_and_laws():
+    # the beta* solve of a power-term law runs in exact rationals: no mpmath
+    doc = _run_fresh(_IMPORT_SCRIPT, json.dumps(_POWER_SPECS))
+    assert list(doc) == [d["kind"] for d in _POWER_SPECS]
+    for kind, (bs, loaded) in doc.items():
+        assert bs > 0, kind
+        assert loaded == ["fragkit", "fragkit.errors", "fragkit.laws"], kind
+
+
+_SIM_SCRIPT = """
+import contextlib, io, json, sys
+from fragkit import cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main([sys.argv[1], "--law", sys.argv[2], "--alpha", "1", "--tmax", "5",
+                     *sys.argv[3:]])
+print(json.dumps({"code": code, "rows": len(out.getvalue().splitlines()),
+                  "loaded": sorted(k for k in sys.modules if k.startswith(("fragkit", "mpmath")))}))
+"""
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--snapshots", "5", "--replicates", "20"),
+                                  ("tagged", "--paths", "20")], ids=["simulate", "tagged"])
+def test_simulate_and_tagged_never_load_mpmath(specs, argv):
+    doc = _run_fresh(_SIM_SCRIPT, argv[0], specs["stick"], *argv[1:])
+    assert doc["code"] == 0 and doc["rows"] == 21
+    assert not [k for k in doc["loaded"] if k.startswith("mpmath")]
+    assert "fragkit.analytics" not in doc["loaded"]
+
+
+#: every public name ``import fragkit`` gave when it imported every submodule eagerly
+_EXPORTS = (
+    "ArithmeticLaw AtomComponent BinaryUniformConservative CheckResult DensityLaw "
+    "DirichletPolynomial DomainError EmptySnapshot FilippovPower FragkitError "
+    "GammaExtrapolation GenerationMartingaleResult IntegroSolution InvalidIntensity "
+    "LawSpecError MInftyEstimate NoClosedForm NoMalthusianExponent NoQuadrature "
+    "OffspringSample OracleValue PoleError Population PopulationSnapshot PowerComponent "
+    "PrecisionExhausted ReproductionLaw RhoMoments RootFindingFailure SecondMomentInfinite "
+    "SeriesEvaluation SimulationConfig SingularBeta StickBreakingConservative "
+    "StickBreakingLossy TaggedLaw TreeSizeExceeded UnsupportedRepresentation "
+    "UnsupportedSampler UnsupportedTilt UserAtomic UserPoisson ValidationReport "
+    "WeightedEmpiricalMeasure YSampleResult analytics arithmetic_check "
+    "asymptotic_coefficient beta_star_of cdf_distance derivative_identity_check "
+    "empirical_weighted_measure errors estimate_m_infinity_moments estimators exp_decay "
+    "filippov_asymptotic_coefficient filippov_gamma_closed_form from_spec gamma_n gamma_z "
+    "generation_martingale homogeneous_m integral_f_rho l2_functional_test laws load_spec "
+    "m_infinity_second_moment_oracle m_integro m_series malthusian_exponent "
+    "mean_power_sum_test natural_replicates no_malthusian_example rational_coefficient "
+    "rational_gamma rational_m rational_rho_moment rho_cdf rho_moment rho_moments rng run "
+    "run_replicates sample_Y simulate snapshot_power_sum tagged_final_sizes z_check"
+).split()
+
+_EXPORTS_SCRIPT = """
+import json, sys
+import fragkit
+
+listed = set(dir(fragkit))  # before any name resolves
+names = json.loads(sys.argv[1])
+missing = [n for n in names if n not in listed]
+unresolved = [n for n in names if getattr(fragkit, n, None) is None]
+print(json.dumps({"missing": missing, "unresolved": unresolved, "all": fragkit.__all__}))
+"""
+
+
+def test_every_export_still_resolves():
+    doc = _run_fresh(_EXPORTS_SCRIPT, json.dumps(_EXPORTS))
+    assert doc["missing"] == [] and doc["unresolved"] == []
+    assert set(_EXPORTS) <= set(doc["all"])
+    import fragkit
+    from fragkit import analytics, estimators, simulate
+
+    for module in (analytics, estimators, simulate):
+        for name in _EXPORTS:
+            if hasattr(module, name) and name not in ("laws", "rng"):
+                assert getattr(fragkit, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        fragkit.nonexistent
+
+
+def test_beta_a_override_left_of_the_abscissa_exits_one(tmp_path):
+    # phi = 2/(1 + beta) has its pole at -1: an override at -5 would let the
+    # series run through it (a ZeroDivisionError at beta = -1, a wrong sum at -1.5)
+    spec = tmp_path / "override.json"
+    spec.write_text(json.dumps({"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0},
+                                "beta_a": -5}))
+    for beta in ("-1", "-1.5"):
+        proc = run_cli("mseries", "--law", str(spec), "--alpha", "1", "--beta", beta,
+                       "--t", "1", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "override -5" in proc.stderr and "abscissa -1" in proc.stderr
+    # at or right of the abscissa the override stands
+    spec.write_text(json.dumps({"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0},
+                                "beta_a": -1}))
+    doc = json.loads(run_cli("law", "inspect", str(spec)).stdout)
+    assert doc["beta_a"] == -1.0 and doc["beta_star"] == 1.0

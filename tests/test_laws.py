@@ -128,6 +128,49 @@ def test_malthusian_exponent_is_correctly_rounded(doc):
     assert bs == float(root)
 
 
+#: float.hex of beta* as the 113-bit mpmath Newton finish gave it, before power-term
+#: laws moved to the exact rational finish; the last four are not in COMPARE_SPECS
+PINNED_BETA_STAR = {
+    "binary": "0x1.0000000000000p+0",
+    "stick-lossy": "0x1.3c6ef372fe950p-1",
+    "stick-conservative": "0x1.0000000000000p+0",
+    "filippov-2-1": "0x1.0000000000000p+0",
+    "filippov-2-0.8": "0x1.3333333333333p+0",
+    "filippov-analytic": "0x1.4cccccccccccdp+0",
+    "dirichlet": "0x1.02f0dbb4ae780p+0",
+    "dirichlet-signed": "0x1.e6b84ea4ebd68p-1",
+    "atomic": "0x1.0000000000000p+0",
+    "atomic-grid": "0x1.c21f7ad264521p-1",
+    "poisson-power": "0x1.0000000000000p+0",
+    "poisson-atoms": "0x1.13235152f0ac0p+0",
+    "poisson-mixed": "0x1.a4acbd1990f3cp-1",
+    "override": "0x1.0000000000000p+0",
+    "filippov-1.5-1": "0x1.0000000000000p-1",
+    "filippov-1-0.5": "0x1.0000000000000p-1",
+    # lam - theta is a midpoint between two doubles: it rounds to the even one
+    "filippov-tie": "0x1.944100b416474p+1",
+    # phi(0) = 1: the root is 0, far below the bisection's noise
+    "dirichlet-root-0": "0x0.0p+0",
+}
+_PINNED_EXTRA = {
+    "filippov-1.5-1": {"kind": "FilippovPower", "params": {"lam": 1.5, "theta": 1.0}},
+    "filippov-1-0.5": {"kind": "FilippovPower", "params": {"lam": 1.0, "theta": 0.5}},
+    "filippov-tie": {"kind": "FilippovPower",
+                     "params": {"lam": 2.7020619476855954, "theta": -0.4561717787520856}},
+    "dirichlet-root-0": {"kind": "DirichletPolynomial",
+                         "params": {"terms": [[0.25, 0.5], [0.25, 0.5]]}},
+}
+
+
+_PINNED_DOCS = {**COMPARE_SPECS, **_PINNED_EXTRA}
+
+
+@pytest.mark.parametrize("name", _PINNED_DOCS)
+def test_malthusian_exponent_is_pinned(name):
+    law = laws.from_spec(_PINNED_DOCS[name])
+    assert laws.malthusian_exponent(law).hex() == PINNED_BETA_STAR[name]
+
+
 def test_malthusian_exponent_solves_once_per_instance(monkeypatch):
     calls = []
     phi = laws.ReproductionLaw.phi
