@@ -556,6 +556,19 @@ def test_from_spec_rejects_unknown_fields():
         laws.from_spec({"kind": "FilippovPower", "params": {"lam": 2.0}})
 
 
+def test_from_spec_rejects_beta_a_left_of_the_abscissa():
+    fil = {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0}}
+    with pytest.raises(LawSpecError, match="override -1.5 lies left of .* abscissa -1"):
+        laws.from_spec({**fil, "beta_a": -1.5})
+    for bad in ("x", [1.0], float("nan")):
+        with pytest.raises(LawSpecError, match="beta_a"):
+            laws.from_spec({**fil, "beta_a": bad})
+    # at or right of the abscissa, and anywhere for atoms, the override stands
+    assert laws.from_spec({**fil, "beta_a": -1.0}).beta_a == -1.0
+    atomic = {"kind": "UserAtomic", "params": {"groups": [{"prob": 1.0, "sizes": [0.5, 0.5]}]}}
+    assert laws.from_spec({**atomic, "beta_a": -40.0}).beta_a == -40.0
+
+
 def test_from_spec_rejects_negative_group_probability():
     # the probabilities sum to 1, but a negative one declares no law
     doc = {"kind": "UserAtomic", "params": {"groups": [
