@@ -298,9 +298,9 @@ class ReproductionLaw:
         phi decreases strictly on the real axis towards sigma{1} < 1: doubling
         steps bracket the root, bisection narrows it to adjacent doubles, and two
         Newton steps (float psi' as slope) finish it: in exact rationals for a
-        measure of power terms only (``_rational_root``), else at 113 bits in
-        mpmath, which is imported only here and only for laws with atoms (or
-        a root at 0).  A density-only law keeps the bisection's double.
+        measure of power terms only (``_rational_root``), else two steps at 113
+        bits in mpmath, which is imported only here, for laws with atoms.  A
+        density-only law keeps the bisection's double.
         """
         f = lambda b: self.phi(b) - 1.0
 
@@ -342,9 +342,7 @@ class ReproductionLaw:
         while (mid := 0.5 * (left + right)) not in (left, right):  # f(left) >= 0 > f(right)
             left, right = (mid, right) if f(mid) >= 0 else (left, mid)
         if self.power_terms and not self.atoms:
-            root = self._rational_root(left)
-            if root is not None:
-                return root
+            return self._rational_root(left)
         import mpmath as mp
 
         with mp.workprec(113):
@@ -360,25 +358,28 @@ class ReproductionLaw:
     def _rational_root(self, left):
         """The double nearest the root of phi = 1 by ``left``, for power terms only.
 
-        phi is rational at a rational beta, so two Newton steps from ``left``
-        (float psi' as slope) run in exact Fractions, and the result is
-        certified: the root must lie between the midpoints that round to it
-        (ties go to even, as float() rounds).  None when it does not, which
-        only a root far smaller than the bisection's noise, such as 0, does.
+        phi is rational at a double, so Newton steps from ``left`` (float psi'
+        as slope) take the residual exactly in Fractions and round each
+        iterate to a double until one is certified: the root lies between the
+        midpoints to its neighbours (on one of them it is a tie, which float()
+        rounds to even).  One step certifies unless the root is near 0, where
+        the bisection's absolute noise is many of its ulps and each step
+        gains about 16 digits.
         """
         terms = [(Fraction(l), Fraction(t)) for l, t in self.power_terms]
         phi = lambda b: sum(l / (t + b) for l, t in terms)
         slope = Fraction(self.psi_prime(left))
-        root = Fraction(left)
-        root += (phi(root) - 1) / slope
-        root += (phi(root) - 1) / slope
-        near = float(root)
-        lo, hi = ((Fraction(near) + Fraction(math.nextafter(near, d))) / 2
-                  for d in (-math.inf, math.inf))
-        phi_lo, phi_hi = phi(lo), phi(hi)
-        if not phi_lo >= 1 >= phi_hi:  # phi decreases through the root
-            return None
-        return float(lo) if phi_lo == 1 else float(hi) if phi_hi == 1 else near
+        root = left
+        for _ in range(80):  # from 1e-16 to 0 takes about 20 steps
+            b = Fraction(root)
+            root = float(b + (phi(b) - 1) / slope)
+            lo, hi = ((Fraction(root) + Fraction(math.nextafter(root, d))) / 2
+                      for d in (-math.inf, math.inf))
+            phi_lo, phi_hi = phi(lo), phi(hi)
+            if phi_lo >= 1 >= phi_hi:  # phi decreases through the root
+                root = float(lo) if phi_lo == 1 else float(hi) if phi_hi == 1 else root
+                return root + 0.0  # a root at 0 as +0.0
+        raise RootFindingFailure(f"{self.kind}: Newton steps on phi = 1 did not settle")
 
     def _check_domain(self, beta):
         if np.real(beta) <= self.beta_a:

@@ -171,6 +171,15 @@ def test_malthusian_exponent_is_pinned(name):
     assert laws.malthusian_exponent(law).hex() == PINNED_BETA_STAR[name]
 
 
+@pytest.mark.parametrize("terms", [((0.375, 0.75), (0.25, 0.5)), ((0.75, 1.5), (0.25, 0.5)),
+                                   ((0.5, 1.0), (0.25, 0.5)), ((0.125, 0.25), (0.75, 1.5))])
+def test_malthusian_root_at_zero_is_zero(terms):
+    # phi(0) = sum lam/theta = 1 exactly: the float bisection stops about 1e-16
+    # from 0, many more ulps of the root than two Newton steps can close
+    law = laws.DirichletPolynomial(terms=terms)
+    assert laws.malthusian_exponent(law).hex() == "0x0.0p+0"
+
+
 def test_malthusian_exponent_solves_once_per_instance(monkeypatch):
     calls = []
     phi = laws.ReproductionLaw.phi
