@@ -299,7 +299,7 @@ class ReproductionLaw:
         steps bracket the root, bisection narrows it to adjacent doubles, and two
         Newton steps (float psi' as slope) finish it: in exact rationals for a
         measure of power terms only (``_rational_root``), else two steps at 113
-        bits in mpmath, which is imported only here, for laws with atoms.  A
+        bits in mpmath (imported on first use) for laws with atoms.  A
         density-only law keeps the bisection's double.
         """
         f = lambda b: self.phi(b) - 1.0
