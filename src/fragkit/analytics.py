@@ -22,9 +22,10 @@ evaluates:
   sigma is made of power terms only, psi(beta + alpha n) is an exact ratio
   of integers read from the declared measure; a complex beta, atoms or a
   law with no declared measure take psi from the law's ``phi_mp``;
-* the integro-differential equation by a causal method of steps, one array
-  pass over the quadrature nodes per step (independent cross-check of the
-  series);
+* the integro-differential equation by a causal method of steps, whose
+  query geometry at the quadrature nodes is built in arrays of 32 steps and
+  whose per-step work is the history gathers and one small matrix product
+  (independent cross-check of the series);
 * the leading large-t asymptotics m(t,beta) ~ C(beta) t^((beta*-beta)/alpha)
   through the residue coefficient C, and the limit-measure moments
   int x^(alpha k) rho(dx) = (k-1)!/(alpha psi'(beta*)) prod_{j<k} 1/psi(beta*+alpha j);
@@ -446,6 +447,8 @@ class IntegroSolution:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= self.ts[-1])):
+            raise DomainError(f"t must lie in the solved grid [0, {self.ts[-1]:g}], got {t}")
         return _hermite_eval(self.ts, self.values, self.derivatives, t)
 
 
@@ -485,11 +488,16 @@ def m_integro(law, t_max, beta, alpha, step=None):
     weight array; 48 nodes, doubled until two rules agree to 1e-9, raising
     PrecisionExhausted when the 384-node march and its 768-node check still
     disagree).
-    Each step reads the integral at t_i, t_i + h/2 and t_{i+1} in one array
-    pass over the nodes.  The interpolant is linear in the step's unknown end
-    values, so the fixed-point iteration that closes the implicit dependence
-    near x = 1 (integrating-factor Simpson rule) runs on scalars.
-    Independent of m_series by construction.
+    Each step reads the integral at t_i, t_i + h/2 and t_{i+1}.  Where those
+    times fall among the nodes does not depend on m, so the cell indices and
+    Hermite weights are built once per block of 32 steps, and a step only
+    gathers the history and takes one product with the weights.  The
+    interpolant is linear in the step's unknown end values, so the
+    fixed-point iteration that closes the implicit dependence near x = 1
+    (integrating-factor Simpson rule) runs on scalars.
+    Independent of m_series by construction.  alpha must be finite and >= 0
+    and ``step``, when given, finite and > 0 (DomainError otherwise); the
+    returned solution refuses t outside [0, t_max].
     """
     if np.iscomplexobj(beta) or not math.isfinite(beta):
         raise ValueError("m_integro is a real-beta oracle")
@@ -497,6 +505,9 @@ def m_integro(law, t_max, beta, alpha, step=None):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if beta <= law.beta_a:
         raise DomainError(f"beta = {beta} <= abscissa {law.beta_a}")
+    _check_alpha(alpha, positive=False)
+    if step is not None and not 0 < step < math.inf:
+        raise DomainError(f"step must be finite and > 0, got {step}")
     terms, atoms = law.power_terms, law.atoms
     if terms is None and atoms is None:
         raise UnsupportedRepresentation(f"{law.kind}: no density/atom representation")
@@ -559,39 +570,47 @@ def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
     W1 = 4.0 * (a - b)
     W2 = 2.0 * b - a
     W0 = M0 - W1 - W2
-    for i in range(n):
-        # I at t_i, t_i + h/2 and t_{i+1} in one pass over the nodes.  The
-        # Hermite history is linear in the unknown end values (m1, d1) of
-        # cell i, so I(q) = base_q + b_q m1 + c_q d1, where only the nodes
-        # falling in cell i contribute b_q and c_q.
-        t0 = float(ts[i])
-        tq = np.multiply.outer(np.array([t0, t0 + h / 2, float(ts[i + 1])]), xa)
-        idx = np.minimum((tq * (1.0 / h)).astype(np.intp), i)
+    for i0 in range(0, n, 32):
+        # I at t_i, t_i + h/2 and t_{i+1}.  The query geometry does not
+        # depend on m, so it is built for 32 steps at a time.  The Hermite
+        # history is linear in the unknown end values (m1, d1) of cell i, so
+        # I(q) = base_q + b_q m1 + c_q d1, where only the nodes falling in
+        # cell i contribute b_q and c_q.
+        i1 = min(i0 + 32, n)
+        t0 = ts[i0:i1]
+        cell = np.arange(i0, i1)[:, None, None]
+        tq = np.multiply.outer(np.stack([t0, t0 + h / 2, ts[i0 + 1:i1 + 1]], 1), xa)
+        idx = np.minimum((tq * (1.0 / h)).astype(np.intp), cell)
         s = (tq - ts[idx]) / h
         ss = s * s
         s1s1 = (1.0 - s) ** 2
+        h00 = (1.0 + 2.0 * s) * s1s1
+        h10 = h * s * s1s1
         h01 = ss * (3.0 - 2.0 * s)
         h11 = h * ss * (s - 1.0)
-        hist = ((1.0 + 2.0 * s) * s1s1 * ms[idx] + h * s * s1s1 * ds[idx]
-                + h01 * ms[idx + 1] + h11 * ds[idx + 1])
-        cur = idx == i
-        B0, Bmid, B1 = (hist @ w).tolist()
-        b0, bmid, b1 = ((h01 * cur) @ w).tolist()
-        c0, cmid, c1 = ((h11 * cur) @ w).tolist()
-        m0 = float(ms[i])
-        m1 = m0 + h * float(ds[i])
-        d1 = float(ds[i])
-        for _ in range(8):
-            I1 = B1 + b1 * m1 + c1 * d1
-            m_new = (eh * m0 + W0 * (B0 + b0 * m1 + c0 * d1)
-                     + W1 * (Bmid + bmid * m1 + cmid * d1) + W2 * I1)
-            d_new = -m_new + I1
-            done = abs(m_new - m1) <= 1e-15 * (1.0 + abs(m_new))
-            m1, d1 = m_new, d_new
-            if done:
-                break
-        ms[i + 1] = m1
-        ds[i + 1] = d1
+        cur = idx == cell
+        idx1 = idx + 1
+        bs = ((h01 * cur) @ w).tolist()
+        cs = ((h11 * cur) @ w).tolist()
+        for j, i in enumerate(range(i0, i1)):
+            q, q1 = idx[j], idx1[j]
+            hist = h00[j] * ms[q] + h10[j] * ds[q] + h01[j] * ms[q1] + h11[j] * ds[q1]
+            B0, Bmid, B1 = (hist @ w).tolist()
+            (b0, bmid, b1), (c0, cmid, c1) = bs[j], cs[j]
+            m0 = float(ms[i])
+            m1 = m0 + h * float(ds[i])
+            d1 = float(ds[i])
+            for _ in range(8):
+                I1 = B1 + b1 * m1 + c1 * d1
+                m_new = (eh * m0 + W0 * (B0 + b0 * m1 + c0 * d1)
+                         + W1 * (Bmid + bmid * m1 + cmid * d1) + W2 * I1)
+                d_new = -m_new + I1
+                done = abs(m_new - m1) <= 1e-15 * (1.0 + abs(m_new))
+                m1, d1 = m_new, d_new
+                if done:
+                    break
+            ms[i + 1] = m1
+            ds[i + 1] = d1
     return IntegroSolution(ts, ms, ds, beta, alpha, n_nodes)
 
 

@@ -1,5 +1,6 @@
 """Analytics contracts: series, integro-differential oracle, products, asymptotics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -398,6 +399,57 @@ def test_integro_unconverged_at_node_cap_raises():
     with pytest.raises(PrecisionExhausted, match=r"384-node march .* 768-node check differ by"):
         an.m_integro(STICK, 5.0, GOLDEN + 0.5, 0.15)
 
+
+
+def test_integro_rejects_bad_alpha_and_step():
+    # alpha = -1 overflowed in the march, NaN was cast to an index, infinity
+    # answered; a negative or infinite step ran one step of size t_max
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha"):
+            an.m_integro(FIL21, 1.0, 1.5, alpha)
+    for step in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="step"):
+            an.m_integro(FIL21, 1.0, 1.5, 1.0, step=step)
+
+
+def test_integro_solution_refuses_times_off_its_grid():
+    sol = an.m_integro(FIL21, 2.0, 1.5, 1.0)
+    assert float(sol(0.0)) == 1.0
+    assert float(sol(2.0)) == sol.values[-1]
+    # past t_max the cubic extrapolates (m(20) read -9.93 against 0.290)
+    for t in (20.0, 3.0, -1.0, math.nan, [1.0, 3.0]):
+        with pytest.raises(DomainError, match="solved grid"):
+            sol(t)
+
+
+def test_integro_march_known_answers():
+    # SHA-256 of values.tobytes() + derivatives.tobytes(), recorded before the
+    # march built its query geometry in blocks of steps: the march must keep
+    # every double.  Cases: the benchmark's solve (2000 steps, not a multiple
+    # of the block), power terms with atoms, atoms only, the lossy stick at
+    # alpha = 0.5 (192 nodes), a single step and fewer steps than one block.
+    mixed = laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
+                             laws.AtomComponent(((0.5, 0.7), (0.25, 0.4))))
+    atomic = laws.UserAtomic(groups=((1.0, (0.5, 0.5)),))
+    cases = {
+        "bench": ((FIL21, 10.0, 1.5, 1.0, None),
+                  "59a969c06b27fe947eff3a8316b6d9a317e09e7e02dbaa9f8c65a2530314aca6"),
+        "mixed": ((mixed, 5.0, an.beta_star_of(mixed) + 0.5, 1.0, None),
+                  "7d2a11357f7f6292ef0b9cee64bd79a16bebd955bcb61226b3e54b4901e7fbb5"),
+        "atomic": ((atomic, 4.0, 2.0, 1.0, 0.01),
+                   "240dfcac6608e124ccd2ecbd8a5c8625d9feff0c2dafe04000f1c6d83a5487f9"),
+        "stick": ((STICK, 5.0, GOLDEN + 0.5, 0.5, None),
+                  "e2ddeae7f3e2f22373b8a8421504aff4a8efe0352606c72dbd4a27b39d44926c"),
+        "one-step": ((FIL21, 1.0, 1.5, 1.0, 5.0),
+                     "28c1d2a94be25c27933ceb91aae6c37a82eb20d5fdbd1fe9d97e82448e86473e"),
+        "20-steps": ((FIL21, 1.0, 1.5, 1.0, 0.05),
+                     "6de750d376184f5c576b4ff8fe0582b30cf1ba9d1cd6b241b617945ac161e9b4"),
+    }
+    got = {}
+    for name, ((law, t_max, beta, alpha, step), _) in cases.items():
+        sol = an.m_integro(law, t_max, beta, alpha, step=step)
+        got[name] = hashlib.sha256(sol.values.tobytes() + sol.derivatives.tobytes()).hexdigest()
+    assert got == {name: digest for name, (_, digest) in cases.items()}
 
 # ---------------------------------------------------------------------------
 # derivative identity
