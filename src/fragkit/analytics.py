@@ -23,9 +23,9 @@ evaluates:
   of integers read from the declared measure; a complex beta, atoms or a
   law with no declared measure take psi from the law's ``phi_mp``;
 * the integro-differential equation by a causal method of steps, whose
-  query geometry at the quadrature nodes is built in arrays of 32 steps and
-  whose per-step work is the history gathers and one small matrix product
-  (independent cross-check of the series);
+  query geometry at the quadrature nodes is built in blocks of up to 32
+  steps, so that a step only gathers the history and takes one small
+  matrix product (independent cross-check of the series);
 * the leading large-t asymptotics m(t,beta) ~ C(beta) t^((beta*-beta)/alpha)
   through the residue coefficient C, and the limit-measure moments
   int x^(alpha k) rho(dx) = (k-1)!/(alpha psi'(beta*)) prod_{j<k} 1/psi(beta*+alpha j);
@@ -490,11 +490,12 @@ def m_integro(law, t_max, beta, alpha, step=None):
     disagree).
     Each step reads the integral at t_i, t_i + h/2 and t_{i+1}.  Where those
     times fall among the nodes does not depend on m, so the cell indices and
-    Hermite weights are built once per block of 32 steps, and a step only
-    gathers the history and takes one product with the weights.  The
-    interpolant is linear in the step's unknown end values, so the
-    fixed-point iteration that closes the implicit dependence near x = 1
-    (integrating-factor Simpson rule) runs on scalars.
+    Hermite weights are built once per block of up to 32 steps (at most
+    3072 step-node pairs), and a step only gathers the history and takes
+    one product with the weights.  The interpolant is linear in the step's
+    unknown end values, so the fixed-point iteration that closes the
+    implicit dependence near x = 1 (integrating-factor Simpson rule) runs on
+    scalars.
     Independent of m_series by construction.  alpha must be finite and >= 0
     and ``step``, when given, finite and > 0 (DomainError otherwise); the
     returned solution refuses t outside [0, t_max].
@@ -570,13 +571,16 @@ def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
     W1 = 4.0 * (a - b)
     W2 = 2.0 * b - a
     W0 = M0 - W1 - W2
-    for i0 in range(0, n, 32):
-        # I at t_i, t_i + h/2 and t_{i+1}.  The query geometry does not
-        # depend on m, so it is built for 32 steps at a time.  The Hermite
-        # history is linear in the unknown end values (m1, d1) of cell i, so
-        # I(q) = base_q + b_q m1 + c_q d1, where only the nodes falling in
-        # cell i contribute b_q and c_q.
-        i1 = min(i0 + 32, n)
+    # I at t_i, t_i + h/2 and t_{i+1}.  The query geometry does not depend
+    # on m, so it is built for a block of steps at a time: 32 steps, fewer
+    # once a block would pass 3072 step-node pairs (past that its arrays
+    # leave the cache and the march slows).  The Hermite history is linear
+    # in the unknown end values (m1, d1) of cell i, so I(q) = base_q +
+    # b_q m1 + c_q d1, where only the nodes falling in cell i contribute
+    # b_q and c_q.
+    width = min(32, max(1, 3072 // len(xa)))
+    for i0 in range(0, n, width):
+        i1 = min(i0 + width, n)
         t0 = ts[i0:i1]
         cell = np.arange(i0, i1)[:, None, None]
         tq = np.multiply.outer(np.stack([t0, t0 + h / 2, ts[i0 + 1:i1 + 1]], 1), xa)
