@@ -400,10 +400,10 @@ def test_integro_unconverged_at_node_cap_raises():
         an.m_integro(STICK, 5.0, GOLDEN + 0.5, 0.15)
 
 
-
 def test_integro_rejects_bad_alpha_and_step():
     # alpha = -1 overflowed in the march, NaN was cast to an index, infinity
-    # answered; a negative or infinite step ran one step of size t_max
+    # answered; a negative or infinite step ran one step of size t_max, and
+    # 0 or NaN raised errors that did not name the step
     for alpha in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="alpha"):
             an.m_integro(FIL21, 1.0, 1.5, alpha)
@@ -450,6 +450,7 @@ def test_integro_march_known_answers():
         sol = an.m_integro(law, t_max, beta, alpha, step=step)
         got[name] = hashlib.sha256(sol.values.tobytes() + sol.derivatives.tobytes()).hexdigest()
     assert got == {name: digest for name, (_, digest) in cases.items()}
+
 
 # ---------------------------------------------------------------------------
 # derivative identity
