@@ -45,6 +45,7 @@ gamma function of ``rho_cdf``.  Importing the module loads numpy and mpmath.
 import cmath
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -196,6 +197,11 @@ def _psi_mp(law, beta, alpha):
     while True:
         yield 1 - law.phi_mp(bm + am * n)
         n += 1
+
+
+def _gamma_n_mp(law, n, beta, alpha):
+    """g(n, beta) at the ambient precision: the product of ``_psi_mp``'s first n factors."""
+    return math.prod(itertools.islice(_psi_mp(law, beta, alpha), n), start=mp.mpf(1))
 
 
 def _mpf_fixed(x, bits):
@@ -662,11 +668,8 @@ def derivative_identity_check(law, t, beta, k, alpha, h=0.01):
             else:
                 raise ValueError(f"k={k} derivative needs t >= {3 * h} (or a smaller h)")
         lhs = mp.fsum([c * f(mp.mpf(t) + o * hh) for o, c in zip(offs, coefs)]) / (den * hh**k)
-        gk = mp.mpf(1)
-        for j in range(k):
-            gk *= 1 - law.phi_mp(mp.mpmathify(beta) + mp.mpmathify(alpha) * j)
-        rhs = (-1) ** k * gk * m_series(law, t, beta + k * alpha, alpha, rel_tol=1e-25,
-                                        start_bits=320).mp_value
+        rhs = (-1) ** k * _gamma_n_mp(law, k, beta, alpha) * m_series(
+            law, t, beta + k * alpha, alpha, rel_tol=1e-25, start_bits=320).mp_value
         denom = max(abs(rhs), mp.mpf("1e-300"))
         return float(abs(lhs - rhs) / denom)
 
@@ -842,15 +845,10 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
         # singular beta = beta* - alpha n: the series is a degree-n polynomial
         # with leading term (-t)^n g(n, beta)/n!, so the poles of the gamma
         # factor and of the extrapolated product cancel to this finite value
-        val = (-1) ** n * gamma_n(law, n, beta, alpha) / math.factorial(n)
         if precision_bits:
             with mp.workprec(precision_bits):
-                g = mp.mpf(1)
-                bm = mp.mpmathify(beta)
-                for k in range(n):
-                    g *= 1 - law.phi_mp(bm + mp.mpmathify(alpha) * k)
-                return (-1) ** n * g / mp.factorial(n)
-        return _tidy_complex(val)
+                return (-1) ** n * _gamma_n_mp(law, n, beta, alpha) / mp.factorial(n)
+        return _tidy_complex((-1) ** n * gamma_n(law, n, beta, alpha) / math.factorial(n))
     g = gamma_z(law, _tidy_complex(z0), alpha + bs, alpha, tol=tol,
                 precision_bits=precision_bits)
     if precision_bits:

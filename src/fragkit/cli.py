@@ -376,92 +376,72 @@ def _build_parser():
     )
     p.add_argument("--version", action="version", version=f"fragkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    # the flags several commands share, each defined once as a parent parser
+    law, alpha, seed, threads = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    law.add_argument("--law", required=True)
+    alpha.add_argument("--alpha", type=float, required=True)
+    seed.add_argument("--seed", type=_seed, default=0)
+    threads.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    command = lambda name, text, *parents: sub.add_parser(name, help=text, parents=parents)
 
-    q = sub.add_parser("law", help="inspect a JSON law spec (flags, beta*, phi probes)")
+    q = command("law", "inspect a JSON law spec (flags, beta*, phi probes)")
     q.add_argument("action", choices=["inspect"])
     q.add_argument("spec")
     q.set_defaults(func=_cmd_law)
 
-    q = sub.add_parser("malthus", help="print the correctly rounded Malthusian exponent beta*")
-    q.add_argument("--law", required=True)
+    q = command("malthus", "print the correctly rounded Malthusian exponent beta*", law)
     q.set_defaults(func=_cmd_malthus)
 
-    q = sub.add_parser("mseries", help="mean power sum m(t, beta) via the series")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("mseries", "mean power sum m(t, beta) via the series", law, alpha)
     q.add_argument("--beta", required=True)
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--rel-tol", type=float, default=1e-12)
     q.set_defaults(func=_cmd_mseries)
 
-    q = sub.add_parser("gamma", help="extrapolated product g(z, beta)")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("gamma", "extrapolated product g(z, beta)", law, alpha)
     q.add_argument("--z", required=True)
     q.add_argument("--beta", required=True)
     q.add_argument("--tol", type=float, default=1e-11)
     q.set_defaults(func=_cmd_gamma)
 
-    q = sub.add_parser("asym-coeff", help="leading asymptotic coefficient C(beta)")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("asym-coeff", "leading asymptotic coefficient C(beta)", law, alpha)
     q.add_argument("--beta", required=True)
     q.set_defaults(func=_cmd_asym_coeff)
 
-    q = sub.add_parser("rho-moments", help="CSV of limit-measure power moments")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("rho-moments", "CSV of limit-measure power moments", law, alpha)
     q.add_argument("--kmax", type=_count, required=True)
     q.set_defaults(func=_cmd_rho_moments)
 
-    q = sub.add_parser("simulate", help="natural-time simulation to CSV")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("simulate", "natural-time simulation to CSV", law, alpha, seed, threads)
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--snapshots", required=True, help="comma-separated times")
     q.add_argument("--replicates", type=_count, default=100)
-    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
-    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--dump", help="also write per-particle sizes CSV here")
     q.set_defaults(func=_cmd_simulate)
 
-    q = sub.add_parser("tagged", help="tagged-fragment chain final sizes")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("tagged", "tagged-fragment chain final sizes", law, alpha, seed)
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--paths", type=_count, default=1000)
-    q.add_argument("--seed", type=_seed, default=0)
     q.set_defaults(func=_cmd_tagged)
 
-    q = sub.add_parser("sample-y", help="samples of the limit variable Y")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("sample-y", "samples of the limit variable Y", law, alpha, seed)
     q.add_argument("--n", type=_count, default=1000)
-    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--eps-tail", type=float, default=1e-12)
     q.set_defaults(func=_cmd_sample_y)
 
-    q = sub.add_parser("rho-empirical", help="weighted empirical measure histogram")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("rho-empirical", "weighted empirical measure histogram", law, alpha, seed, threads)
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--replicates", type=_count, default=1000)
-    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("--floor", type=float, default=1e-9)
-    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--bins", type=_count, default=40)
     q.add_argument("--hist", required=True, help="output CSV (bin_left,bin_right,mass)")
     q.set_defaults(func=_cmd_rho_empirical)
 
-    q = sub.add_parser("validate", help="statistical validation suites")
-    q.add_argument("--law", required=True)
-    q.add_argument("--alpha", type=float, required=True)
+    q = command("validate", "statistical validation suites", law, alpha, seed, threads)
     q.add_argument("--suite", choices=["moments", "martingale", "l2", "cdf", "all"],
                    default="all")
     q.add_argument("--replicates", type=_count, default=2000)
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     q.add_argument("--t", type=float, default=20.0)
     q.add_argument("--cdf-threshold", type=float, default=0.05)
     q.add_argument("--report", help="write the JSON report to this path")

@@ -119,10 +119,8 @@ class WeightedEmpiricalMeasure:
         return edges, mass / self.n_replicates
 
     def quantiles(self, qs):
-        order = np.argsort(self.locations)
-        cw = np.cumsum(self.weights[order])
-        cw /= cw[-1]
-        return tuple(float(self.locations[order][np.searchsorted(cw, q)]) for q in qs)
+        locs, cdf = self.normalized_cdf()
+        return tuple(float(locs[np.searchsorted(cdf, q)]) for q in qs)
 
     def normalized_cdf(self):
         """(sorted locations, weight-normalised cumulative fractions)."""

@@ -97,6 +97,32 @@ class OffspringSample:
     truncated_beta_mass_bound: float = 0.0
 
 
+def _mixture(terms, atoms, beta=0.0):
+    """Draw table (p, inv, xs) of x^beta sigma(dx) normalised, over its nonnegative
+    power terms (mass lam/e, e = beta + theta, drawn as U^(1/e)), then its atoms
+    (mass w x^beta): probabilities, the 1/e, the atom sizes."""
+    pos = [(l, t) for l, t in terms if l >= 0]
+    expo = beta + np.array([t for _, t in pos])
+    mass = np.concatenate([np.array([l for l, _ in pos]) / expo, [w * x**beta for x, w in atoms]])
+    return mass / mass.sum(), 1.0 / expo, np.array([x for x, _ in atoms])
+
+
+def _draw_mixture(rng, n, p, inv, xs, first=False):
+    """n draws from a ``_mixture`` table; ``first`` draws an atom x as x^U, not x.
+    A table of one power term draws no component."""
+    if p.size == 1 and inv.size == 1:
+        # a scalar exponent: numpy's array ** 0.5 rounds unlike an array power
+        return rng.uniform(size=n) ** inv[0]
+    comp = rng.choice(p.size, size=n, p=p)
+    power = comp < inv.size
+    u = rng.uniform(size=n if first else np.count_nonzero(power))
+    out = np.empty(n)
+    out[power] = (u[power] if first else u) ** inv.take(comp[power])
+    x = xs.take(comp[~power] - inv.size)
+    out[~power] = x ** u[~power] if first else x
+    return out
+
+
 class TaggedLaw:
     """Single-child law of the size-biased tag: sigma_hat(dx) = x^beta_star sigma(dx).
 
@@ -113,7 +139,7 @@ class TaggedLaw:
     from the positive ones, accepting x with probability 1 - sum_neg |c_j|
     x^theta_j / sum_pos c_j x^theta_j, where c = lam for eta and lam/e for
     the first factor.  Only a law with a sampler, whose intensity is
-    nonnegative, may have them.  A one-term law draws no component.
+    nonnegative, may have them.
     """
 
     def __init__(self, base):
@@ -126,15 +152,13 @@ class TaggedLaw:
         lam = np.array([l for l, _ in terms])
         self._theta = np.array([t for _, t in terms])
         self._expo = expo = bs + self._theta
-        self._xs = xs = np.array([x for x, _ in atoms])
         mass = np.concatenate([lam / expo, [w * x**bs for x, w in atoms]])
         self._cdf_weights = mass / mass.sum()  # the total is phi(beta*) = 1 up to rounding
-        first = np.concatenate([lam / expo**2, self._cdf_weights[lam.size:] * -np.log(xs)])
-        # proposals: the nonnegative components, power terms before atoms
-        keep = np.concatenate([lam >= 0, np.ones(xs.size, dtype=bool)])
-        self._inv = 1.0 / expo[lam >= 0]
-        self._eta = (mass[keep] / mass[keep].sum(), lam if signed else None, False)
-        self._eta_first = (first[keep] / first[keep].sum(), lam / expo if signed else None, True)
+        _, inv, self._xs = eta = _mixture(terms, atoms, bs)
+        first = np.concatenate([(lam / expo**2)[lam >= 0],
+                                self._cdf_weights[lam.size:] * -np.log(self._xs)])
+        self._eta = (eta, lam if signed else None, False)
+        self._eta_first = ((first / first.sum(), inv, self._xs), lam / expo if signed else None, True)
 
     def sample_eta(self, rng, n):
         return self._sample(rng, n, *self._eta)
@@ -142,36 +166,20 @@ class TaggedLaw:
     def sample_eta_first(self, rng, n):
         return self._sample(rng, n, *self._eta_first)
 
-    def _sample(self, rng, n, p, coef, first):
+    def _sample(self, rng, n, table, coef, first):
         """n draws; with signed coefficients ``coef``, by rejection: one
         proposal uniform, then one acceptance uniform, per pending draw."""
         if coef is None:
-            return self._propose(rng, n, p, first)
+            return _draw_mixture(rng, n, *table, first)
         out = np.empty(n)
         need = np.arange(n)
         while need.size:
-            x = self._propose(rng, need.size, p, first)
+            x = _draw_mixture(rng, need.size, *table, first)
             neg = sum(-c * x**t for c, t in zip(coef, self._theta) if c < 0)
             pos = sum(c * x**t for c, t in zip(coef, self._theta) if c >= 0)
             acc = rng.uniform(size=need.size) < 1.0 - neg / pos
             out[need[acc]] = x[acc]
             need = need[~acc]
-        return out
-
-    def _propose(self, rng, n, p, first):
-        """n draws from the nonnegative components with probabilities ``p``."""
-        inv, xs = self._inv, self._xs
-        if p.size == 1 and inv.size == 1:
-            # a scalar exponent: numpy's array ** 0.5 rounds unlike an array power
-            return rng.uniform(size=n) ** inv[0]
-        comp = rng.choice(p.size, size=n, p=p)
-        power = comp < inv.size
-        # eta draws an atom as is; the first factor draws x^U
-        u = rng.uniform(size=n if first else np.count_nonzero(power))
-        out = np.empty(n)
-        out[power] = (u[power] if first else u) ** inv.take(comp[power])
-        x = xs.take(comp[~power] - inv.size)
-        out[~power] = x ** u[~power] if first else x
         return out
 
     def eta_cdf(self, x):
@@ -201,6 +209,12 @@ def _mellin(power_terms, atoms, beta):
     if atoms:
         total += sum(w * x**beta for x, w in atoms)
     return total
+
+
+def _poisson_square_mean(phi1, phi2, b):
+    """E(A+B)^2, A = xi^b of one draw from a probability sigma1 and B = sum xi^b
+    over a Poisson process of intensity sigma2, from their Mellin transforms."""
+    return phi1(2 * b) + 2 * phi1(b) * phi2(b) + phi2(2 * b) + phi2(b) ** 2
 
 
 class ReproductionLaw:
@@ -671,18 +685,6 @@ class DirichletPolynomial(ReproductionLaw):
     def has_sampler(self):
         return all(l >= 0 and t > 0 for l, t in self.terms) and self._phi(0.0) > 1.0
 
-    @cached_property
-    def _mixture(self):
-        """Component probabilities and 1/theta_j of the normalised intensity."""
-        w = np.array([l / t for l, t in self.terms])
-        return w / w.sum(), 1.0 / np.array([t for _, t in self.terms])
-
-    def _draw_factors(self, rng, n):
-        """n i.i.d. child factors from the normalised intensity."""
-        probs, inv_thetas = self._mixture
-        comp = rng.choice(probs.size, size=n, p=probs) if probs.size > 1 else 0
-        return rng.random(n) ** inv_thetas.take(comp)
-
     def offspring_batch(self, rng, sizes, floor, beta_star):
         if not self.has_sampler:
             raise UnsupportedSampler(
@@ -690,19 +692,15 @@ class DirichletPolynomial(ReproductionLaw):
             )
         counts = 1 + rng.poisson(self._phi(0.0) - 1.0, size=sizes.size)
         owner = np.repeat(np.arange(sizes.size), counts)
-        kids = sizes.take(owner) * self._draw_factors(rng, owner.size)
+        kids = sizes.take(owner) * _draw_mixture(rng, owner.size, *_mixture(self.terms, ()))
         return kids, owner, np.zeros(sizes.size)
 
     def offspring_square_mean(self, beta_star):
-        # one draw A from the normalised intensity plus a Poisson functional B
-        # of the rest: E(A+B)^2 = phi1(2b) + 2 phi1(b) phi2(b) + phi2(2b) + phi2(b)^2
         if not self.has_sampler:
             return None
-        b = beta_star
-        w = self._phi(0.0)  # the total mass
-        phi1 = lambda s: self._phi(s) / w        # normalised intensity
-        phi2 = lambda s: self._phi(s) * (1.0 - 1.0 / w)
-        return phi1(2 * b) + 2 * phi1(b) * phi2(b) + phi2(2 * b) + phi2(b) ** 2
+        w = self._phi(0.0)  # the total mass: sigma1 = sigma/w, sigma2 = (1 - 1/w) sigma
+        phi1, phi2 = lambda s: self._phi(s) / w, lambda s: self._phi(s) * (1.0 - 1.0 / w)
+        return _poisson_square_mean(phi1, phi2, beta_star)
 
     def __repr__(self):
         return f"DirichletPolynomial(terms={self.terms})"
@@ -825,9 +823,6 @@ class PowerComponent:
     def power_terms(self):
         return ((self.mass * self.theta, self.theta),)
 
-    def sample(self, rng, n):
-        return rng.random(n) ** (1.0 / self.theta)
-
 
 @dataclass(frozen=True)
 class AtomComponent:
@@ -845,11 +840,6 @@ class AtomComponent:
     @property
     def mass(self):
         return sum(w for _, w in self.atoms)
-
-    def sample(self, rng, n):
-        xs = np.array([x for x, _ in self.atoms])
-        w = np.array([wt for _, wt in self.atoms])
-        return xs[rng.choice(len(xs), size=n, p=w / w.sum())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -886,18 +876,17 @@ class UserPoisson(ReproductionLaw):
         # each parent's first child comes from sigma1, the rest from sigma2
         first = np.cumsum(counts) - counts
         factors = np.empty(owner.size)
-        factors[first] = self.sigma1.sample(rng, n)
+        # a component's table is built only when it is drawn: a zero-mass sigma2 never is
+        draw = lambda c, k: _draw_mixture(rng, k, *_mixture(c.power_terms, c.atoms))
+        factors[first] = draw(self.sigma1, n)
         if owner.size > n:
-            rest = np.delete(np.arange(owner.size), first)
-            factors[rest] = self.sigma2.sample(rng, owner.size - n)
+            factors[np.delete(np.arange(owner.size), first)] = draw(self.sigma2, owner.size - n)
         return sizes.take(owner) * factors, owner, np.zeros(n)
 
     def offspring_square_mean(self, beta_star):
-        b = beta_star
-        mellin = lambda c, s: _mellin(c.power_terms, c.atoms, s)
-        p1 = mellin(self.sigma1, b)
-        p2 = mellin(self.sigma2, b)
-        return mellin(self.sigma1, 2 * b) + 2 * p1 * p2 + mellin(self.sigma2, 2 * b) + p2**2
+        phi1, phi2 = (lambda s, c=c: _mellin(c.power_terms, c.atoms, s)
+                      for c in (self.sigma1, self.sigma2))
+        return _poisson_square_mean(phi1, phi2, beta_star)
 
     def __repr__(self):
         return f"UserPoisson(sigma1={self.sigma1}, sigma2={self.sigma2})"

@@ -1,10 +1,12 @@
 """Reproduction-law contracts: Mellin data, root finding, samplers, tilts."""
 
+import hashlib
 import importlib.util
 import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -405,6 +407,54 @@ def test_poisson_matches_power_law_mellin():
 def test_poisson_requires_probability_sigma1():
     with pytest.raises(Exception):
         laws.UserPoisson(laws.PowerComponent(0.5, 1.0), laws.PowerComponent(1.0, 1.0))
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+#: SHA-256 of (kids, owner, tail) from offspring_batch on 3000 parents of
+#: sizes 1 .. 0.05, stream (41, "mixture-kat"); recorded before the mixture
+#: draws of every law shared one implementation
+_MIXTURE_BATCH_SHA = {
+    "dirichlet": "b1f051aa48e57b30dd796cb31fcc7e295a22be9fb5e71b256e80af4b3e70f79f",
+    "filippov": "546b8c94ab6fb4aa9da5964f9318bfa72acb11ea1af567edf5afcdf891a00d9c",
+    "poisson-power": "4e47eae17921254681d1cfe14bdb49d137d8caac52efabad22bb61139a1f343f",
+    "poisson-atoms": "4a357443f26fc9d481db77f9375b8454642faf1811b4402d68121a3cb27a047c",
+    "poisson-mixed": "f3df3074f1a6f50f8f4d00697ddf6b4bbf03f2f1c2680a12c51d8c4ee219b95a",
+}
+
+
+@pytest.mark.parametrize("name, law", [("dirichlet", DIRI), ("filippov", FIL21),
+                                       ("poisson-power", POISSON),
+                                       ("poisson-atoms", POISSON_ATOMS),
+                                       ("poisson-mixed", POISSON_MIXED)])
+def test_mixture_batch_known_answers(name, law):
+    sizes = np.linspace(1.0, 0.05, 3000)
+    got = law.offspring_batch(stream(41, "mixture-kat"), sizes, 1e-12, law._beta_star)
+    assert _sha(*got) == _MIXTURE_BATCH_SHA[name]
+
+
+def test_mixture_tilt_known_answers():
+    # the tilt of a uniform draw plus two atoms: power and atom components alike
+    tilt = POISSON_MIXED.tagged()
+    assert _sha(tilt.sample_eta(stream(42, "mixture-kat"), 50000)) == (
+        "8c9afda88673322c5d2c961265ad8446135eaa6f2b4832572be1991cd02e9e52")
+    assert _sha(tilt.sample_eta_first(stream(43, "mixture-kat"), 50000)) == (
+        "f9f232586c89b114627363586533706c6bea8c2ff3c2cf48bcc902a793e8e77b")
+
+
+def test_poisson_zero_mass_sigma2_samples_without_warnings():
+    # sigma2 of mass 0 is never drawn, so its draw table (0/0) must never be built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = laws.UserPoisson(laws.PowerComponent(1, 1), laws.PowerComponent(0, 2))
+        kids, owner, _ = law.offspring_batch(stream(44, "test"), np.ones(500), 1e-12, None)
+        assert owner.tolist() == list(range(500)) and np.all((kids > 0) & (kids <= 1))
+        assert law.sample_offspring(stream(45, "test")).sizes.size == 1
 
 
 def test_atom_mass_at_one_in_either_spec_form():
