@@ -12,11 +12,12 @@ values and the closed forms ``filippov_gamma_closed_form`` and
 it records the size-biased tilt's draws and CDF, the limit variable Y and
 tagged-fragment sizes (``_tilt_probe``).  For every spec it also records
 the bytes ``fragkit law inspect`` prints and the general analytics paths:
-``gamma_z``, ``asymptotic_coefficient``, ``rho_moment`` for k <= 4 and
-``m_series`` at t = 1 and 30 (a FragkitError is recorded by its class name),
-the Mellin data phi, psi' and ``phi_mp`` and what reads them beyond doubles
-(``_mellin_probe``; ``m_series_mp`` also at the benchmark's alpha = 1.3
-series of FilippovPower(2,0.8)),
+``gamma_z``, ``asymptotic_coefficient`` (also at beta* - 0.3), ``rho_moment``
+for k <= 4 and ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its
+class name), the Mellin data phi, psi' and ``phi_mp`` and what reads them
+beyond doubles (``_mellin_probe``: C(beta) and ``gamma_z`` at an integer z at
+240 bits; ``m_series_mp`` also at the benchmark's alpha = 1.3 series of
+FilippovPower(2,0.8)),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
 and 2 (a spec with no sampler records its error class name instead).
 ``m_integro`` runs to t = 5 at beta* + 0.5 (grid values and derivatives) for
@@ -126,6 +127,8 @@ def _analytics_probe(rec, name, law):
             analytics.gamma_z(law, z, bs + 0.7, alpha).value for z in (0.4, 0.5 + 1.0j)])
         record(f"asymptotic_coefficient {tag}",
                lambda: [analytics.asymptotic_coefficient(law, bs + 0.7, alpha)])
+        record(f"asymptotic_coefficient {tag} beta=b*-0.3",
+               lambda: [analytics.asymptotic_coefficient(law, bs - 0.3, alpha)])
         record(f"rho_moment {tag}",
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
         record(f"m_series {tag}",
@@ -148,7 +151,9 @@ def _mellin_probe(rec, name, law):
 
     phi and psi' at five real and complex beta; phi_mp at 53, 113 and 320
     bits; the square mean E (sum xi^beta*)^2 of a law with a sampler; C(beta)
-    at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200
+    at 240 bits, at alpha = 1 and, with tol 1e-22, at alpha = 1.3 and beta* +
+    0.3 and beta* + 1.3 (z0 = 1 where beta* + 1.3 - beta* is 1.3 exactly);
+    g(2, beta* + 0.7) at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200
     (alpha = 1, beta* + 0.7), and for the spec of ``BENCH_SERIES`` also at its
     alpha, beta and times.
     A FragkitError is recorded by its class name.
@@ -180,6 +185,13 @@ def _mellin_probe(rec, name, law):
         record("square_mean", lambda: np.array([law.offspring_square_mean(bs)], dtype=float))
     record("coefficient_mp", lambda: _mp_exact(
         [analytics.asymptotic_coefficient(law, bs + 0.7, 1.0, precision_bits=240)]))
+    record("coefficient_mp alpha=1.3", lambda: _mp_exact(
+        [analytics.asymptotic_coefficient(law, bs + d, 1.3, tol=1e-22, precision_bits=240)
+         for d in (0.3, 1.3)]))
+    # mpmathify keeps an mpf's bits and takes a double exactly, from a tree
+    # that answers an integer z in doubles
+    record("gamma_z_mp z=2", lambda: _mp_exact(
+        [mp.mpmathify(analytics.gamma_z(law, 2, bs + 0.7, 1.0, precision_bits=240).value)]))
     record("m_series_mp", lambda: series(1.0, 0.7, (0.5, 10.0, 200.0)))
     spec, alpha, offset, times = BENCH_SERIES
     if name == spec:

@@ -783,15 +783,14 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     zc = complex(z)
     if zc == 0:
         return GammaExtrapolation(z, beta, 1.0, 0, 0.0)
-    if zc.imag == 0 and abs(zc.real - round(zc.real)) < 1e-15:
-        n = int(round(zc.real))
-        if n >= 0:
-            val = gamma_n(law, n, beta, alpha)
-            return GammaExtrapolation(z, beta, val, n, 0.0)
-
+    n = round(zc.real)
     ladder = _gamma_z_ladder_mp if precision_bits else _gamma_z_ladder_float
     ctx = mp.workprec(precision_bits) if precision_bits else contextlib.nullcontext()
     with ctx:
+        # the finite product g(n, beta): in big floats only at an exact integer
+        if zc.imag == 0 and n >= 0 and (z == n if precision_bits else abs(zc.real - n) < 1e-15):
+            g = _gamma_n_mp if precision_bits else gamma_n
+            return GammaExtrapolation(z, beta, g(law, n, beta, alpha), n, 0.0)
         K = 64
         steps = ladder(law, z, beta, alpha, K)
         prev, _ = next(steps)
@@ -837,7 +836,7 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     if law.arithmetic:
         raise ArithmeticLaw(f"{law.kind}: coefficient formula needs a nonarithmetic law")
     bs = malthusian_exponent(law)
-    z0 = (complex(beta) - bs) / alpha
+    z0 = (beta - bs) / alpha  # real for a real beta
     if z0.imag == 0 and abs(z0.real - round(z0.real)) < 1e-9 and round(z0.real) <= 0:
         n = -int(round(z0.real))
         if n == 0:
@@ -849,15 +848,17 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
             with mp.workprec(precision_bits):
                 return (-1) ** n * _gamma_n_mp(law, n, beta, alpha) / mp.factorial(n)
         return _tidy_complex((-1) ** n * gamma_n(law, n, beta, alpha) / math.factorial(n))
-    g = gamma_z(law, _tidy_complex(z0), alpha + bs, alpha, tol=tol,
-                precision_bits=precision_bits)
     if precision_bits:
+        # z0 and the product's second argument formed at precision_bits, not in doubles
         with mp.workprec(precision_bits):
-            psi_b = 1 - law.phi_mp(mp.mpmathify(beta))
-            dpsi = -mp.diff(law.phi_mp, mp.mpmathify(bs))
-            return mp.gamma(mp.mpmathify(_tidy_complex(z0))) * psi_b / (alpha * dpsi) / g.value
+            bm = mp.mpmathify(beta)
+            zm = (bm - bs) / alpha
+            g = gamma_z(law, zm, alpha + mp.mpf(bs), alpha, tol=tol, precision_bits=precision_bits)
+            dpsi = -mp.diff(law.phi_mp, mp.mpf(bs))
+            return mp.gamma(zm) * (1 - law.phi_mp(bm)) / (alpha * dpsi) / g.value
     from scipy import special
 
+    g = gamma_z(law, _tidy_complex(z0), alpha + bs, alpha, tol=tol)
     val = special.gamma(z0) * law.psi(beta) / (alpha * law.psi_prime(bs)) / g.value
     return _tidy_complex(val)
 

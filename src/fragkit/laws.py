@@ -30,10 +30,13 @@ A sampler is one batch method, ``offspring_batch(rng, sizes, floor,
 beta_star) -> (kids, owner, tail)``: the children of a whole generation of
 parents, all the generation engine calls.  The event loop's one-parent
 ``sample_offspring`` is derived from it (the batch on a unit parent, sorted
-and floored).  The binary and stick-breaking laws, which the benchmark's
-natural-time workloads simulate, keep a scalar loop drawing the same numbers
-without numpy's per-call cost: per split on a 2-core Xeon, scalar 2.8 us vs
-derived 9.8 us (binary), 19 us vs 137 us (lossy stick at floor 1e-8).
+and floored).  The binary and stick-breaking laws keep a scalar loop drawing
+the same numbers without numpy's per-call cost: per split on a 2-core Xeon,
+scalar 2.8 us vs derived 9.8 us (binary), 19 us vs 137 us (lossy stick at
+floor 1e-8).  Every CLI command simulates on the batch engine; only the event
+loop reaches the scalar loops, through the natural stage of the benchmark's
+``martingale-stick`` (stick) and the tracer test in ``bench/test_bench.py``
+(binary).
 
 Built-ins
 ---------
@@ -154,11 +157,11 @@ class TaggedLaw:
         self._expo = expo = bs + self._theta
         mass = np.concatenate([lam / expo, [w * x**bs for x, w in atoms]])
         self._cdf_weights = mass / mass.sum()  # the total is phi(beta*) = 1 up to rounding
-        _, inv, self._xs = eta = _mixture(terms, atoms, bs)
+        *_, self._xs = eta = _mixture(terms, atoms, bs)
         first = np.concatenate([(lam / expo**2)[lam >= 0],
                                 self._cdf_weights[lam.size:] * -np.log(self._xs)])
         self._eta = (eta, lam if signed else None, False)
-        self._eta_first = ((first / first.sum(), inv, self._xs), lam / expo if signed else None, True)
+        self._eta_first = ((first / first.sum(), *eta[1:]), lam / expo if signed else None, True)
 
     def sample_eta(self, rng, n):
         return self._sample(rng, n, *self._eta)

@@ -619,12 +619,24 @@ class YSampleResult:
     tail_mean_bound: float
 
 
+#: sample_Y refuses an alpha whose series needs more rounds than this
+MAX_Y_ROUNDS = 100_000
+
+
 def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
+    """Y by its series; DomainError past MAX_Y_ROUNDS rounds, about log(eps_tail)/log(r)
+    with r = E eta^alpha, the mean shrink of P per round, which tends to 1 as alpha -> 0."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"the limit variable Y needs a finite alpha > 0, got {alpha}")
     if not eps_tail > 0:
         raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
     tagged = law.tagged()
+    r = float(np.real(tagged.mean_eta_pow(alpha)))
+    rounds = math.log(eps_tail) / math.log(r) if r < 1.0 else math.inf
+    if not rounds <= MAX_Y_ROUNDS:
+        raise DomainError(f"alpha = {alpha:g} with eps_tail = {eps_tail:g} needs about "
+                          f"{rounds:.3g} rounds of the Y series (E eta^alpha = {r!r}), "
+                          f"more than {MAX_Y_ROUNDS}")
     stream = rngmod.stream(master_seed, "limit-Y")
     P = tagged.sample_eta_first(stream, n) ** alpha
     Y = stream.exponential(size=n) * P
@@ -634,6 +646,5 @@ def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
         P[active] *= tagged.sample_eta(stream, k) ** alpha
         Y[active] += stream.exponential(size=k) * P[active]
         active[active] = P[active] >= eps_tail
-    r = float(np.real(tagged.mean_eta_pow(alpha)))
     tail = float(P.mean()) * r / (1.0 - r)
     return YSampleResult(values=Y, tail_mean_bound=tail)

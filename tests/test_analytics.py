@@ -567,6 +567,35 @@ def test_coefficient_guards():
         an.asymptotic_coefficient(grid, 1.2, 1.0)
 
 
+@pytest.mark.parametrize("offset", [0.3, 1.3, 2.6])
+def test_big_float_coefficient_keeps_its_inputs_in_big_floats(offset):
+    # one power term: C(beta) = Gamma((beta+theta)/alpha) / Gamma((beta*+theta)/alpha)
+    # exactly; rounding z0 or alpha + beta* to doubles left errors near 5e-17
+    law = laws.FilippovPower(2.0, 0.8)
+    bs = an.beta_star_of(law)
+    c = an.asymptotic_coefficient(law, bs + offset, 1.3, tol=1e-22, precision_bits=240)
+    with mp.workprec(240):
+        b, theta, alpha = (mp.mpf(x) for x in (bs + offset, 0.8, 1.3))
+        ref = mp.gamma((b + theta) / alpha) / mp.gamma((mp.mpf(bs) + theta) / alpha)
+        assert abs(c - ref) <= 1e-24 * ref
+
+
+def test_big_float_product_at_an_integer_z_is_a_big_float():
+    g = an.gamma_z(FIL21, 2, 1.3, 1.0, precision_bits=240).value
+    assert isinstance(g, mp.mpf)
+    with mp.workprec(240):
+        b = mp.mpf(1.3)
+        ref = (1 - 2 / (1 + b)) * (1 - 2 / (2 + b))  # psi(1.3) psi(2.3)
+        assert abs(g - ref) <= mp.mpf(2) ** -230 * ref
+
+
+@pytest.mark.parametrize("law, beta", [(FIL21, 0.5), (STICK, 0.4)], ids=["filippov", "stick"])
+def test_coefficient_left_of_beta_star_is_real(law, beta):
+    c = an.asymptotic_coefficient(law, beta, 1.0)
+    assert isinstance(c, float)
+    assert c == pytest.approx(an.rational_coefficient(law, beta, 1.0), rel=1e-13)
+
+
 def test_rho_moments_power_law_pochhammer():
     for lam, theta, alpha in [(2.0, 1.0, 1.0), (1.5, 1.0, 1.0), (2.0, 0.8, 1.3)]:
         law = laws.FilippovPower(lam, theta)

@@ -275,6 +275,23 @@ def test_simulate_snapshot_beyond_tmax_exits_one(specs, capsys):
     assert "--snapshots must lie in [0, --tmax]" in captured.err
 
 
+def test_sample_y_refuses_an_alpha_it_cannot_finish(specs):
+    # r = E eta^alpha rounds to 1 at alpha = 1e-300: the series would never end
+    proc = run_cli("sample-y", "--law", specs["filippov"], "--alpha", "1e-300", "--n", "3",
+                   check=False, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "alpha = 1e-300" in proc.stderr and "rounds" in proc.stderr
+    script = ("from fragkit import laws, simulate\nfrom fragkit.errors import DomainError\n"
+              "try:\n    simulate.sample_Y(laws.FilippovPower(2, 1), 1e-4, 3)\n"
+              "except DomainError as exc:\n    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=30).stdout
+    assert "alpha = 0.0001" in out and "eps_tail = 1e-12" in out
+    rows = run_cli("sample-y", "--law", specs["filippov"], "--alpha", "1", "--n", "3",
+                   timeout=30).stdout.splitlines()
+    assert rows[0] == "index,y" and len(rows) == 5
+
+
 #: inputs that would loop forever or print NaN sizes unless rejected
 _UNENDING_OR_NAN = (
     ("sample-y", "--alpha", "1", "--n", "2", "--eps-tail", "0"),
