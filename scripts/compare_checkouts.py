@@ -153,9 +153,9 @@ def _mellin_probe(rec, name, law):
     bits; the square mean E (sum xi^beta*)^2 of a law with a sampler; C(beta)
     at 240 bits, at alpha = 1 and, with tol 1e-22, at alpha = 1.3 and beta* +
     0.3 and beta* + 1.3 (z0 = 1 where beta* + 1.3 - beta* is 1.3 exactly);
-    g(2, beta* + 0.7) at 240 bits; and m_series' bits, terms and mp_value at t = 0.5, 10, 200
-    (alpha = 1, beta* + 0.7), and for the spec of ``BENCH_SERIES`` also at its
-    alpha, beta and times.
+    g(2, beta* + 0.7) at 240 bits; and m_series' bits, terms and mp_value at
+    t = 0.5, 10, 200 (alpha = 1, beta* + 0.7), and for the spec of
+    ``BENCH_SERIES`` also at its alpha, beta and times.
     A FragkitError is recorded by its class name.
     """
     import mpmath as mp

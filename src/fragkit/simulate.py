@@ -619,7 +619,6 @@ class YSampleResult:
     tail_mean_bound: float
 
 
-#: sample_Y refuses an alpha whose series needs more rounds than this
 MAX_Y_ROUNDS = 100_000
 
 
@@ -632,7 +631,8 @@ def sample_Y(law, alpha, n, master_seed=0, eps_tail=1e-12):
         raise ValueError("eps_tail must be > 0: the series is cut once P < eps_tail")
     tagged = law.tagged()
     r = float(np.real(tagged.mean_eta_pow(alpha)))
-    rounds = math.log(eps_tail) / math.log(r) if r < 1.0 else math.inf
+    # r = 0 (every eta^alpha underflows) ends the series in one round
+    rounds = 1.0 if r == 0.0 else math.log(eps_tail) / math.log(r) if r < 1.0 else math.inf
     if not rounds <= MAX_Y_ROUNDS:
         raise DomainError(f"alpha = {alpha:g} with eps_tail = {eps_tail:g} needs about "
                           f"{rounds:.3g} rounds of the Y series (E eta^alpha = {r!r}), "

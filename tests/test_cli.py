@@ -275,21 +275,25 @@ def test_simulate_snapshot_beyond_tmax_exits_one(specs, capsys):
     assert "--snapshots must lie in [0, --tmax]" in captured.err
 
 
-def test_sample_y_refuses_an_alpha_it_cannot_finish(specs):
-    # r = E eta^alpha rounds to 1 at alpha = 1e-300: the series would never end
-    proc = run_cli("sample-y", "--law", specs["filippov"], "--alpha", "1e-300", "--n", "3",
-                   check=False, timeout=30)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "alpha = 1e-300" in proc.stderr and "rounds" in proc.stderr
-    script = ("from fragkit import laws, simulate\nfrom fragkit.errors import DomainError\n"
-              "try:\n    simulate.sample_Y(laws.FilippovPower(2, 1), 1e-4, 3)\n"
-              "except DomainError as exc:\n    print(exc)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         timeout=30).stdout
-    assert "alpha = 0.0001" in out and "eps_tail = 1e-12" in out
+def test_sample_y_refuses_an_alpha_it_cannot_finish(specs, tmp_path):
+    # r = E eta^alpha rounds to 1 at alpha = 1e-300, so the series would never end;
+    # at 1e-4 it would take about 5.5e5 rounds (6 s for three samples)
+    for alpha in ("1e-300", "0.0001"):
+        proc = run_cli("sample-y", "--law", specs["filippov"], "--alpha", alpha, "--n", "3",
+                       check=False, timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert f"alpha = {alpha} with eps_tail = 1e-12" in proc.stderr
+        assert "rounds" in proc.stderr
     rows = run_cli("sample-y", "--law", specs["filippov"], "--alpha", "1", "--n", "3",
                    timeout=30).stdout.splitlines()
     assert rows[0] == "index,y" and len(rows) == 5
+    # an atomic law's E eta^alpha underflows to 0 at alpha = 1e300: one round ends Y
+    atomic = tmp_path / "atomic.json"
+    atomic.write_text(json.dumps({"kind": "UserAtomic", "params": {"groups": [
+        {"prob": 0.6, "sizes": [0.5, 0.5]}, {"prob": 0.4, "sizes": [0.7, 0.2, 0.1]}]}}))
+    rows = run_cli("sample-y", "--law", str(atomic), "--alpha", "1e300", "--n", "2",
+                   timeout=30).stdout.splitlines()
+    assert rows == ["index,y", "0,0.0", "1,0.0", "# tail_mean_bound,0.0"]
 
 
 #: inputs that would loop forever or print NaN sizes unless rejected
