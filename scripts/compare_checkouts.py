@@ -15,8 +15,8 @@ the bytes ``fragkit law inspect`` prints and the general analytics paths:
 ``gamma_z``, ``asymptotic_coefficient`` (also at beta* - 0.3), ``rho_moment``
 for k <= 4 and ``m_series`` at t = 1 and 30 (a FragkitError is recorded by its
 class name), the Mellin data phi, psi' and ``phi_mp`` and what reads them
-beyond doubles (``_mellin_probe``: C(beta) and ``gamma_z`` at an integer z at
-240 bits; ``m_series_mp`` also at the benchmark's alpha = 1.3 series of
+beyond doubles (``_mellin_probe``: C(beta) and ``gamma_z`` at the integers z = 0
+and 2 at 240 bits; ``m_series_mp`` also at the benchmark's alpha = 1.3 series of
 FilippovPower(2,0.8)),
 and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
 and 2 (a spec with no sampler records its error class name instead).
@@ -136,10 +136,14 @@ def _analytics_probe(rec, name, law):
 
 
 def _mp_exact(values):
-    """mpmath numbers and integers as exact strings "m e" (the value m * 2^e), an
-    mpc's real and imaginary parts apart; ``_deviation`` compares them exactly."""
+    """mpmath numbers, doubles and integers as exact strings "m e" (the value m * 2^e),
+    an mpc's real and imaginary parts apart; ``_deviation`` compares them exactly."""
     out = []
     for v in values:
+        if isinstance(v, float):
+            man, den = v.as_integer_ratio()  # den is a power of two
+            out.append(f"{man} {1 - den.bit_length()}")
+            continue
         for sign, man, exp, _ in getattr(v, "_mpc_", None) or [getattr(v, "_mpf_", None)
                                                                  or (v < 0, abs(v), 0, 0)]:
             out.append(f"{-man if sign else man} {exp}")
@@ -153,9 +157,9 @@ def _mellin_probe(rec, name, law):
     bits; the square mean E (sum xi^beta*)^2 of a law with a sampler; C(beta)
     at 240 bits, at alpha = 1 and, with tol 1e-22, at alpha = 1.3 and beta* +
     0.3 and beta* + 1.3 (z0 = 1 where beta* + 1.3 - beta* is 1.3 exactly);
-    g(2, beta* + 0.7) at 240 bits; and m_series' bits, terms and mp_value at
-    t = 0.5, 10, 200 (alpha = 1, beta* + 0.7), and for the spec of
-    ``BENCH_SERIES`` also at its alpha, beta and times.
+    g(0, beta* + 0.7) and g(2, beta* + 0.7) at 240 bits; and m_series'
+    bits, terms and mp_value at t = 0.5, 10, 200 (alpha = 1, beta* + 0.7),
+    and for the spec of ``BENCH_SERIES`` also at its alpha, beta and times.
     A FragkitError is recorded by its class name.
     """
     import mpmath as mp
@@ -188,10 +192,8 @@ def _mellin_probe(rec, name, law):
     record("coefficient_mp alpha=1.3", lambda: _mp_exact(
         [analytics.asymptotic_coefficient(law, bs + d, 1.3, tol=1e-22, precision_bits=240)
          for d in (0.3, 1.3)]))
-    # mpmathify keeps an mpf's bits and takes a double exactly, from a tree
-    # that answers an integer z in doubles
-    record("gamma_z_mp z=2", lambda: _mp_exact(
-        [mp.mpmathify(analytics.gamma_z(law, 2, bs + 0.7, 1.0, precision_bits=240).value)]))
+    record("gamma_z_mp z=0,2", lambda: _mp_exact(
+        [analytics.gamma_z(law, z, bs + 0.7, 1.0, precision_bits=240).value for z in (0, 2)]))
     record("m_series_mp", lambda: series(1.0, 0.7, (0.5, 10.0, 200.0)))
     spec, alpha, offset, times = BENCH_SERIES
     if name == spec:

@@ -7,8 +7,9 @@ results emitted in replicate order).  ``--threads`` is accepted and ignored:
 replicates run serially, in the vectorised blocks of the natural-time
 engine.  Every command uses the one correctly rounded beta*.  Counts must
 be >= 1, and commands that print standard errors need 2 replicates.  Exit
-codes: 0 success, 1 usage/configuration error, 2 validation-suite failure
-(some 3-standard-error check failed).
+codes: 0 success, 1 usage/configuration error (also a JSON result past the
+range of a double), 2 validation-suite failure (some 3-standard-error check
+failed).
 
 The module imports ``laws`` and ``simulate`` only; a command that needs
 ``analytics`` or ``estimators`` imports it when it runs, so ``simulate``,
@@ -17,6 +18,7 @@ atoms never load mpmath.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, laws, simulate
-from .errors import FragkitError, NoClosedForm
+from .errors import DomainError, FragkitError, NoClosedForm
 
 _PROBE_OFFSETS = (0.5, 1.0, 2.0)
 _THREADS_HELP = "accepted for compatibility; has no effect (replicates run serially)"
@@ -75,6 +77,10 @@ def _emit_json(doc):
 
 
 def _num_or_parts(v):
+    """v for a JSON report: a float, or {"re", "im"} for a complex.  DomainError
+    if v is inf or NaN, which JSON cannot hold: a result past the doubles."""
+    if not cmath.isfinite(v):
+        raise DomainError(f"the result {v} overflows a double, and JSON has no inf or NaN")
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     return float(v)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -589,6 +590,86 @@ def test_big_float_product_at_an_integer_z_is_a_big_float():
         assert abs(g - ref) <= mp.mpf(2) ** -230 * ref
 
 
+def test_big_float_product_at_zero_is_a_big_float():
+    g = an.gamma_z(FIL21, 0, 1.3, 1.0, precision_bits=240).value
+    assert isinstance(g, mp.mpf) and g == 1
+
+
+#: the ladder's window at 240 bits: (law, z, beta, alpha) with z and beta at
+#: 240 bits, so the FilippovPower(2, 0.8) row is the benchmark's C(beta) product
+_FIL08 = laws.FilippovPower(2.0, 0.8)
+with mp.workprec(240):
+    _BENCH_Z = (mp.mpf(an.beta_star_of(_FIL08) + 0.3) - an.beta_star_of(_FIL08)) / 1.3
+    _BENCH_BETA = 1.3 + mp.mpf(an.beta_star_of(_FIL08))
+_WINDOWS = {
+    "filippov-2-0.8-real-z": (_FIL08, _BENCH_Z, _BENCH_BETA, 1.3),
+    "filippov-2-1": (FIL21, 0.5 + 1.0j, 1.3, 1.0),
+    "stick-z-0.5+50i": (STICK, 0.5 + 50.0j, 1.2, 1.0),
+    "atoms": (laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1)))),
+              0.4 + 2.0j, 1.3, 1.0),
+}
+
+
+@pytest.fixture
+def quad_rules(monkeypatch):
+    """The rules mp.quad is called with, in order (None: the default tanh-sinh)."""
+    rules, quad = [], mp.quad
+
+    def recorded(*args, **kwargs):
+        rules.append(kwargs.get("method"))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "quad", recorded)
+    return rules
+
+
+@pytest.mark.parametrize("K", [64, 512])
+@pytest.mark.parametrize("law, z, beta, alpha", _WINDOWS.values(), ids=_WINDOWS.keys())
+def test_ladder_window_matches_a_400_bit_tanh_sinh_reference(law, z, beta, alpha, K,
+                                                             quad_rules):
+    # z times the window is the log of a factor of g, so |z| times the
+    # window's error is the relative error it puts into g
+    assert not law.arithmetic
+    with mp.workprec(240):
+        zm, bm, am = (mp.mpmathify(x) for x in (z, beta, alpha))
+        window = an._logpsi_window_mp(an._psi_fn_mp(law), bm + am * K, am * zm,
+                                      mp.mpf(1e-22) / abs(zm))
+    assert quad_rules == ["gauss-legendre"]
+    with mp.workprec(400):
+        ref = mp.quad(lambda u: mp.log(1 - law.phi_mp(bm + am * K + u * am * zm)), [0, 1])
+        assert abs(zm) * abs(window - ref) <= mp.mpf(2) ** -230
+
+
+def test_ladder_window_falls_back_to_tanh_sinh(quad_rules):
+    # log u is singular at u = 0, where Gauss-Legendre's estimate stays near 1e-6
+    with mp.workprec(240):
+        window = an._logpsi_window_mp(lambda s: s, mp.mpf(0), mp.mpf(1), mp.mpf(1e-22))
+        assert quad_rules == ["gauss-legendre", None]
+        assert abs(window + 1) <= mp.mpf(2) ** -230  # integral_0^1 log u du = -1
+
+
+def test_bench_coefficient_keeps_its_truncation_and_digits():
+    # the benchmark's 240-bit C(beta): K doubles to 512 and stops, and all
+    # 75 printed digits stay those of the tanh-sinh window
+    with mp.workprec(240):
+        g = an.gamma_z(_FIL08, _BENCH_Z, _BENCH_BETA, 1.3, tol=1e-22, precision_bits=240)
+    assert g.truncation_K == 512
+    c = an.asymptotic_coefficient(_FIL08, an.beta_star_of(_FIL08) + 0.3, 1.3, tol=1e-22,
+                                  precision_bits=240)
+    assert mp.nstr(c, 75) == ("1.0399718885821016023435791922301119040657470793838501812314046"
+                              "8031613735856")
+
+
+def test_psi_from_converted_terms_is_phi_mp_bit_for_bit():
+    for law in (FIL21, STICK, DIRI, laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
+                                                     laws.AtomComponent(((0.5, 0.7),)))):
+        psi = an._psi_fn_mp(law)
+        for bits in (53, 240):
+            with mp.workprec(bits):
+                for s in (mp.mpf(1.3) / 3, mp.mpc(2.2, -1.7) / 3, mp.mpf(700.1)):
+                    assert psi(s) == 1 - law.phi_mp(s)
+
+
 @pytest.mark.parametrize("law, beta", [(FIL21, 0.5), (STICK, 0.4)], ids=["filippov", "stick"])
 def test_coefficient_left_of_beta_star_is_real(law, beta):
     c = an.asymptotic_coefficient(law, beta, 1.0)
@@ -711,6 +792,35 @@ def test_rational_gamma_matches_gamma_z():
             for z in (0.4, 1.7, 0.5 + 1.0j):
                 g = an.gamma_z(law, z, beta, alpha, tol=1e-13).value
                 assert abs(an.rational_gamma(law, z, beta, alpha) - g) <= 1e-10 * abs(g)
+
+
+def test_rational_forms_past_the_gamma_range():
+    # each gamma factor overflows (arguments past 171.6) or underflows
+    # (Im z = 1e4), but the ratios are finite doubles; the summed log-gammas
+    # keep about |log Gamma| * 1e-16 of error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = an.rational_gamma(FIL21, 200, 1.5, 1.0)
+        assert g == pytest.approx(an.gamma_z(FIL21, 200, 1.5, 1.0).value, rel=1e-12)
+        # FilippovPower(2, 1): C(beta) = Gamma((beta + 1)/alpha) / Gamma(2/alpha)
+        c = an.rational_coefficient(FIL21, 2.0, 0.01)
+        assert c == pytest.approx(float(mp.gamma(300) / mp.gamma(200)), rel=1e-12)
+        z, beta = 0.5 + 1e4j, 1.2
+        g = an.rational_gamma(STICK, z, beta, 1.0)
+        assert abs(g - an.gamma_z(STICK, z, beta, 1.0).value) <= 1e-10 * abs(g)
+    with mp.workdps(30):
+        zm, bm = mp.mpmathify(z), mp.mpf(beta)
+        a = [bm - (mp.sqrt(5) - 1) / 2, bm + (mp.sqrt(5) + 1) / 2]  # beta - roots of psi
+        ref = mp.exp(sum(mp.loggamma(x + zm) - mp.loggamma(x) for x in a)
+                     - sum(mp.loggamma(x + zm) - mp.loggamma(x) for x in (bm, bm + 1)))
+        assert abs(g - ref) <= 1e-10 * abs(ref)
+    # 200! is past the doubles: an overflow, not a pole
+    with pytest.raises(DomainError, match="overflows a double"):
+        an.rational_coefficient(FIL21, 200.0, 1.0)
+    # the true poles: Gamma(a + z) at a + z = 0, and 1/Gamma(b + z) at b + z = 0
+    with pytest.raises(PoleError):
+        an.rational_gamma(FIL21, -0.5, 1.5, 1.0)
+    assert an.rational_gamma(FIL1510, -2.25, 1.25, 1.0) == 0.0
 
 
 def test_hypergeometric_coefficient_matches_generic():

@@ -430,6 +430,16 @@ _NAMED_INPUT = {
     # doubles cannot meet it: K doubles to its cap and the error names tol
     "gamma-tol-1e-20": ("filippov", ("gamma", "--alpha", "1", "--z", "0.5", "--beta", "1.5",
                                      "--tol", "1e-20"), "not stable to tol = 1e-20"),
+    # C(200) = 200! and m(300, -0.99) near 1e1000 are past the doubles, and
+    # g(5000, -0.99) at alpha = 1e-3 overflows on its way: JSON has no inf or NaN
+    "asym-coeff-beta-200": ("filippov", ("asym-coeff", "--alpha", "1", "--beta", "200"),
+                            "overflows a double"),
+    "asym-coeff-beta-200+1i": ("filippov", ("asym-coeff", "--alpha", "1", "--beta", "200+1i"),
+                               "overflows a double"),
+    "mseries-overflow": ("filippov", ("mseries", "--alpha", "1e-3", "--beta", "-0.99",
+                                      "--t", "300"), "overflows a double"),
+    "gamma-overflow": ("filippov", ("gamma", "--alpha", "1e-3", "--z", "5000", "--beta",
+                                    "-0.99"), "overflows a double"),
 }
 
 
