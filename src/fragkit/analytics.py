@@ -732,60 +732,66 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
         k0, K = K, 2 * K
 
 
-def _psi_fn_mp(law):
-    """s -> 1 - phi_mp(s) at the ambient precision, bit for bit.
-
-    For a law of power terms only, lam_j and theta_j are converted to mpf
-    once, here, instead of on every call: mpf(theta) + s rounds exactly as
-    theta + s does, and the parts are summed in the same order.  Laws with
-    atoms or without a declared measure call ``phi_mp``.
-    """
-    terms = law.power_terms
-    if law.atoms or not terms:
-        return lambda s: 1 - law.phi_mp(s)
-    terms = [(mp.mpf(lam), mp.mpf(theta)) for lam, theta in terms]
-    if len(terms) == 1:
-        (lam, theta), = terms
-        return lambda s: 1 - lam / (theta + s)
-    return lambda s: 1 - mp.fsum([lam / (theta + s) for lam, theta in terms])
-
-
 #: mpmath's Gauss-Legendre degree m has 3 * 2^(m-1) nodes, built once per
-#: precision: at 260 bits on a 2-core Xeon, 0.34 s for m = 6, 0.94 s for
-#: m = 7 and 3.8 s for m = 8
-_WINDOW_GL_DEGREE = 6
+#: process and precision: at 260 bits (240 and mp.quad's guard bits) on a
+#: 2-core Xeon, 0.03 s for m = 4, 0.12 s for m = 5 and 0.47 s for m = 6,
+#: where tanh-sinh builds its nodes in 0.03 s.  Past m = 4 a first call pays
+#: more for nodes than Gauss-Legendre saves over tanh-sinh.
+_WINDOW_GL_DEGREE = 4
 
 
-def _logpsi_window_mp(psi, s0, az, tol):
-    """integral_0^1 log psi(s0 + u*az) du at the ambient precision: Gauss-Legendre.
+def _gauss_legendre_reaches(az, room):
+    """Whether Gauss-Legendre should converge at the working precision by degree
+    ``_WINDOW_GL_DEGREE`` on a segment of length |az| whose midpoint lies
+    ``room`` right of the half-plane that holds the integrand's singularities.
+
+    n nodes leave an error of about rho^-2n, for the largest Bernstein ellipse
+    (foci at the segment's ends, sum of semi-axes rho times the half-length h)
+    clear of that half-plane: its real half-width h sqrt(x^2 cos^2 phi +
+    (x^2 - 4) sin^2 phi) / 2, x = rho + 1/rho, phi = arg az, equals ``room``.
+    """
+    az = complex(az)
+    if az == 0:
+        return True
+    if room <= 0:
+        return False
+    x = math.hypot(2 * room / (abs(az) / 2), 2 * az.imag / abs(az))
+    rho = (x + math.sqrt(x * x - 4)) / 2
+    return 2 * 3 * 2 ** (_WINDOW_GL_DEGREE - 1) * math.log2(rho) >= mp.mp.prec
+
+
+def _logpsi_window_mp(psi, s0, az, left):
+    """integral_0^1 log psi(s0 + u*az) du at the ambient precision, with psi's
+    zeros and poles taken to lie at Re s <= ``left``.
 
     The ladder starts at K = 64, so s0 = beta + alpha K usually lies far
     right of every zero and pole of psi: the integrand is analytic on the
     whole segment, where Gauss-Legendre converges geometrically, and
     tanh-sinh (mpmath's default, built for endpoint singularities) needs
-    several times the nodes.  The Gauss-Legendre result, refined up to
-    degree ``_WINDOW_GL_DEGREE``, is kept when mpmath's error estimate for
-    it is at most ``tol``; otherwise tanh-sinh integrates f again, as on a
-    long segment (large |alpha z|) whose nodes would cost more to build.
+    several times the nodes.  Where ``_gauss_legendre_reaches`` the working
+    precision, Gauss-Legendre, refined up to degree ``_WINDOW_GL_DEGREE``,
+    integrates f and its result is kept when it has converged (mpmath's
+    error estimate at most eps/8, where ``mp.quad`` itself stops refining).
+    Otherwise tanh-sinh integrates f: at once on a long segment (large
+    |alpha z| against alpha K), whose Gauss-Legendre nodes would cost more
+    to build and sum than tanh-sinh does.
     """
     f = lambda u: mp.log(psi(s0 + u * az))
-    value, err = mp.quad(f, [0, 1], method="gauss-legendre", error=True,
-                         maxdegree=_WINDOW_GL_DEGREE)
-    return value if err <= tol else mp.quad(f, [0, 1])
+    if _gauss_legendre_reaches(az, (s0 + az / 2).real - left):
+        value, err = mp.quad(f, [0, 1], method="gauss-legendre", error=True,
+                             maxdegree=_WINDOW_GL_DEGREE)
+        if err <= mp.eps / 8:
+            return value
+    return mp.quad(f, [0, 1])
 
 
-def _gamma_z_ladder_mp(law, z, beta, alpha, K, tol):
-    """The big-float ladder at the caller's working precision, which also sets its thresholds.
-
-    The window's error, times |z|, is a relative error of the value: it may
-    be at most ``tol``, the ladder's own agreement test.
-    """
+def _gamma_z_ladder_mp(law, z, beta, alpha, K):
+    """The big-float ladder at the caller's working precision, which also sets its thresholds."""
     tiny, pole = mp.mpf("1e-300"), mp.mpf("1e-14")
     zm = mp.mpmathify(z)
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
-    psi = _psi_fn_mp(law)
-    window_tol = tol / abs(zm)
+    psi = lambda s: 1 - law.phi_mp(s)
     G = lambda k: mp.log(psi(bm + am * k)) - mp.log(psi(bm + am * (k + zm)))
     prod = mp.mpf(1)
     k0 = 0
@@ -798,7 +804,7 @@ def _gamma_z_ladder_mp(law, z, beta, alpha, K, tol):
             if abs(den) < pole:
                 raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
             prod *= num / den
-        window = zm * _logpsi_window_mp(psi, bm + am * K, am * zm, window_tol)
+        window = zm * _logpsi_window_mp(psi, bm + am * K, am * zm, bm.real)
         d1 = mp.diff(G, K, 1)
         d3 = mp.diff(G, K, 3)
         d5 = mp.diff(G, K, 5)
@@ -815,9 +821,9 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     past the truncation K is summed by Euler-Maclaurin: a window integral of
     log psi plus derivative corrections; K doubles until two evaluations agree
     to ``tol``.  The window's quadrature rule is Gauss-Legendre: 64 fixed
-    nodes in doubles; in big floats mpmath's Gauss-Legendre rule, refined
-    until its error estimate is at most tol/|z|, else mpmath's tanh-sinh
-    rule.  The window integrates log psi itself: with an atom at 1, its
+    nodes in doubles; in big floats mpmath's Gauss-Legendre rule where it
+    converges at the working precision by 24 nodes, else (a window long
+    against its distance alpha K from Re beta) mpmath's tanh-sinh rule.  The window integrates log psi itself: with an atom at 1, its
     limit log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
     equation needs.  ``precision_bits`` switches to big-float arithmetic
     (needed when downstream asymptotics consume the value at extreme accuracy).
@@ -834,6 +840,7 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     if zc == 0:
         return GammaExtrapolation(z, beta, mp.mpf(1) if precision_bits else 1.0, 0, 0.0)
     n = round(zc.real)
+    ladder = _gamma_z_ladder_mp if precision_bits else _gamma_z_ladder_float
     ctx = mp.workprec(precision_bits) if precision_bits else contextlib.nullcontext()
     with ctx:
         # the finite product g(n, beta): in big floats only at an exact integer
@@ -841,8 +848,7 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
             g = _gamma_n_mp if precision_bits else gamma_n
             return GammaExtrapolation(z, beta, g(law, n, beta, alpha), n, 0.0)
         K = 64
-        steps = (_gamma_z_ladder_mp(law, z, beta, alpha, K, tol) if precision_bits
-                 else _gamma_z_ladder_float(law, z, beta, alpha, K))
+        steps = ladder(law, z, beta, alpha, K)
         prev, _ = next(steps)
         while K <= (1 << 17):
             K *= 2
@@ -877,8 +883,7 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     laws (complex roots of phi = 1 on the critical line would contribute
     oscillatory terms) and beta = beta* (pole of the gamma factor).  Raises
     DomainError unless 0 < alpha < inf, tol > 0 and beta is finite with
-    Re beta > beta_a, and, without ``precision_bits``, when C overflows a
-    double.
+    Re beta > beta_a.
     """
     _check_alpha(alpha, positive=True)
     _check_beta(law, beta)
@@ -910,11 +915,8 @@ def asymptotic_coefficient(law, beta, alpha, tol=1e-11, precision_bits=None):
     from scipy import special
 
     g = gamma_z(law, _tidy_complex(z0), alpha + bs, alpha, tol=tol)
-    with np.errstate(all="ignore"):  # an overflow is refused below
+    with np.errstate(all="ignore"):  # past the doubles C is inf or NaN, as gamma_z's value
         val = special.gamma(z0) * law.psi(beta) / (alpha * law.psi_prime(bs)) / g.value
-    if not cmath.isfinite(val):
-        raise DomainError(f"C(beta) at beta = {beta} overflows a double: Gamma(z0) or "
-                          f"1/g(z0) is past its range; precision_bits gives it in big floats")
     return _tidy_complex(val)
 
 

@@ -412,15 +412,29 @@ class ReproductionLaw:
     def _phi(self, beta):
         return _mellin(*self._sigma(), beta)
 
+    @cached_property
+    def _sigma_mp(self):
+        """``_sigma()``'s doubles as mpfs, converted once per law for ``phi_mp``.
+
+        A double is an mpf exactly at 53 bits, so from 53 bits up each
+        part rounds as it would from the double itself.
+        """
+        import mpmath as mp
+
+        terms, atoms = self._sigma()
+        with mp.workprec(53):
+            return (tuple((mp.mpf(l), mp.mpf(t)) for l, t in terms),
+                    tuple((mp.mpf(x), mp.mpf(w)) for x, w in atoms))
+
     def phi_mp(self, beta):
         """phi evaluated in mpmath arithmetic (closed-form laws only)."""
         import mpmath as mp
 
-        terms, atoms = self._sigma()
+        terms, atoms = self._sigma_mp
         b = mp.mpmathify(beta)
-        parts = [mp.mpf(l) / (t + b) for l, t in terms]
+        parts = [l / (t + b) for l, t in terms]
         if atoms:
-            parts += [w * mp.mpf(x) ** b for x, w in atoms]
+            parts += [w * x ** b for x, w in atoms]
         # the series calls this once per term: skip fsum's overhead for one part
         return parts[0] if len(parts) == 1 else mp.fsum(parts)
 

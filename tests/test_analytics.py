@@ -624,28 +624,45 @@ def quad_rules(monkeypatch):
 
 
 @pytest.mark.parametrize("K", [64, 512])
-@pytest.mark.parametrize("law, z, beta, alpha", _WINDOWS.values(), ids=_WINDOWS.keys())
-def test_ladder_window_matches_a_400_bit_tanh_sinh_reference(law, z, beta, alpha, K,
-                                                             quad_rules):
+@pytest.mark.parametrize("name", _WINDOWS)
+def test_ladder_window_matches_a_400_bit_tanh_sinh_reference(name, K, quad_rules):
     # z times the window is the log of a factor of g, so |z| times the
     # window's error is the relative error it puts into g
+    law, z, beta, alpha = _WINDOWS[name]
     assert not law.arithmetic
     with mp.workprec(240):
         zm, bm, am = (mp.mpmathify(x) for x in (z, beta, alpha))
-        window = an._logpsi_window_mp(an._psi_fn_mp(law), bm + am * K, am * zm,
-                                      mp.mpf(1e-22) / abs(zm))
-    assert quad_rules == ["gauss-legendre"]
+        window = an._logpsi_window_mp(lambda s: 1 - law.phi_mp(s), bm + am * K, am * zm,
+                                      bm.real)
+    # 24 Gauss-Legendre nodes reach 240 bits on every window but the
+    # stick's, 50 long and only 64 right of Re beta
+    assert quad_rules == [None if (name, K) == ("stick-z-0.5+50i", 64) else "gauss-legendre"]
     with mp.workprec(400):
         ref = mp.quad(lambda u: mp.log(1 - law.phi_mp(bm + am * K + u * am * zm)), [0, 1])
         assert abs(zm) * abs(window - ref) <= mp.mpf(2) ** -230
 
 
 def test_ladder_window_falls_back_to_tanh_sinh(quad_rules):
-    # log u is singular at u = 0, where Gauss-Legendre's estimate stays near 1e-6
+    # left = -100 claims more room than log u has: Gauss-Legendre is tried,
+    # does not converge since log u is singular at u = 0, and tanh-sinh
+    # integrates again
     with mp.workprec(240):
-        window = an._logpsi_window_mp(lambda s: s, mp.mpf(0), mp.mpf(1), mp.mpf(1e-22))
+        window = an._logpsi_window_mp(lambda s: s, mp.mpf(0), mp.mpf(1), -100.0)
         assert quad_rules == ["gauss-legendre", None]
         assert abs(window + 1) <= mp.mpf(2) ** -230  # integral_0^1 log u du = -1
+
+
+def test_long_ladder_window_goes_straight_to_tanh_sinh(quad_rules):
+    # the lossy stick at z = 0.5+1000i: a window 1000 long 64 right of Re beta
+    # would need far more than 24 Gauss-Legendre nodes at 240 bits
+    z, beta, K = mp.mpc(0.5, 1000), mp.mpf(1.2), 64
+    assert not an._gauss_legendre_reaches(z, K + z.real / 2)
+    with mp.workprec(240):
+        window = an._logpsi_window_mp(lambda s: 1 - STICK.phi_mp(s), beta + K, z, beta)
+    assert quad_rules == [None]
+    with mp.workprec(400):
+        ref = mp.quad(lambda u: mp.log(1 - STICK.phi_mp(beta + K + u * z)), [0, 1])
+        assert abs(z) * abs(window - ref) <= mp.mpf(2) ** -230
 
 
 def test_bench_coefficient_keeps_its_truncation_and_digits():
@@ -658,16 +675,6 @@ def test_bench_coefficient_keeps_its_truncation_and_digits():
                                   precision_bits=240)
     assert mp.nstr(c, 75) == ("1.0399718885821016023435791922301119040657470793838501812314046"
                               "8031613735856")
-
-
-def test_psi_from_converted_terms_is_phi_mp_bit_for_bit():
-    for law in (FIL21, STICK, DIRI, laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
-                                                     laws.AtomComponent(((0.5, 0.7),)))):
-        psi = an._psi_fn_mp(law)
-        for bits in (53, 240):
-            with mp.workprec(bits):
-                for s in (mp.mpf(1.3) / 3, mp.mpc(2.2, -1.7) / 3, mp.mpf(700.1)):
-                    assert psi(s) == 1 - law.phi_mp(s)
 
 
 @pytest.mark.parametrize("law, beta", [(FIL21, 0.5), (STICK, 0.4)], ids=["filippov", "stick"])
