@@ -38,7 +38,7 @@ evaluates:
 
 scipy is imported on first use, only where it is called: the Gauss-Jacobi
 rule of ``m_integro``, the gamma function of ``asymptotic_coefficient`` (in
-doubles), the log-gamma functions of ``rational_gamma`` and
+doubles), the gamma and log-gamma functions of ``rational_gamma`` and
 ``rational_coefficient``, and the incomplete gamma function of ``rho_cdf``.
 Importing the module loads numpy and mpmath.
 """
@@ -753,7 +753,7 @@ def _gauss_legendre_reaches(az, room):
     az = complex(az)
     if az == 0:
         return True
-    if room <= 0:
+    if room <= abs(az.real) / 2:  # the segment reaches the half-plane
         return False
     x = math.hypot(2 * room / (abs(az) / 2), 2 * az.imag / abs(az))
     rho = (x + math.sqrt(x * x - 4)) / 2
@@ -999,19 +999,33 @@ def rational_m(law, t, beta, alpha):
 
 
 def _gamma_ratio(num, den):
-    """prod Gamma(num) / prod Gamma(den), exponentiated once from a sum of log-gammas.
+    """prod Gamma over the arrays in ``num`` / prod Gamma over those in ``den``.
 
-    A ratio that is finite in doubles stays finite where the gamma factors
-    alone would overflow to inf/inf or underflow to 0/0.  A real argument
-    adds log |Gamma| and multiplies in the sign of Gamma, so no multiple of
-    pi i enters the exponent; a complex one adds the principal log Gamma.
-    A pole among ``num`` raises PoleError; otherwise a pole among ``den``
-    makes the ratio 0.  DomainError when the ratio overflows a double.
+    The product of the gamma values where it is finite and nonzero.  Where
+    the factors overflow to inf/inf or underflow to 0/0, a sum of log-gammas
+    exponentiated once, which keeps about |log Gamma| * 1e-16 of error
+    (3.7e-14 at FilippovPower(2, 1)'s z = -100.5, where the product has
+    3e-16).  A real argument there adds log |Gamma| and multiplies in the
+    sign of Gamma, so no multiple of pi i enters the exponent; a complex one
+    adds the principal log Gamma.  A pole among ``num`` raises PoleError;
+    otherwise a pole among ``den`` makes the ratio 0.  DomainError when the
+    ratio overflows a double.
     """
     from scipy import special
 
-    def log_sign(xs):
-        xs = np.asarray(xs, dtype=complex)
+    def gamma_prod(groups):
+        p = 1.0
+        for xs in groups:
+            p = p * np.prod(special.gamma(xs))
+        return p
+
+    with np.errstate(all="ignore"):  # inf, 0 and NaN send the ratio to the log-gammas
+        val = gamma_prod(num) / gamma_prod(den)
+    if val != 0 and cmath.isfinite(val):
+        return val
+
+    def log_sign(groups):
+        xs = np.concatenate(groups).astype(complex)
         real = xs.imag == 0
         r = xs.real[real]
         pole = bool(np.any((r <= 0) & (r == np.round(r))))
@@ -1035,7 +1049,7 @@ def _gamma_ratio(num, den):
 def rational_gamma(law, z, beta, alpha):
     """g(z, beta) = prod_i Gamma(a_i+z)/Gamma(a_i) * prod_j Gamma(b_j)/Gamma(b_j+z)."""
     a, b = _rational_args(law, beta, alpha)
-    val = _gamma_ratio(np.concatenate([a + z, b]), np.concatenate([a, b + z]))
+    val = _gamma_ratio((a + z, b), (a, b + z))
     return _closed_value(val, z, beta, alpha)
 
 
@@ -1047,7 +1061,7 @@ def rational_coefficient(law, beta, alpha):
     """
     a, b = _rational_args(law, beta, alpha)
     a0, b0 = _rational_args(law, None, alpha)
-    val = _gamma_ratio(np.concatenate([a0[1:], b]), np.concatenate([a[1:], b0]))
+    val = _gamma_ratio((a0[1:], b), (a[1:], b0))
     return _closed_value(val, beta, alpha)
 
 

@@ -665,6 +665,17 @@ def test_long_ladder_window_goes_straight_to_tanh_sinh(quad_rules):
         assert abs(z) * abs(window - ref) <= mp.mpf(2) ** -230
 
 
+def test_window_reaching_left_of_beta_goes_to_tanh_sinh():
+    # z = -100.5: at K = 64 the window runs from Re beta + 64 to 36.5 left of
+    # Re beta, so no ellipse around it clears the half-plane
+    assert not an._gauss_legendre_reaches(-100.5, 64 - 100.5 / 2)
+    g = an.gamma_z(FIL21, -100.5, 1.3, 1.0, precision_bits=240)
+    ref = an.rational_gamma(FIL21, -100.5, 1.3, 1.0)
+    # the closed form's plain gamma product is accurate to a few ulps here;
+    # summed log-gammas would be 3.7e-14 off
+    assert abs(g.value - ref) <= 2e-15 * abs(ref)
+
+
 def test_bench_coefficient_keeps_its_truncation_and_digits():
     # the benchmark's 240-bit C(beta): K doubles to 512 and stops, and all
     # 75 printed digits stay those of the tanh-sinh window
