@@ -225,12 +225,12 @@ def _series_sum_mp(law, t, beta, alpha):
     the leading terms too few bits where they share a sign and do not
     cancel, as for a negative psi at small alpha.)
 
-    psi_n = psi(beta + alpha n) enters with psi_bits = prec + 16 fractional
-    bits.  For a real beta and a law of power terms only it is exact:
-    ``_psi_ratios``' num/den taken as the one floor division
-    (num << psi_bits) // den.  Otherwise (complex beta, atoms, no declared
-    measure) it is 1 - phi_mp(beta + alpha n) evaluated by the law at prec
-    bits and converted exactly (while |psi_n| >= 2^-16).  t enters as its
+    For a real beta and a law of power terms only, psi_n = psi(beta + alpha
+    n) is ``_psi_ratios``' exact num/den and the next term is the one floor
+    term * num * (-t) // (den (n + 1)): small integer factors, one rounding.
+    Otherwise (complex beta, atoms, no declared measure) psi_n is 1 -
+    phi_mp(beta + alpha n) at prec bits, converted exactly to psi_bits =
+    prec + 16 fractional bits (while |psi_n| >= 2^-16).  t enters as its
     mantissa and exponent, and the division by n + 1 is one floor division.
     A complex beta carries the term as a pair of integers and compares
     |term|^2.  The pass stops at an exactly zero psi_n (singular beta: the
@@ -244,16 +244,17 @@ def _series_sum_mp(law, t, beta, alpha):
     cplx = isinstance(mp.mpmathify(beta), mp.mpc)
     ratios = _psi_ratios(law, beta, alpha)
     if ratios is not None:
-        psis = ((num << psi_bits) // den if num else None for num, den in ratios)
+        psis = ((num, den) if num else None for num, den in ratios)
     elif cplx:
         psis = ((_mpf_fixed(psi.real, psi_bits), _mpf_fixed(psi.imag, psi_bits))
                 if psi else None for psi in _psi_mp(law, beta, alpha))
     else:
-        psis = (_mpf_fixed(psi, psi_bits) if psi else None for psi in _psi_mp(law, beta, alpha))
+        psis = ((_mpf_fixed(psi, psi_bits), 1) if psi else None
+                for psi in _psi_mp(law, beta, alpha))
     _, neg_tm, te, _ = mp.mpf(t)._mpf_
     neg_tm = -neg_tm
-    # term * psi (scaled 2^(F + psi_bits)) * t mantissa, back to 2^F
-    shift = psi_bits - te
+    # term * num * t mantissa / den back to 2^F; phi_mp's num has psi_bits, den = 1
+    shift = (0 if ratios is not None else psi_bits) - te
     if shift < 0:
         neg_tm <<= -shift
         shift = 0
@@ -292,11 +293,10 @@ def _series_sum_mp(law, t, beta, alpha):
             break
         if cplx:
             pr, pi = psi
-            tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
-            ti = ((ti * neg_tm) >> shift) // n
-        else:
-            tr *= psi
-        tr = ((tr * neg_tm) >> shift) // n
+            tr, ti = (((x * neg_tm) >> shift) // n for x in (tr * pr - ti * pi, tr * pi + ti * pr))
+        else:  # one floor of the exact product: nested floors by positive integers compose
+            num, den = psi
+            tr = ((tr * (num * neg_tm)) >> shift) // (den * n)
     total = mp.mpf((total_r, -frac))
     if cplx:
         return (mp.mpc(total, mp.mpf((total_i, -frac))), n + 1,
@@ -363,15 +363,15 @@ def m_series(law, t, beta, alpha, rel_tol=1e-12, start_bits=128):
     series is then summed at p = max(start_bits, log2(max term) +
     log2(1/rel_tol) + 32) bits and verified by one pass at p + 64 bits, each
     in fixed point (``_series_sum_mp``) with psi at the pass's precision and
-    none shared between the passes: exact integer ratios from the law's power
-    terms for a real beta and a law without atoms, else ``phi_mp``, in the
-    probe and in both passes alike.  ``mp_value`` is the verifying pass's
-    total rounded to p + 64 bits, and ``max_term_log2`` the log2 of its
-    largest term (of the probe's, in PrecisionExhausted's diagnostics when
-    no pass ran).  The
-    two evaluations must agree to ``rel_tol``, and the accepted (p + 64)-bit
-    one must keep log2(1/rel_tol) + 32 bits after the measured loss
-    log2(max term / |value|); otherwise p rises and both passes repeat.
+    none shared between the passes: for a real beta and a law of power terms
+    only an exact ratio num/den, entering each term as one floor division by
+    den (n + 1), else ``phi_mp`` at the pass's bits + 16, in the probe and in
+    both passes alike.  ``mp_value`` is the verifying pass's total rounded to
+    p + 64 bits, and ``max_term_log2`` the log2 of its largest term (of the
+    probe's, in PrecisionExhausted's diagnostics when no pass ran).  The two
+    evaluations must agree to ``rel_tol``, and the accepted (p + 64)-bit one
+    must keep log2(1/rel_tol) + 32 bits after the measured loss log2(max
+    term / |value|); otherwise p rises and both passes repeat.
     ``start_bits`` is a floor on p.  Raises PrecisionExhausted (with
     diagnostics attached) as soon as a pass would need more than
     MAX_SERIES_BITS = 4096 bits: the loss is about t log2(e) bits, so at the
@@ -1071,13 +1071,19 @@ def rational_rho_moment(law, k, alpha):
         (k-1)!/(alpha psi'(beta*)) prod_{m=1}^{k-1} prod_j (b*_j+m) / prod_i (a*_i+m),
 
     with alpha psi'(beta*) = prod_{i>=2} a*_i / prod_j b*_j, since a*_1 = 0.
+    That also makes a*_1 + m = m cancel the factor m of (k-1)!, so the
+    product takes no factorial and overflows only with the moment itself:
+    DomainError when the moment is not finite in doubles, as ``rho_moment``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     a0, b0 = _rational_args(law, None, alpha)
-    val = math.factorial(k - 1) * np.prod(b0) / np.prod(a0[1:])
-    for m in range(1, k):
-        val = val * np.prod(b0 + m) / np.prod(a0 + m)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
+        val = np.prod(b0) / np.prod(a0[1:])
+        for m in range(1, k):
+            val = val * np.prod(b0 + m) / np.prod(a0[1:] + m)
+    if not cmath.isfinite(val):
+        raise DomainError(f"the rho moment k={k} is not finite in doubles")
     return _closed_value(val, alpha)
 
 

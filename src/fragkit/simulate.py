@@ -595,8 +595,7 @@ def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
     active = np.ones(n_paths, dtype=bool)
     while active.any():
         ia = np.where(active)[0]
-        rate = x[ia] ** alpha if alpha != 0 else np.ones(ia.size)
-        t_new = t[ia] + stream.exponential(size=ia.size) / rate
+        t_new = t[ia] + _lifetimes(stream, x[ia], alpha)
         fire = t_new <= t_max
         t[ia[fire]] = t_new[fire]
         x[ia[fire]] *= tagged.sample_eta(stream, int(fire.sum()))

@@ -221,8 +221,11 @@ DIRI3 = laws.DirichletPolynomial(terms=((1.2, 0.7), (0.9, 2.0), (-0.1, 3.5)))
     (POISSON_POWER, 30.0, 0.6, 1.7, 128),
     (FIL21, 30.0, 2.5, 0.0, 128),  # alpha = 0: psi constant, m = exp(-t psi)
     (laws.FilippovPower(2.0, 0.8), 30.0, 1.5, 5e-324, 128),  # common denominator 2^1074
+    (DIRI3, 0.1, 0.9, 0.8, 128),  # t = 0.1 has a negative exponent: the product is shifted down
+    (FIL21, 20.0, 0.5, 0.7, 256),  # beta_a < beta < beta*: psi < 0 for n <= 2, floors of negatives
+    (STICK, 1000.0, 1.0, 1.0, 1600),  # t = 1000: the sum cancels about 1435 bits
 ], ids=["stick-conservative", "binary", "dirichlet-3", "poisson-power", "alpha-0",
-        "alpha-subnormal"])
+        "alpha-subnormal", "t-negative-exponent", "psi-negative", "stick-t1000"])
 def test_exact_psi_pass_matches_reference(law, t, offset, alpha, prec):
     beta = law.beta_a + offset
     # the integers are psi itself, exactly
@@ -857,6 +860,19 @@ def test_dirichlet_integer_moments_match_generic():
                 assert an.rational_rho_moment(law, k, alpha) == pytest.approx(
                     an.rho_moment(law, k, alpha), rel=1e-10
                 )
+
+
+def test_rational_rho_moment_overflow_is_a_domain_error():
+    # FilippovPower(2, 1) at alpha = 1: the moments are k!, finite up to k = 170
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (168, 169):
+            assert an.rational_rho_moment(FIL21, k, 1.0) == pytest.approx(
+                an.rho_moment(FIL21, k, 1.0), rel=1e-13)
+        for k in (170, 171, 172, 400):
+            for moment in (an.rho_moment, an.rational_rho_moment):
+                with pytest.raises(DomainError, match=f"k={k} is not finite in doubles"):
+                    moment(FIL21, k, 1.0)
 
 
 def test_rational_m_matches_series():

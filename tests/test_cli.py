@@ -119,6 +119,16 @@ def test_tagged_path_ends_at_size_zero(specs):
     assert out == ["path,final_size,scaled_size", "0,0.0,0.0", "1,0.0,0.0", "2,0.0,0.0"]
 
 
+def test_tagged_at_huge_alpha_warns_nothing(specs):
+    # past the first split every rate x^alpha underflows to 0: each path
+    # waits for ever, and no numpy warning reaches stderr
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *FRAGKIT[1:],
+                           "tagged", "--law", specs["stick"], "--alpha", "1e300",
+                           "--tmax", "5", "--paths", "3"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 4
+
+
 #: ``fragkit simulate`` rows of a law whose replicates die out: half the
 #: splits leave no child, and the floor 0.5 freezes every lineage by its
 #: seventh generation (0.9^7 < 0.5)

@@ -585,6 +585,28 @@ def test_tagged_moment_identity():
     assert abs(vals.mean() - target) <= 3.0 * se
 
 
+#: SHA-256 of tagged_final_sizes(law, alpha, 5.0, 300, master_seed=11)
+TAGGED_KNOWN_ANSWERS = {
+    ("stick", 0.0): "6bd8875acccccf47c7fbbbce0a6782714c9849cf7281369011dbad7e277ca10c",
+    ("stick", 1.0): "bfd7e4206b84656d6b79191fc966560d7dc15c5bf2db9e3404773f2dd04255bb",
+    ("stick", 1e300): "550bbd7fc29f8664c6a526f52af1964cce83a5bf9be2816a45ea743a9a4808a6",
+    ("fil21", 0.0): "f454a4bb9611e9150354f3ec420a63d33a939e6736c5607a04c1f3e49850bc8f",
+    ("fil21", 1.0): "f76b58a5b9fb78537cfd62deb6831e163f4b565131158a358c87f0c213f8ef2a",
+    ("fil21", 1e300): "ed0955e63b30f36e2b270d145380047afd4f822854b171fde5904ede0156dc77",
+}
+
+
+@pytest.mark.parametrize("name, alpha", TAGGED_KNOWN_ANSWERS)
+def test_tagged_final_sizes_known_answers(name, alpha):
+    # at alpha = 1e300 every size below 1 has a rate that underflows to 0: an
+    # infinite wait, which ends the path without a warning
+    law = {"stick": STICK, "fil21": FIL21}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = sim.tagged_final_sizes(law, alpha, 5.0, 300, master_seed=11)
+    assert _sha(x) == TAGGED_KNOWN_ANSWERS[name, alpha]
+
+
 def test_tagged_limit_distribution():
     t = 60.0
     x = sim.tagged_final_sizes(FIL21, 1.0, t, 40000, master_seed=25)
