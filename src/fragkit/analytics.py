@@ -24,8 +24,8 @@ evaluates:
   law with no declared measure take psi from the law's ``phi_mp``;
 * the integro-differential equation by a causal method of steps, whose
   query geometry at the quadrature nodes is built in blocks of up to 32
-  steps, so that a step only gathers the history and takes one small
-  matrix product (independent cross-check of the series);
+  steps, each block's steps solved as one linear system (independent
+  cross-check of the series);
 * the leading large-t asymptotics m(t,beta) ~ C(beta) t^((beta*-beta)/alpha)
   through the residue coefficient C, and the limit-measure moments
   int x^(alpha k) rho(dx) = (k-1)!/(alpha psi'(beta*)) prod_{j<k} 1/psi(beta*+alpha j);
@@ -498,11 +498,10 @@ def m_integro(law, t_max, beta, alpha, step=None):
     Each step reads the integral at t_i, t_i + h/2 and t_{i+1}.  Where those
     times fall among the nodes does not depend on m, so the cell indices and
     Hermite weights are built once per block of up to 32 steps (at most
-    3072 step-node pairs), and a step only gathers the history and takes
-    one product with the weights.  The interpolant is linear in the step's
-    unknown end values, so the fixed-point iteration that closes the
-    implicit dependence near x = 1 (integrating-factor Simpson rule) runs on
-    scalars.
+    3072 step-node pairs).  The interpolant is linear in the block's unknown
+    values and derivatives, so the block's implicit steps (integrating-factor
+    Simpson rule; nodes near x = 1 read the cell being solved) are one lower
+    block-triangular linear system, solved exactly by one dense solve.
     Independent of m_series by construction.  alpha must be finite and >= 0
     and ``step``, when given, finite and > 0 (DomainError otherwise); the
     returned solution refuses t outside [0, t_max].
@@ -578,20 +577,27 @@ def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
     W1 = 4.0 * (a - b)
     W2 = 2.0 * b - a
     W0 = M0 - W1 - W2
-    # I at t_i, t_i + h/2 and t_{i+1}.  The query geometry does not depend
-    # on m, so it is built for a block of steps at a time: 32 steps, fewer
-    # once a block would pass 3072 step-node pairs (past that its arrays
-    # leave the cache and the march slows).  The Hermite history is linear
-    # in the unknown end values (m1, d1) of cell i, so I(q) = base_q +
-    # b_q m1 + c_q d1, where only the nodes falling in cell i contribute
-    # b_q and c_q.
+    # I_p for p = 0, 1, 2 at t_i, t_i + h/2 and t_{i+1}.  The query geometry
+    # does not depend on m, so it is built for a block of steps at a time:
+    # 32 steps, fewer once a block would pass 3072 step-node pairs (past that
+    # its arrays leave the cache and the march slows).  The Hermite history
+    # is linear in the block's unknowns x = (m, d) at cells i0+1..i1, so
+    # I_p = F_p + G_p x, where F reads those cells as 0 and only nodes with
+    # idx >= i0 reach G.  Step i's equations m_{i+1} - e^-h m_i - sum_p W_p
+    # I_p = 0 and d_{i+1} + m_{i+1} - I_2 = 0 (the rows of Wm on I) form one
+    # lower block-triangular system of 2 nb equations, solved at once; A0
+    # holds its terms outside the integral.
+    Wm = np.array([[W0, W1, W2], [0.0, 0.0, 1.0]])
     width = min(32, max(1, 3072 // len(xa)))
+    A0 = np.eye(2 * width)
+    A0[1::2, ::2] += np.eye(width)  # d_{i+1} + m_{i+1}
+    A0[2::2, :-2:2] -= eh * np.eye(width - 1)  # m_{i+1} - e^-h m_i
+    tqs = np.stack([ts[:-1], ts[:-1] + h / 2, ts[1:]], 1)
     for i0 in range(0, n, width):
         i1 = min(i0 + width, n)
-        t0 = ts[i0:i1]
-        cell = np.arange(i0, i1)[:, None, None]
-        tq = np.multiply.outer(np.stack([t0, t0 + h / 2, ts[i0 + 1:i1 + 1]], 1), xa)
-        idx = np.minimum((tq * (1.0 / h)).astype(np.intp), cell)
+        nb = i1 - i0
+        tq = np.multiply.outer(tqs[i0:i1], xa)
+        idx = np.minimum((tq * (1.0 / h)).astype(np.intp), np.arange(i0, i1)[:, None, None])
         s = (tq - ts[idx]) / h
         ss = s * s
         s1s1 = (1.0 - s) ** 2
@@ -599,29 +605,19 @@ def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
         h10 = h * s * s1s1
         h01 = ss * (3.0 - 2.0 * s)
         h11 = h * ss * (s - 1.0)
-        cur = idx == cell
-        idx1 = idx + 1
-        bs = ((h01 * cur) @ w).tolist()
-        cs = ((h11 * cur) @ w).tolist()
-        for j, i in enumerate(range(i0, i1)):
-            q, q1 = idx[j], idx1[j]
-            hist = h00[j] * ms[q] + h10[j] * ds[q] + h01[j] * ms[q1] + h11[j] * ds[q1]
-            B0, Bmid, B1 = (hist @ w).tolist()
-            (b0, bmid, b1), (c0, cmid, c1) = bs[j], cs[j]
-            m0 = float(ms[i])
-            m1 = m0 + h * float(ds[i])
-            d1 = float(ds[i])
-            for _ in range(8):
-                I1 = B1 + b1 * m1 + c1 * d1
-                m_new = (eh * m0 + W0 * (B0 + b0 * m1 + c0 * d1)
-                         + W1 * (Bmid + bmid * m1 + cmid * d1) + W2 * I1)
-                d_new = -m_new + I1
-                done = abs(m_new - m1) <= 1e-15 * (1.0 + abs(m_new))
-                m1, d1 = m_new, d_new
-                if done:
-                    break
-            ms[i + 1] = m1
-            ds[i + 1] = d1
+        F = (h00 * ms[idx] + h10 * ds[idx] + h01 * ms[idx + 1] + h11 * ds[idx + 1]) @ w
+        # G[j, p] over the columns (m, d) of cells i0..i1; cell i0 is solved
+        sel = np.flatnonzero(idx >= i0)
+        jp, k = np.divmod(sel, len(xa))
+        col = jp * (2 * nb + 2) + 2 * (idx.take(sel) - i0)
+        hw = np.concatenate([a.take(sel) for a in (h00, h10, h01, h11)]).reshape(4, -1) * w.take(k)
+        G = np.bincount((col + np.arange(4)[:, None]).ravel(), hw.ravel(),
+                        3 * nb * (2 * nb + 2)).reshape(nb, 3, 2 * nb + 2)[:, :, 2:]
+        rhs = (F @ Wm.T).ravel()
+        rhs[0] += eh * ms[i0]
+        x = np.linalg.solve(A0[:2 * nb, :2 * nb] - (Wm @ G).reshape(2 * nb, 2 * nb), rhs)
+        ms[i0 + 1:i1 + 1] = x[0::2]
+        ds[i0 + 1:i1 + 1] = x[1::2]
     return IntegroSolution(ts, ms, ds, beta, alpha, n_nodes)
 
 
@@ -701,30 +697,44 @@ def _legendre_unit_rule():
     return (x + 1.0) / 2.0, w
 
 
-def _logpsi_window_float(law, s0, az):
+def _logpsi_window_float(psi, s0, az):
     """integral_0^1 log psi(s0 + u*az) du, 64-node Gauss."""
     u, w = _legendre_unit_rule()
-    vals = np.array([np.log(law.psi(s0 + uu * az)) for uu in u])
+    vals = np.array([np.log(psi(s0 + uu * az)) for uu in u])
     return 0.5 * np.dot(w, vals)
 
 
 def _gamma_z_ladder_float(law, z, beta, alpha, K):
-    """(value, |tail|) at truncations K, 2K, 4K, ...; the product runs on across doublings."""
+    """(value, |tail|) at truncations K, 2K, 4K, ...; the product runs on across doublings.
+
+    Left of the abscissa, psi continues as 1 - phi for a law given by power
+    terms or atoms, as ``phi_mp`` does; any other law refuses it there.
+    """
+    def psi(s):
+        try:
+            return law.psi(s)
+        except DomainError:
+            if law.power_terms is None and law.atoms is None:
+                raise
+            return 1.0 - law._phi(s)
+
     prod = 1.0 + 0.0j
     k0 = 0
     while True:
         for k in range(k0, K):
-            num = law.psi(beta + alpha * k)
-            den = law.psi(beta + alpha * (k + z))
+            num = psi(beta + alpha * k)
+            den = psi(beta + alpha * (k + z))
             if abs(num) < 1e-300:
                 raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
             if abs(den) < 1e-12:
                 raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
             prod *= num / den
 
-        G = lambda k: np.log(law.psi(beta + alpha * k)) - np.log(law.psi(beta + alpha * (k + z)))
-        g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
-        window = z * _logpsi_window_float(law, beta + alpha * K, alpha * z)
+        G = lambda k: np.log(psi(beta + alpha * k)) - np.log(psi(beta + alpha * (k + z)))
+        # a rung whose logs meet psi <= 0 reads NaN, which a later K replaces
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
+            window = z * _logpsi_window_float(psi, beta + alpha * K, alpha * z)
         d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
         d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
         tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0

@@ -592,14 +592,14 @@ def tagged_final_sizes(law, alpha, t_max, n_paths, master_seed=0):
     stream = rngmod.stream(master_seed, "tagged")
     x = np.ones(n_paths)
     t = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    while active.any():
-        ia = np.where(active)[0]
-        t_new = t[ia] + _lifetimes(stream, x[ia], alpha)
-        fire = t_new <= t_max
-        t[ia[fire]] = t_new[fire]
-        x[ia[fire]] *= tagged.sample_eta(stream, int(fire.sum()))
-        active[ia] = fire & (x[ia] > 0.0)
+    ia = np.arange(n_paths)  # positions of the active paths, ascending
+    while ia.size:
+        t_new = t.take(ia) + _lifetimes(stream, x.take(ia), alpha)
+        fire = np.flatnonzero(t_new <= t_max)
+        ia = ia.take(fire)
+        t[ia] = t_new.take(fire)
+        x[ia] *= tagged.sample_eta(stream, ia.size)
+        ia = ia.take(np.flatnonzero(x.take(ia) > 0.0))
     return x
 
 

@@ -427,33 +427,81 @@ def test_integro_solution_refuses_times_off_its_grid():
 
 
 def test_integro_march_known_answers():
-    # SHA-256 of values.tobytes() + derivatives.tobytes(), recorded before the
-    # march built its query geometry in blocks of steps: the march must keep
-    # every double.  Cases: the benchmark's solve (2000 steps, not a multiple
-    # of the block), power terms with atoms, atoms only, the lossy stick at
-    # alpha = 0.5 (192 nodes), a single step and fewer steps than one block.
+    # SHA-256 of values.tobytes() + derivatives.tobytes(), recorded when the
+    # march began to solve each block of steps as one linear system: a change
+    # that moves any double must say so and re-pin.  Cases: the benchmark's
+    # solve (2000 steps, not a multiple of the block), power terms with atoms,
+    # atoms only, the lossy stick at alpha = 0.5 (192 nodes), a single step
+    # and fewer steps than one block.
     mixed = laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
                              laws.AtomComponent(((0.5, 0.7), (0.25, 0.4))))
     atomic = laws.UserAtomic(groups=((1.0, (0.5, 0.5)),))
     cases = {
         "bench": ((FIL21, 10.0, 1.5, 1.0, None),
-                  "59a969c06b27fe947eff3a8316b6d9a317e09e7e02dbaa9f8c65a2530314aca6"),
+                  "e46126c38fa420cf9c212ee53d54f355c3762d3bebce951e465685637f2ac34a"),
         "mixed": ((mixed, 5.0, an.beta_star_of(mixed) + 0.5, 1.0, None),
-                  "7d2a11357f7f6292ef0b9cee64bd79a16bebd955bcb61226b3e54b4901e7fbb5"),
+                  "5d2a40d067c4c84e1fc5658be5a30db6a33e1fc830c4e45350622fc940992d27"),
         "atomic": ((atomic, 4.0, 2.0, 1.0, 0.01),
-                   "240dfcac6608e124ccd2ecbd8a5c8625d9feff0c2dafe04000f1c6d83a5487f9"),
+                   "74e292d4913ec9eff4e9352905a62f562dbaa06f0ddcdddbc638489666cf8bca"),
         "stick": ((STICK, 5.0, GOLDEN + 0.5, 0.5, None),
-                  "e2ddeae7f3e2f22373b8a8421504aff4a8efe0352606c72dbd4a27b39d44926c"),
+                  "9446bee4820765507633f2c1b717fc57ff68c6e5079c65d7e261af8e6e5df629"),
         "one-step": ((FIL21, 1.0, 1.5, 1.0, 5.0),
-                     "28c1d2a94be25c27933ceb91aae6c37a82eb20d5fdbd1fe9d97e82448e86473e"),
+                     "ddabafdb152c2dc248916a66665f7aafca5706038fabaf22421df3972c7dfa6e"),
         "20-steps": ((FIL21, 1.0, 1.5, 1.0, 0.05),
-                     "6de750d376184f5c576b4ff8fe0582b30cf1ba9d1cd6b241b617945ac161e9b4"),
+                     "7658e3db6f8dba0303c9463b0bba6484532b8af238adb64fe05e54c581a13b9f"),
     }
     got = {}
     for name, ((law, t_max, beta, alpha, step), _) in cases.items():
         sol = an.m_integro(law, t_max, beta, alpha, step=step)
         got[name] = hashlib.sha256(sol.values.tobytes() + sol.derivatives.tobytes()).hexdigest()
     assert got == {name: digest for name, (_, digest) in cases.items()}
+
+
+@pytest.mark.parametrize("law,t_max,beta,alpha,step", [
+    (FIL21, 10.0, 1.5, 1.0, None),  # the benchmark's solve
+    (FIL21, 1.0, 1.5, 1.0, 0.5),  # h = 0.5 and h = 1: large steps, where
+    (FIL21, 1.0, 1.5, 1.0, 5.0),  # an implicit iteration is slowest to settle
+    (FIL21, 2.0, 1.5, 0.0, 0.1),  # alpha = 0: every node in the current cell
+    (STICK, 5.0, GOLDEN + 0.5, 0.5, None),
+    (laws.UserPoisson(laws.PowerComponent(1.0, 2.0),
+                      laws.AtomComponent(((0.5, 0.7), (0.25, 0.4)))), 5.0, 1.5, 1.0, None),
+], ids=["bench", "h=0.5", "h=1", "alpha=0", "stick-alpha=0.5", "mixed"])
+def test_integro_march_solves_its_own_equations(law, t_max, beta, alpha, step):
+    # re-evaluate each step's two equations from the returned grid:
+    #   m_{i+1} = e^-h m_i + sum_p W_p I_p  and  d_{i+1} = -m_{i+1} + I_2,
+    # I_p the x-integral at t_i, t_i + h/2, t_{i+1} read from the Hermite
+    # history (cell min(floor(q/h), i)), W_p the weights of the integrating
+    # factor's quadratic rule, here from 32-node Gauss-Legendre moments
+    sol = an.m_integro(law, t_max, beta, alpha, step=step)
+    ts, m, d = sol.ts, sol.values, sol.derivatives
+    n = len(ts) - 1
+    h = ts[-1] / n
+    xa, w = [], []
+    for lam, theta in law.power_terms or ():
+        u, wq = an._gauss_unit_weight(beta + (theta - 1.0), sol.quad_nodes)
+        xa.append(u**alpha)
+        w.append(lam * wq)
+    for x, wt in law.atoms or ():
+        xa.append([x**alpha])
+        w.append([wt * x**beta])
+    xa, w = np.concatenate(xa), np.concatenate(w)
+    s, ws = np.polynomial.legendre.leggauss(32)
+    s, ws = h * (s + 1.0) / 2.0, h * ws / 2.0
+    moments = [np.sum(ws * np.exp(s - h) * s**k) for k in range(3)]
+    W = np.linalg.solve(np.vander([0.0, h / 2.0, h], 3, increasing=True).T, moments)
+    tq = np.multiply.outer(np.stack([ts[:-1], ts[:-1] + h / 2.0, ts[1:]], 1), xa)
+    idx = np.minimum(np.floor(tq / h).astype(int), np.arange(n)[:, None, None])
+    v = (tq - ts[idx]) / h
+    parts = [(1 + 2 * v) * (1 - v) ** 2 * m[idx], h * v * (1 - v) ** 2 * d[idx],
+             v * v * (3 - 2 * v) * m[idx + 1], h * v * v * (v - 1) * d[idx + 1]]
+    I = sum(parts) @ w
+    I_abs = sum(np.abs(q) for q in parts) @ np.abs(w)
+    eh = math.exp(-h)
+    res_m = np.abs(m[1:] - eh * m[:-1] - I @ W) / (
+        np.abs(m[1:]) + eh * np.abs(m[:-1]) + I_abs @ np.abs(W))
+    res_d = np.abs(d[1:] + m[1:] - I[:, 2]) / (np.abs(d[1:]) + np.abs(m[1:]) + I_abs[:, 2])
+    # in ulps of the sum of the magnitudes each equation adds up
+    assert max(res_m.max(), res_d.max()) <= 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +579,23 @@ def test_gamma_z_pole_and_singular_errors():
     # singular beta: a numerator factor vanishes (beta + alpha*k = beta*)
     with pytest.raises(SingularBeta):
         an.gamma_z(FIL21, 0.37, 1.0 - 2 * 0.4, 0.4)
+
+
+def test_gamma_z_continues_psi_left_of_the_abscissa():
+    # beta + alpha (k + z) < beta_a = -1 for k <= 98: the doubles ladder reads
+    # psi = 1 - phi continued there, as the big-float ladder's phi_mp does,
+    # and a rung whose logs meet psi < 0 warns nothing
+    ref = an.rational_gamma(FIL21, -100.5, 1.3, 1.0)
+    assert ref == pytest.approx(3.923604404095035e-05, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = an.gamma_z(FIL21, -100.5, 1.3, 1.0).value
+    assert abs(g - ref) <= 1e-13 * ref
+    assert abs(an.gamma_z(FIL21, -100.5, 1.3, 1.0, precision_bits=240).value - ref) <= 1e-13 * ref
+    # a law with no declared measure has no continuation
+    density = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0)
+    with pytest.raises(DomainError, match="abscissa"):
+        an.gamma_z(density, -100.5, 1.3, 1.0)
 
 
 # ---------------------------------------------------------------------------

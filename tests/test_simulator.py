@@ -545,7 +545,7 @@ EDGE_LAWS = [BINARY, STICK, STICK_C, FIL21,
          max_particles=8, n=1)
 @example(law=EDGE_LAWS[4], alpha=0.0, t_max=3.0, initial_size=1.0, child_floor=1e-3,
          max_particles=200_000, n=1)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_engine_input_edges(law, alpha, t_max, initial_size, child_floor, max_particles, n):
     # every input ends in finite rows or a FragkitError/ValueError, in bounded
     # time; numpy may not warn (a warning here is a NaN row in waiting), but
