@@ -710,14 +710,10 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
     Left of the abscissa, psi continues as 1 - phi for a law given by power
     terms or atoms, as ``phi_mp`` does; any other law refuses it there.
     """
-    def psi(s):
-        try:
-            return law.psi(s)
-        except DomainError:
-            if law.power_terms is None and law.atoms is None:
-                raise
-            return 1.0 - law._phi(s)
-
+    # no argument lies left of beta + alpha z (k >= 0, alpha >= 0)
+    declared = law.power_terms is not None or law.atoms is not None
+    continued = declared and np.real(beta + alpha * z) <= law.beta_a
+    psi = (lambda s: 1.0 - law._phi(s)) if continued else law.psi
     prod = 1.0 + 0.0j
     k0 = 0
     while True:
