@@ -714,6 +714,9 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
     declared = law.power_terms is not None or law.atoms is not None
     continued = declared and np.real(beta + alpha * z) <= law.beta_a
     psi = (lambda s: 1.0 - law._phi(s)) if continued else law.psi
+    # a continued rung whose logs meet psi <= 0 reads NaN, which a later K replaces
+    quiet = (functools.partial(np.errstate, invalid="ignore", divide="ignore") if continued
+             else contextlib.nullcontext)
     prod = 1.0 + 0.0j
     k0 = 0
     while True:
@@ -727,8 +730,7 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
             prod *= num / den
 
         G = lambda k: np.log(psi(beta + alpha * k)) - np.log(psi(beta + alpha * (k + z)))
-        # a rung whose logs meet psi <= 0 reads NaN, which a later K replaces
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with quiet():
             g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
             window = z * _logpsi_window_float(psi, beta + alpha * K, alpha * z)
         d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
