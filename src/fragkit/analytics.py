@@ -697,11 +697,12 @@ def _legendre_unit_rule():
     return (x + 1.0) / 2.0, w
 
 
-def _logpsi_window_float(psi, s0, az):
-    """integral_0^1 log psi(s0 + u*az) du, 64-node Gauss."""
-    u, w = _legendre_unit_rule()
-    vals = np.array([np.log(psi(s0 + uu * az)) for uu in u])
-    return 0.5 * np.dot(w, vals)
+def _psi_continued(phi, s):
+    """1 - phi(s), left of the abscissa too; PoleError at a pole of phi."""
+    try:
+        return 1 - phi(s)
+    except ZeroDivisionError:
+        raise PoleError(f"phi has a pole at {complex(s):.6g}: a factor of g vanishes") from None
 
 
 def _gamma_z_ladder_float(law, z, beta, alpha, K):
@@ -713,10 +714,8 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
     # no argument lies left of beta + alpha z (k >= 0, alpha >= 0)
     declared = law.power_terms is not None or law.atoms is not None
     continued = declared and np.real(beta + alpha * z) <= law.beta_a
-    psi = (lambda s: 1.0 - law._phi(s)) if continued else law.psi
-    # a continued rung whose logs meet psi <= 0 reads NaN, which a later K replaces
-    quiet = (functools.partial(np.errstate, invalid="ignore", divide="ignore") if continued
-             else contextlib.nullcontext)
+    psi = functools.partial(_psi_continued, law._phi) if continued else law.psi
+    u, w = _legendre_unit_rule()
     prod = 1.0 + 0.0j
     k0 = 0
     while True:
@@ -730,9 +729,12 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
             prod *= num / den
 
         G = lambda k: np.log(psi(beta + alpha * k)) - np.log(psi(beta + alpha * (k + z)))
-        with quiet():
+        # a log of psi <= 0 (left of beta*, or continued) reads NaN; a later K replaces it
+        with np.errstate(invalid="ignore", divide="ignore"):
             g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
-            window = z * _logpsi_window_float(psi, beta + alpha * K, alpha * z)
+            # integral_0^1 log psi(beta + alpha (K + u z)) du, 64-node Gauss
+            logs = [np.log(psi(beta + alpha * K + uu * (alpha * z))) for uu in u]
+            window = z * (0.5 * np.dot(w, np.array(logs)))
         d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
         d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
         tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
@@ -799,7 +801,7 @@ def _gamma_z_ladder_mp(law, z, beta, alpha, K):
     zm = mp.mpmathify(z)
     bm = mp.mpmathify(beta)
     am = mp.mpmathify(alpha)
-    psi = lambda s: 1 - law.phi_mp(s)
+    psi = functools.partial(_psi_continued, law.phi_mp)
     G = lambda k: mp.log(psi(bm + am * k)) - mp.log(psi(bm + am * (k + zm)))
     prod = mp.mpf(1)
     k0 = 0

@@ -598,6 +598,26 @@ def test_gamma_z_continues_psi_left_of_the_abscissa():
         an.gamma_z(density, -100.5, 1.3, 1.0)
 
 
+@pytest.mark.parametrize("bits", [None, 240])
+def test_gamma_z_at_a_pole_of_phi_is_a_pole_error(bits):
+    # beta + alpha z = -1 is phi's pole at k = 0, so g has a zero factor there;
+    # the closed form refuses it as a pole as well
+    with pytest.raises(PoleError, match="phi has a pole at -1"):
+        an.gamma_z(FIL21, -2.5, 1.5, 1.0, precision_bits=bits)
+    with pytest.raises(PoleError):
+        an.rational_gamma(FIL21, -2.5, 1.5, 1.0)
+
+
+def test_gamma_z_small_alpha_warns_nothing():
+    # every argument lies right of the abscissa, but the early rungs' logs
+    # reach between it and beta* = 1, where psi < 0
+    ref = an.rational_gamma(FIL21, -200.5, 1.3, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = an.gamma_z(FIL21, -200.5, 1.3, 0.01).value
+    assert abs(g - ref) <= 1e-13 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic coefficient and limit moments
 # ---------------------------------------------------------------------------

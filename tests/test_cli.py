@@ -450,6 +450,9 @@ _NAMED_INPUT = {
                                       "--t", "300"), "overflows a double"),
     "gamma-overflow": ("filippov", ("gamma", "--alpha", "1e-3", "--z", "5000", "--beta",
                                     "-0.99"), "overflows a double"),
+    # beta + alpha z = -1 is a pole of phi
+    "gamma-at-a-pole-of-phi": ("filippov", ("gamma", "--alpha", "1", "--z", "-2.5", "--beta",
+                                            "1.5"), "phi has a pole"),
 }
 
 
