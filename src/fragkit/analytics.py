@@ -44,7 +44,6 @@ Importing the module loads numpy and mpmath.
 """
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -729,12 +728,11 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
             prod *= num / den
 
         G = lambda k: np.log(psi(beta + alpha * k)) - np.log(psi(beta + alpha * (k + z)))
-        # a log of psi <= 0 (left of beta*, or continued) reads NaN; a later K replaces it
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
-            # integral_0^1 log psi(beta + alpha (K + u z)) du, 64-node Gauss
-            logs = [np.log(psi(beta + alpha * K + uu * (alpha * z))) for uu in u]
-            window = z * (0.5 * np.dot(w, np.array(logs)))
+        g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
+        # integral_0^1 log psi(s0 + u az) du, 64-node Gauss
+        s0, az = beta + alpha * K, alpha * z
+        logs = [np.log(psi(s0 + uu * az)) for uu in u]
+        window = z * (0.5 * np.dot(w, np.array(logs)))
         d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
         d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
         tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
@@ -851,7 +849,9 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
         return GammaExtrapolation(z, beta, mp.mpf(1) if precision_bits else 1.0, 0, 0.0)
     n = round(zc.real)
     ladder = _gamma_z_ladder_mp if precision_bits else _gamma_z_ladder_float
-    ctx = mp.workprec(precision_bits) if precision_bits else contextlib.nullcontext()
+    # in doubles a log of psi <= 0 (left of beta*, or continued) reads NaN; a later K replaces it
+    ctx = (mp.workprec(precision_bits) if precision_bits
+           else np.errstate(invalid="ignore", divide="ignore"))
     with ctx:
         # the finite product g(n, beta): in big floats only at an exact integer
         if zc.imag == 0 and n >= 0 and (z == n if precision_bits else abs(zc.real - n) < 1e-15):
