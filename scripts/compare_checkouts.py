@@ -22,7 +22,10 @@ and the stdout and ``--dump`` bytes of ``fragkit simulate`` at alpha = 0.5, 1
 and 2 (a spec with no sampler records its error class name instead).
 ``m_integro`` runs to t = 5 at beta* + 0.5 (grid values and derivatives) for
 FilippovPower(2,1), the lossy stick and one ``UserAtomic``, at alpha = 0.5
-and 1.  Every spec with a sampler also records ``sample_offspring`` draws at
+and 1.  ``gamma_z`` in doubles also runs where psi is continued left of the
+abscissa (FilippovPower(2,1) at z = -100.5 and -7.3 + 0.4i) and for a
+``DensityLaw``, whose psi is a quadrature (``_gamma_probe``).
+Every spec with a sampler also records ``sample_offspring`` draws at
 the floors 0.2 and 1e-12, the generation martingale's raw values and
 corrections, and the terminal-martingale moments of
 ``estimate_m_infinity_moments``.
@@ -92,8 +95,8 @@ BOUNDS = (
     ("inspect", 0.0),
     ("simulate_stdout", 0.0),
     ("simulate_dump", 0.0),
-    ("gamma_z", 0.0),
-    ("asymptotic_coefficient", 0.0),
+    ("gamma_z", 1e-13),
+    ("asymptotic_coefficient", 1e-13),  # in doubles it divides by gamma_z's doubles value
     ("rho_moment", 0.0),
     ("m_series", 0.0),
     ("m_integro", 1e-13),
@@ -228,6 +231,21 @@ def _tilt_probe(rec, name, law):
         rec[f"{quantity} {name}"] = _or_error(f)
 
 
+def _gamma_probe(rec):
+    """Doubles gamma_z with psi continued left of the abscissa, and for a DensityLaw."""
+    from fragkit import analytics, laws
+
+    fil21 = laws.from_spec(SPECS["filippov-2-1"])
+    rec["gamma_z continued filippov-2-1"] = np.array(
+        [complex(analytics.gamma_z(fil21, z, 1.3, 1.0).value) for z in (-100.5, -7.3 + 0.4j)]
+    ).view(float)
+    # sigma(dx) = 2 dx, FilippovPower(2,1)'s measure, as a density
+    density = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0)
+    rec["gamma_z density"] = np.array(
+        [complex(analytics.gamma_z(density, z, 1.3, a).value)
+         for z in (0.4, 0.5 + 1.0j) for a in (1.0, 0.7)]).view(float)
+
+
 def _integro_probe(rec):
     """m_integro's grid values and derivatives to t = 5 at beta* + 0.5."""
     from fragkit import analytics, laws
@@ -347,6 +365,7 @@ def probe(out_path):
             _tilt_probe(rec, name, law)
             if law.has_sampler:
                 _sampler_probe(rec, name, law)
+    _gamma_probe(rec)
     _integro_probe(rec)
     np.savez(out_path, **rec)
 

@@ -491,9 +491,13 @@ def m_integro(law, t_max, beta, alpha, step=None):
     Hermite interpolant with exact stored derivatives.  The x-integral folds
     the structural density's power behaviour into Gauss-Jacobi weights exactly
     (one rule per power component, merged with the atoms into one node and
-    weight array; 48 nodes, doubled until two rules agree to 1e-9, raising
-    PrecisionExhausted when the 384-node march and its 768-node check still
-    disagree).
+    weight array).  The rule starts at 48 nodes and doubles until a check
+    agrees to 1e-9 relative: the check marches the same grid's first
+    ceil(n/8) steps (at least 10, at most n) with twice the nodes and is
+    compared with the march at its last point, so the two differ only in
+    their node counts.  PrecisionExhausted when the 384-node march and its
+    768-node check still disagree.  (An atoms-only law's integral is exact
+    and takes no check.)
     Each step reads the integral at t_i, t_i + h/2 and t_{i+1}.  Where those
     times fall among the nodes does not depend on m, so the cell indices and
     Hermite weights are built once per block of up to 32 steps (at most
@@ -518,31 +522,31 @@ def m_integro(law, t_max, beta, alpha, step=None):
     if terms is None and atoms is None:
         raise UnsupportedRepresentation(f"{law.kind}: no density/atom representation")
 
+    h = step if step is not None else min(0.005, max(t_max / 2000.0, 1e-4))
+    n = max(1, int(math.ceil(t_max / h)))
+    h = t_max / n
+    ts = np.linspace(0.0, t_max, n + 1)
+    i = min(n, max(10, -(-n // 8)))  # the check's last grid point
     n_nodes = 48
     while True:
-        sol = _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes)
+        sol = _integro_march(ts, h, beta, alpha, terms, atoms, n_nodes)
         if terms is None:
             return sol  # atomic integral is exact
-        check = _integro_march(law, min(t_max, max(t_max / 8, 10 * sol.ts[1])), beta,
-                               alpha, step, terms, atoms, 2 * n_nodes)
-        i = len(check.ts) - 1
-        ref = check.values[i]
-        gap = abs(sol(check.ts[i]) - ref)
+        ref = _integro_march(ts[:i + 1], h, beta, alpha, terms, atoms, 2 * n_nodes).values[i]
+        gap = abs(sol.values[i] - ref)
         if gap <= 1e-9 * max(1.0, abs(ref)):
             return sol
         if 2 * n_nodes > 512:
             raise PrecisionExhausted(
                 f"m_integro: the {n_nodes}-node march and its {2 * n_nodes}-node check "
-                f"differ by {gap:.3g} at t = {check.ts[i]:g} (bound 1e-9 * max(1, |m|))"
+                f"differ by {gap:.3g} at t = {ts[i]:g} (bound 1e-9 * max(1, |m|))"
             )
         n_nodes *= 2
 
 
-def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
-    h = step if step is not None else min(0.005, max(t_max / 2000.0, 1e-4))
-    n = max(1, int(math.ceil(t_max / h)))
-    h = t_max / n
-    ts = np.linspace(0.0, t_max, n + 1)
+def _integro_march(ts, h, beta, alpha, terms, atoms, n_nodes):
+    """March m over the grid ``ts`` (uniform, step h, from 0) with an n_nodes-node rule."""
+    n = len(ts) - 1
     # zeros: the end values of the cell being solved read as 0 in the history
     ms = np.zeros(n + 1)
     ds = np.zeros(n + 1)
@@ -597,21 +601,32 @@ def _integro_march(law, t_max, beta, alpha, step, terms, atoms, n_nodes):
         nb = i1 - i0
         tq = np.multiply.outer(tqs[i0:i1], xa)
         idx = np.minimum((tq * (1.0 / h)).astype(np.intp), np.arange(i0, i1)[:, None, None])
-        s = (tq - ts[idx]) / h
+        s = tq  # in place: s = (tq - ts[idx]) / h
+        s -= ts[idx]
+        s /= h
         ss = s * s
         s1s1 = (1.0 - s) ** 2
-        h00 = (1.0 + 2.0 * s) * s1s1
-        h10 = h * s * s1s1
-        h01 = ss * (3.0 - 2.0 * s)
-        h11 = h * ss * (s - 1.0)
-        F = (h00 * ms[idx] + h10 * ds[idx] + h01 * ms[idx + 1] + h11 * ds[idx + 1]) @ w
+        # Hermite weights of m_idx, d_idx, m_idx+1 and d_idx+1, one row each
+        hw = np.empty((4,) + s.shape)
+        np.multiply(1.0 + 2.0 * s, s1s1, out=hw[0])
+        np.multiply(h * s, s1s1, out=hw[1])
+        np.multiply(ss, 3.0 - 2.0 * s, out=hw[2])
+        np.multiply(h * ss, s - 1.0, out=hw[3])
+        # each temporary is dropped once spent: in the first blocks every one
+        # holds up to 3072 pairs x 3 queries, and together they set the peak memory
+        del tq, s, ss, s1s1
+        F = (hw[0] * ms[idx] + hw[1] * ds[idx] + hw[2] * ms[idx + 1] + hw[3] * ds[idx + 1]) @ w
         # G[j, p] over the columns (m, d) of cells i0..i1; cell i0 is solved
         sel = np.flatnonzero(idx >= i0)
         jp, k = np.divmod(sel, len(xa))
         col = jp * (2 * nb + 2) + 2 * (idx.take(sel) - i0)
-        hw = np.concatenate([a.take(sel) for a in (h00, h10, h01, h11)]).reshape(4, -1) * w.take(k)
+        del idx, jp
+        hw = hw.reshape(4, -1).take(sel, axis=1)
+        del sel
+        hw *= w.take(k)
         G = np.bincount((col + np.arange(4)[:, None]).ravel(), hw.ravel(),
                         3 * nb * (2 * nb + 2)).reshape(nb, 3, 2 * nb + 2)[:, :, 2:]
+        del hw, k, col
         rhs = (F @ Wm.T).ravel()
         rhs[0] += eh * ms[i0]
         x = np.linalg.solve(A0[:2 * nb, :2 * nb] - (Wm @ G).reshape(2 * nb, 2 * nb), rhs)
@@ -707,35 +722,68 @@ def _psi_continued(phi, s):
 def _gamma_z_ladder_float(law, z, beta, alpha, K):
     """(value, |tail|) at truncations K, 2K, 4K, ...; the product runs on across doublings.
 
-    Left of the abscissa, psi continues as 1 - phi for a law given by power
-    terms or atoms, as ``phi_mp`` does; any other law refuses it there.
+    Each rung evaluates psi on three arrays: its new factors' arguments
+    beta + alpha k and beta + alpha (k + z), the five Euler-Maclaurin offsets
+    and the 64-node window.  For a law given by power terms or atoms that is
+    one call of ``law._phi`` per array, which continues psi left of the
+    abscissa as ``phi_mp`` does, so it needs no domain test: every argument
+    lies right of beta + alpha z.  Any other law evaluates the same arrays
+    element by element through its own ``psi``, which refuses an argument
+    left of the abscissa (the first is beta + alpha z, at k = 0).  The
+    refusals name the first offending argument, as a loop over k would: a psi
+    that is not finite (``PoleError`` at an exact pole of phi, else
+    ``DomainError``: it overflows the doubles), then a vanishing numerator
+    (``SingularBeta``), then a vanishing denominator (z is a pole).  The
+    running product multiplies its factors in k order, each a Python
+    division of num by den.
     """
-    # no argument lies left of beta + alpha z (k >= 0, alpha >= 0)
-    declared = law.power_terms is not None or law.atoms is not None
-    continued = declared and np.real(beta + alpha * z) <= law.beta_a
-    psi = functools.partial(_psi_continued, law._phi) if continued else law.psi
+    if law.power_terms is None and law.atoms is None:
+        psi = lambda s: np.array([law.psi(x) for x in s.tolist()])
+    else:
+        psi = lambda s: 1.0 - law._phi(s)
+    thetas = [t for _, t in law.power_terms or ()]
+
+    def refuse(s):
+        """psi(s) is not finite: an exact pole of phi divides by zero, else a power overflows."""
+        if any(t + s == 0 for t in thetas):
+            raise PoleError(f"phi has a pole at {complex(s):.6g}: a factor of g vanishes")
+        raise DomainError(f"psi({complex(s):.6g}) is not finite in doubles; "
+                          "precision_bits evaluates it")
+
+    def factors(k, checked):
+        """psi(beta + alpha k), psi(beta + alpha (k + z)); ``checked``: the product's tests."""
+        s_num, s_den = beta + alpha * k, beta + alpha * (k + z)
+        num, den = psi(s_num), psi(s_den)
+        bad = ~(np.isfinite(num) & np.isfinite(den))
+        if checked:
+            bad |= (np.abs(num) < 1e-300) | (np.abs(den) < 1e-12)
+        for j in np.flatnonzero(bad).tolist():
+            for s, v in ((s_num[j], num[j]), (s_den[j], den[j])):
+                if not np.isfinite(v):
+                    refuse(s)
+            if abs(num[j]) < 1e-300:
+                raise SingularBeta(f"psi(beta + {k[j]} alpha) = 0: beta is singular")
+            raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k[j]}: z is a pole")
+        return num, den
+
     u, w = _legendre_unit_rule()
     prod = 1.0 + 0.0j
     k0 = 0
     while True:
-        for k in range(k0, K):
-            num = psi(beta + alpha * k)
-            den = psi(beta + alpha * (k + z))
-            if abs(num) < 1e-300:
-                raise SingularBeta(f"psi(beta + {k} alpha) = 0: beta is singular")
-            if abs(den) < 1e-12:
-                raise PoleError(f"psi(beta + alpha(k+z)) ~ 0 at k={k}: z is a pole")
-            prod *= num / den
-
-        G = lambda k: np.log(psi(beta + alpha * k)) - np.log(psi(beta + alpha * (k + z)))
-        g = {o: G(K + o) for o in (-2, -1, 0, 1, 2)}
+        num, den = factors(np.arange(k0, K), True)
+        for a, b in zip(num.tolist(), den.tolist()):
+            prod *= a / b
+        num, den = factors(K + np.arange(-2, 3), False)
+        g = np.log(num) - np.log(den)  # at K - 2, ..., K + 2
         # integral_0^1 log psi(s0 + u az) du, 64-node Gauss
-        s0, az = beta + alpha * K, alpha * z
-        logs = [np.log(psi(s0 + uu * az)) for uu in u]
-        window = z * (0.5 * np.dot(w, np.array(logs)))
-        d1 = (-g[2] + 8 * g[1] - 8 * g[-1] + g[-2]) / 12.0
-        d3 = (g[2] - 2 * g[1] + 2 * g[-1] - g[-2]) / 2.0
-        tail = window + g[0] / 2.0 - d1 / 12.0 + d3 / 720.0
+        s = beta + alpha * K + u * (alpha * z)
+        v = psi(s)
+        for j in np.flatnonzero(~np.isfinite(v))[:1]:
+            refuse(s[j])
+        window = z * (0.5 * np.dot(w, np.log(v)))
+        d1 = (-g[4] + 8 * g[3] - 8 * g[1] + g[0]) / 12.0
+        d3 = (g[4] - 2 * g[3] + 2 * g[1] - g[0]) / 2.0
+        tail = window + g[2] / 2.0 - d1 / 12.0 + d3 / 720.0
         yield prod * np.exp(tail), abs(tail)
         k0, K = K, 2 * K
 
@@ -831,12 +879,17 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
     to ``tol``.  The window's quadrature rule is Gauss-Legendre: 64 fixed
     nodes in doubles; in big floats mpmath's Gauss-Legendre rule where it
     converges at the working precision by 24 nodes, else (a window long
-    against its distance alpha K from Re beta) mpmath's tanh-sinh rule.  The window integrates log psi itself: with an atom at 1, its
-    limit log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
-    equation needs.  ``precision_bits`` switches to big-float arithmetic
-    (needed when downstream asymptotics consume the value at extreme accuracy).
+    against its distance alpha K from Re beta) mpmath's tanh-sinh rule.  The
+    window integrates log psi itself: with an atom at 1, its limit
+    log(1 - sigma{1}) gives the factor (1 - sigma{1})^z the functional
+    equation needs.  In doubles each rung evaluates psi on arrays (its new
+    factors, the tail's offsets and the window), continued left of the
+    abscissa for a law given by power terms or atoms.  ``precision_bits``
+    switches to big-float arithmetic (needed when downstream asymptotics
+    consume the value at extreme accuracy, or where psi leaves the doubles).
     Raises DomainError unless z is finite, 0 <= alpha < inf, tol > 0 and
-    beta is finite with Re beta > beta_a.
+    beta is finite with Re beta > beta_a, and in doubles where a factor's psi
+    is not a finite double (an atom's x^s far left of the abscissa).
     """
     _check_alpha(alpha, positive=False)
     _check_beta(law, beta)
@@ -849,9 +902,10 @@ def gamma_z(law, z, beta, alpha, tol=1e-11, precision_bits=None):
         return GammaExtrapolation(z, beta, mp.mpf(1) if precision_bits else 1.0, 0, 0.0)
     n = round(zc.real)
     ladder = _gamma_z_ladder_mp if precision_bits else _gamma_z_ladder_float
-    # in doubles a log of psi <= 0 (left of beta*, or continued) reads NaN; a later K replaces it
+    # in doubles a log of psi <= 0 (left of beta*, or continued) reads NaN, and a later K
+    # replaces it; a psi that overflows (inf) is refused by the ladder
     ctx = (mp.workprec(precision_bits) if precision_bits
-           else np.errstate(invalid="ignore", divide="ignore"))
+           else np.errstate(invalid="ignore", divide="ignore", over="ignore"))
     with ctx:
         # the finite product g(n, beta): in big floats only at an exact integer
         if zc.imag == 0 and n >= 0 and (z == n if precision_bits else abs(zc.real - n) < 1e-15):

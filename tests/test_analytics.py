@@ -457,6 +457,30 @@ def test_integro_march_known_answers():
     assert got == {name: digest for name, (_, digest) in cases.items()}
 
 
+@pytest.mark.parametrize("t_max,step,n,n_check", [
+    (10.0, None, 2000, 250),  # the benchmark's solve: ceil(n/8) steps
+    (1.0, 0.05, 20, 10),  # at least 10 steps
+    (1.0, 0.2, 5, 5),  # at most n
+    (1.0, 5.0, 1, 1),
+])
+def test_integro_node_check_marches_the_main_grid(monkeypatch, t_max, step, n, n_check):
+    # the check marches the main grid's first steps at the main step with
+    # twice the nodes, so it differs from the march in its node count alone
+    calls = []
+    march = an._integro_march
+
+    def recorded(ts, h, beta, alpha, terms, atoms, n_nodes):
+        calls.append((ts, h, n_nodes))
+        return march(ts, h, beta, alpha, terms, atoms, n_nodes)
+
+    monkeypatch.setattr(an, "_integro_march", recorded)
+    sol = an.m_integro(FIL21, t_max, 1.5, 1.0, step=step)
+    (ts, h, nodes), (ts_check, h_check, nodes_check) = calls
+    assert len(ts) - 1 == n and len(ts_check) - 1 == n_check
+    assert np.array_equal(ts_check, ts[:n_check + 1]) and h_check == h == t_max / n
+    assert (nodes, nodes_check) == (48, 96) and sol.quad_nodes == 48
+
+
 @pytest.mark.parametrize("law,t_max,beta,alpha,step", [
     (FIL21, 10.0, 1.5, 1.0, None),  # the benchmark's solve
     (FIL21, 1.0, 1.5, 1.0, 0.5),  # h = 0.5 and h = 1: large steps, where
@@ -591,6 +615,7 @@ def test_gamma_z_continues_psi_left_of_the_abscissa():
         warnings.simplefilter("error")
         g = an.gamma_z(FIL21, -100.5, 1.3, 1.0).value
     assert abs(g - ref) <= 1e-13 * ref
+    assert g == pytest.approx(3.923604404095039e-05, rel=1e-14)
     assert abs(an.gamma_z(FIL21, -100.5, 1.3, 1.0, precision_bits=240).value - ref) <= 1e-13 * ref
     # a law with no declared measure has no continuation
     density = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0)
@@ -606,6 +631,49 @@ def test_gamma_z_at_a_pole_of_phi_is_a_pole_error(bits):
         an.gamma_z(FIL21, -2.5, 1.5, 1.0, precision_bits=bits)
     with pytest.raises(PoleError):
         an.rational_gamma(FIL21, -2.5, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("z,beta,alpha,error,message", [
+    # the factor at k = 70, in the second rung: psi(beta + alpha(k + z)) ~ 0
+    ((1.0 - 1.5) / 0.3 - 70, 1.5, 0.3, PoleError, r"at k=70: z is a pole"),
+    # psi(beta + 70 alpha) = psi(1) = 0 exactly
+    (0.37, -0.09375, 0.015625, SingularBeta, r"psi\(beta \+ 70 alpha\) = 0"),
+    # beta + alpha(k + z) = -1 at k = 64: the first rung's offsets reach it
+    (-66.5, 1.5, 1.0, PoleError, r"phi has a pole at -1"),
+    (complex(-66.5, 0.0), 1.5, 1.0, PoleError, r"phi has a pole at -1"),
+    # beta + alpha(k + z) = -1 at k = 100, inside the second rung's factors
+    (-102.5, 1.5, 1.0, PoleError, r"phi has a pole at -1"),
+])
+def test_gamma_z_refusals_name_the_first_offending_factor(z, beta, alpha, error, message):
+    # the doubles ladder evaluates psi on arrays, where an exact pole of phi
+    # reads inf or NaN rather than dividing by zero; it refuses each input as
+    # a loop over k would, naming the first offending factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            an.gamma_z(FIL21, z, beta, alpha)
+
+
+def test_gamma_z_psi_past_the_doubles_is_a_domain_error():
+    # continued far left, an atom's x^s overflows the doubles: a DomainError
+    # naming the first such argument, with no warning (it was a bare
+    # OverflowError, a traceback in the CLI)
+    atomic = laws.UserAtomic(groups=((0.6, (0.5, 0.5)), (0.4, (0.7, 0.2, 0.1))))
+    for z in (-900.5, complex(-900.5, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"psi\(-899.2\+[01]j\) is not finite"):
+                an.gamma_z(atomic, z, 1.3, 1.0)
+
+
+def test_gamma_z_density_law_matches_its_closed_form():
+    # a law with no declared measure evaluates the ladder's arrays element by
+    # element through its own psi; sigma(dx) = 2 dx is FilippovPower(2, 1)
+    density = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0)
+    for z in (0.4, 0.5 + 1.0j):
+        g = an.gamma_z(density, z, 1.3, 1.0).value
+        ref = an.rational_gamma(FIL21, z, 1.3, 1.0)
+        assert abs(g - ref) <= 1e-10 * abs(ref)
 
 
 def test_gamma_z_small_alpha_warns_nothing():

@@ -20,6 +20,8 @@ def specs(tmp_path_factory):
         "stick": {"kind": "StickBreakingLossy", "params": {}},
         "filippov": {"kind": "FilippovPower", "params": {"lam": 2.0, "theta": 1.0}},
         "binary": {"kind": "BinaryUniformConservative", "params": {}},
+        "atomic": {"kind": "UserAtomic", "params": {"groups": [{"prob": 1.0,
+                                                                "sizes": [0.5, 0.5]}]}},
     }.items():
         p = d / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -453,6 +455,9 @@ _NAMED_INPUT = {
     # beta + alpha z = -1 is a pole of phi
     "gamma-at-a-pole-of-phi": ("filippov", ("gamma", "--alpha", "1", "--z", "-2.5", "--beta",
                                             "1.5"), "phi has a pole"),
+    # continued far left of the abscissa, 0.5^s overflows the doubles
+    "gamma-psi-past-the-doubles": ("atomic", ("gamma", "--alpha", "1", "--z", "-1100.5",
+                                              "--beta", "1.3"), "is not finite in doubles"),
 }
 
 
