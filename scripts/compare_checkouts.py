@@ -24,7 +24,11 @@ and 2 (a spec with no sampler records its error class name instead).
 FilippovPower(2,1), the lossy stick and one ``UserAtomic``, at alpha = 0.5
 and 1.  ``gamma_z`` in doubles also runs where psi is continued left of the
 abscissa (FilippovPower(2,1) at z = -100.5 and -7.3 + 0.4i) and for a
-``DensityLaw``, whose psi is a quadrature (``_gamma_probe``).
+``DensityLaw``, whose psi is a quadrature (``_gamma_probe``).  A doubles
+``gamma_z`` at a complex z or on a law with atoms, and the doubles C(beta) of
+a law with atoms, are recorded as ``gamma_z_numpy`` and
+``asymptotic_coefficient_numpy``: the ladder evaluates psi with numpy, whose
+complex division and x**s round apart from Python's scalar arithmetic.
 Every spec with a sampler also records ``sample_offspring`` draws at
 the floors 0.2 and 1e-12, the generation martingale's raw values and
 corrections, and the terminal-martingale moments of
@@ -95,8 +99,10 @@ BOUNDS = (
     ("inspect", 0.0),
     ("simulate_stdout", 0.0),
     ("simulate_dump", 0.0),
-    ("gamma_z", 1e-13),
-    ("asymptotic_coefficient", 1e-13),  # in doubles it divides by gamma_z's doubles value
+    ("gamma_z", 0.0),
+    ("gamma_z_numpy", 1e-13),
+    ("asymptotic_coefficient", 0.0),
+    ("asymptotic_coefficient_numpy", 1e-13),
     ("rho_moment", 0.0),
     ("m_series", 0.0),
     ("m_integro", 1e-13),
@@ -124,13 +130,17 @@ def _analytics_probe(rec, name, law):
         rec[key] = _or_error(lambda: np.array([complex(v) for v in f()]).view(float))
 
     bs = analytics.beta_star_of(law)
+    # the doubles gamma_z evaluates psi with numpy, whose complex division and x**s
+    # round apart from Python's: a complex z, or a law with atoms, takes the _numpy bound
+    atoms = "_numpy" if law.atoms is not None else ""
     for alpha in (1.0, 0.7):
         tag = f"{name} alpha={alpha:g}"
-        record(f"gamma_z {tag}", lambda: [
-            analytics.gamma_z(law, z, bs + 0.7, alpha).value for z in (0.4, 0.5 + 1.0j)])
-        record(f"asymptotic_coefficient {tag}",
+        record(f"gamma_z{atoms} {tag}", lambda: [analytics.gamma_z(law, 0.4, bs + 0.7, alpha).value])
+        record(f"gamma_z_numpy {tag} z=0.5+1i",
+               lambda: [analytics.gamma_z(law, 0.5 + 1.0j, bs + 0.7, alpha).value])
+        record(f"asymptotic_coefficient{atoms} {tag}",
                lambda: [analytics.asymptotic_coefficient(law, bs + 0.7, alpha)])
-        record(f"asymptotic_coefficient {tag} beta=b*-0.3",
+        record(f"asymptotic_coefficient{atoms} {tag} beta=b*-0.3",
                lambda: [analytics.asymptotic_coefficient(law, bs - 0.3, alpha)])
         record(f"rho_moment {tag}",
                lambda: [analytics.rho_moment(law, k, alpha) for k in range(1, 5)])
@@ -237,8 +247,9 @@ def _gamma_probe(rec):
 
     fil21 = laws.from_spec(SPECS["filippov-2-1"])
     rec["gamma_z continued filippov-2-1"] = np.array(
-        [complex(analytics.gamma_z(fil21, z, 1.3, 1.0).value) for z in (-100.5, -7.3 + 0.4j)]
-    ).view(float)
+        [complex(analytics.gamma_z(fil21, -100.5, 1.3, 1.0).value)]).view(float)
+    rec["gamma_z_numpy continued filippov-2-1 z=-7.3+0.4i"] = np.array(
+        [complex(analytics.gamma_z(fil21, -7.3 + 0.4j, 1.3, 1.0).value)]).view(float)
     # sigma(dx) = 2 dx, FilippovPower(2,1)'s measure, as a density
     density = laws.DensityLaw(density=lambda x: 2.0, beta_a_value=-1.0)
     rec["gamma_z density"] = np.array(

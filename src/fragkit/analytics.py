@@ -601,32 +601,22 @@ def _integro_march(ts, h, beta, alpha, terms, atoms, n_nodes):
         nb = i1 - i0
         tq = np.multiply.outer(tqs[i0:i1], xa)
         idx = np.minimum((tq * (1.0 / h)).astype(np.intp), np.arange(i0, i1)[:, None, None])
-        s = tq  # in place: s = (tq - ts[idx]) / h
-        s -= ts[idx]
-        s /= h
+        s = (tq - ts[idx]) / h
         ss = s * s
         s1s1 = (1.0 - s) ** 2
-        # Hermite weights of m_idx, d_idx, m_idx+1 and d_idx+1, one row each
-        hw = np.empty((4,) + s.shape)
-        np.multiply(1.0 + 2.0 * s, s1s1, out=hw[0])
-        np.multiply(h * s, s1s1, out=hw[1])
-        np.multiply(ss, 3.0 - 2.0 * s, out=hw[2])
-        np.multiply(h * ss, s - 1.0, out=hw[3])
-        # each temporary is dropped once spent: in the first blocks every one
-        # holds up to 3072 pairs x 3 queries, and together they set the peak memory
-        del tq, s, ss, s1s1
-        F = (hw[0] * ms[idx] + hw[1] * ds[idx] + hw[2] * ms[idx + 1] + hw[3] * ds[idx + 1]) @ w
+        h00 = (1.0 + 2.0 * s) * s1s1
+        h10 = h * s * s1s1
+        h01 = ss * (3.0 - 2.0 * s)
+        h11 = h * ss * (s - 1.0)
+        F = (h00 * ms[idx] + h10 * ds[idx] + h01 * ms[idx + 1] + h11 * ds[idx + 1]) @ w
         # G[j, p] over the columns (m, d) of cells i0..i1; cell i0 is solved
         sel = np.flatnonzero(idx >= i0)
         jp, k = np.divmod(sel, len(xa))
         col = jp * (2 * nb + 2) + 2 * (idx.take(sel) - i0)
-        del idx, jp
-        hw = hw.reshape(4, -1).take(sel, axis=1)
-        del sel
+        hw = np.concatenate([a.take(sel) for a in (h00, h10, h01, h11)]).reshape(4, -1)
         hw *= w.take(k)
         G = np.bincount((col + np.arange(4)[:, None]).ravel(), hw.ravel(),
                         3 * nb * (2 * nb + 2)).reshape(nb, 3, 2 * nb + 2)[:, :, 2:]
-        del hw, k, col
         rhs = (F @ Wm.T).ravel()
         rhs[0] += eh * ms[i0]
         x = np.linalg.solve(A0[:2 * nb, :2 * nb] - (Wm @ G).reshape(2 * nb, 2 * nb), rhs)
@@ -722,14 +712,15 @@ def _psi_continued(phi, s):
 def _gamma_z_ladder_float(law, z, beta, alpha, K):
     """(value, |tail|) at truncations K, 2K, 4K, ...; the product runs on across doublings.
 
-    Each rung evaluates psi on three arrays: its new factors' arguments
-    beta + alpha k and beta + alpha (k + z), the five Euler-Maclaurin offsets
-    and the 64-node window.  For a law given by power terms or atoms that is
-    one call of ``law._phi`` per array, which continues psi left of the
-    abscissa as ``phi_mp`` does, so it needs no domain test: every argument
-    lies right of beta + alpha z.  Any other law evaluates the same arrays
-    element by element through its own ``psi``, which refuses an argument
-    left of the abscissa (the first is beta + alpha z, at k = 0).  The
+    Each rung evaluates psi on five arrays: its new factors' arguments
+    beta + alpha k and beta + alpha (k + z), the same at the five
+    Euler-Maclaurin offsets, and the 64-node window.  No argument lies left
+    of beta + alpha z.  For a law given by power terms or atoms that is one
+    call of ``law.psi`` per array, with one domain test each; where beta + alpha z lies left of the
+    abscissa, one call of ``law._phi``, which continues psi there as
+    ``phi_mp`` does.  Any other law evaluates the same arrays element by
+    element through its own ``psi``, which refuses an argument left of the
+    abscissa (the first is beta + alpha z, at k = 0).  The
     refusals name the first offending argument, as a loop over k would: a psi
     that is not finite (``PoleError`` at an exact pole of phi, else
     ``DomainError``: it overflows the doubles), then a vanishing numerator
@@ -739,8 +730,10 @@ def _gamma_z_ladder_float(law, z, beta, alpha, K):
     """
     if law.power_terms is None and law.atoms is None:
         psi = lambda s: np.array([law.psi(x) for x in s.tolist()])
-    else:
+    elif np.real(beta + alpha * z) <= law.beta_a:
         psi = lambda s: 1.0 - law._phi(s)
+    else:
+        psi = law.psi
     thetas = [t for _, t in law.power_terms or ()]
 
     def refuse(s):

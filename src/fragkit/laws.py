@@ -399,9 +399,12 @@ class ReproductionLaw:
         raise RootFindingFailure(f"{self.kind}: Newton steps on phi = 1 did not settle")
 
     def _check_domain(self, beta):
-        if np.real(beta) <= self.beta_a:
+        re = np.real(beta)
+        if isinstance(re, np.ndarray):  # an array of arguments: its leftmost
+            re = re.min()
+        if re <= self.beta_a:
             raise DomainError(
-                f"{self.kind}: phi undefined at Re beta = {np.real(beta)} "
+                f"{self.kind}: phi undefined at Re beta = {re} "
                 f"<= abscissa {self.beta_a}"
             )
 

@@ -676,6 +676,31 @@ def test_gamma_z_density_law_matches_its_closed_form():
         assert abs(g - ref) <= 1e-10 * abs(ref)
 
 
+def test_gamma_z_doubles_ladder_reads_psi_once_per_array(monkeypatch):
+    # right of the abscissa each rung makes five array calls of the law's
+    # psi (its factors' numerators and denominators, the same for the tail's
+    # offsets, and the window), each with one domain test; where beta + alpha z lies left of it, psi is continued through
+    # _phi and the public psi is not called
+    calls = []
+    psi = laws.ReproductionLaw.psi
+
+    def recorded(self, beta):
+        calls.append(np.shape(beta))
+        return psi(self, beta)
+
+    monkeypatch.setattr(laws.ReproductionLaw, "psi", recorded)
+    g = an.gamma_z(FIL21, 0.3, 1.3, 1.0)
+    rungs = int(math.log2(g.truncation_K // 64)) + 1
+    assert len(calls) == 5 * rungs and all(len(shape) == 1 for shape in calls)
+    assert g.value == pytest.approx(an.rational_gamma(FIL21, 0.3, 1.3, 1.0), rel=1e-12)
+    calls.clear()
+    an.gamma_z(FIL21, -100.5, 1.3, 1.0)
+    assert calls == []
+    # the domain test of an array names its leftmost argument
+    with pytest.raises(DomainError, match=r"Re beta = -1.5 <= abscissa -1"):
+        FIL21.psi(np.array([0.5, -1.5, 2.0]))
+
+
 def test_gamma_z_small_alpha_warns_nothing():
     # every argument lies right of the abscissa, but the early rungs' logs
     # reach between it and beta* = 1, where psi < 0
